@@ -11,7 +11,6 @@ import sys
 
 from .bench import (RegimeResult, RunManifest, aggregate, emit_outputs,
                     run_manifest)
-from .dynamics import NonConvergenceError
 from .game import BeliefState, PayoffEngine
 from .markov import build_chain, formation_probabilities
 from .propagation import ENVIRONMENTS

@@ -4,11 +4,15 @@ Each interaction round a drone re-estimates a Gaussian for every coalition
 mate from the cumulative sample history (MLE), classifies the estimate
 against the known type set by KL divergence, and maintains per-type
 observation frequencies that become its belief vector.
+
+A sample's classification event depends only on the samples up to it, so
+the observation log keeps running sums and per-type event counts, and each
+update classifies only the samples added since the previous one, batched
+over all pairs.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -29,6 +33,15 @@ def mle_gaussian(samples) -> tuple[float, float]:
     return mu, sigma2
 
 
+def _kl(mu1, sigma1, mu2, sigma2, two_var2):
+    """KL divergence (nats) from N(mu1, sigma1) to N(mu2, sigma2),
+    elementwise over broadcast numpy arrays; ``two_var2`` is
+    ``2.0 * sigma2 ** 2``, which the learner computes once per type."""
+    return (np.log(sigma2 / sigma1)
+            + (sigma1 ** 2 + (mu1 - mu2) ** 2) / two_var2
+            - 0.5)
+
+
 def kl_gaussian(p: tuple[float, float], q: tuple[float, float]) -> float:
     """KL divergence (nats) between Gaussians given as (mean, std)."""
     mu1, sigma1 = p
@@ -37,9 +50,36 @@ def kl_gaussian(p: tuple[float, float], q: tuple[float, float]) -> float:
         raise ValueError("reference std must be positive")
     if sigma1 <= 0:
         raise ValueError("std of the first argument must be positive")
-    return (math.log(sigma2 / sigma1)
-            + (sigma1 ** 2 + (mu1 - mu2) ** 2) / (2.0 * sigma2 ** 2)
-            - 0.5)
+    return float(_kl(mu1, sigma1, mu2, sigma2, 2.0 * sigma2 ** 2))
+
+
+class _TypeColumns:
+    """A type set sorted by id, as (m, 1) columns for the KL kernel."""
+
+    def __init__(self, type_set):
+        types = sorted(type_set, key=lambda t: t.id)
+        if not types:
+            raise ValueError("type set must be non-empty")
+        self.ids = tuple(t.id for t in types)
+        self.mu = np.array([[t.mu] for t in types])
+        self.sigma = np.array([[t.sigma] for t in types])
+        self.two_var = np.array([[2.0 * t.sigma ** 2] for t in types])
+
+
+def _classify(mean: np.ndarray, var: np.ndarray,
+              types: _TypeColumns) -> np.ndarray:
+    """Index into ``types.ids`` of the type minimizing KL(estimate -> type)
+    for every estimate (mean, var).
+
+    The variance is clipped at zero and the std floored relative to the
+    mean, so a degenerate estimate reduces to nearest-mean; argmin takes
+    the lowest index (the lowest id) on ties.
+    """
+    sigma = np.sqrt(np.maximum(var, 0.0))
+    floor = SIGMA_FLOOR_FACTOR * np.maximum(np.abs(mean), 1.0)
+    sigma = np.maximum(sigma, floor)
+    kls = _kl(mean, sigma, types.mu, types.sigma, types.two_var)
+    return kls.argmin(axis=0)
 
 
 def classify(estimate: tuple[float, float], type_set) -> int:
@@ -49,24 +89,97 @@ def classify(estimate: tuple[float, float], type_set) -> int:
     degenerate zero variance is floored so the comparison reduces to
     nearest-mean.
     """
-    if not type_set:
-        raise ValueError("type set must be non-empty")
+    types = _TypeColumns(type_set)
     mu_hat, sigma2_hat = estimate
-    sigma_hat = math.sqrt(max(sigma2_hat, 0.0))
-    sigma_hat = max(sigma_hat, SIGMA_FLOOR_FACTOR * max(abs(mu_hat), 1.0))
-    best_id, best_kl = None, math.inf
-    for t in sorted(type_set, key=lambda t: t.id):
-        kl = kl_gaussian((mu_hat, sigma_hat), (t.mu, t.sigma))
-        if kl < best_kl:
-            best_id, best_kl = t.id, kl
-    return best_id
+    k = _classify(np.array([mu_hat], dtype=float),
+                  np.array([sigma2_hat], dtype=float), types)
+    return types.ids[int(k[0])]
+
+
+class _EventCounts:
+    """Per-pair type-event counts of one (type set, window) over a log.
+
+    Row p of ``counts`` belongs to the log's p-th pair; ``done[p]`` is how
+    many of that pair's samples have been classified.
+    """
+
+    def __init__(self, type_set, window: int | None):
+        self.types = _TypeColumns(type_set)
+        self.window = window
+        self.counts = np.zeros((0, len(self.types.ids)), dtype=np.int64)
+        self.done: list[int] = []
+
+    def extend(self, sums: list[tuple[list[float], list[float]]]) -> None:
+        """Classify every sample added since the last call, for all pairs
+        in one pass.  Sample n's event is the KL classification of the MLE
+        over samples lo+1..n (lo = n - window, at least 0), read off the
+        running sums."""
+        m = len(self.types.ids)
+        grow = len(sums) - len(self.done)
+        if grow:
+            self.counts = np.vstack(
+                [self.counts, np.zeros((grow, m), dtype=np.int64)])
+            self.done.extend([0] * grow)
+        w = self.window
+        pair, cnt, bounds = [], [], []
+        for p, (s1, s2) in enumerate(sums):
+            n = len(s1) - 1
+            for idx in range(self.done[p] + 1, n + 1):
+                lo = max(0, idx - w) if w else 0
+                pair.append(p)
+                cnt.append(idx - lo)
+                bounds.append((s1[idx], s1[lo], s2[idx], s2[lo]))
+            self.done[p] = n
+        if not pair:
+            return
+        b = np.array(bounds)
+        cnt = np.array(cnt)
+        mean = (b[:, 0] - b[:, 1]) / cnt
+        var = (b[:, 2] - b[:, 3]) / cnt - mean ** 2
+        events = _classify(mean, var, self.types)
+        self.counts += np.bincount(
+            np.array(pair) * m + events,
+            minlength=self.counts.size).reshape(self.counts.shape)
+
+
+class _UniformBase:
+    """The uniform-prior belief table of one scenario, and its index."""
+
+    def __init__(self, scenario):
+        prior = BeliefState.uniform(scenario)
+        self.scenario = scenario
+        self.table = prior.table
+        self.drone_ids = prior.drone_ids
+        self.type_ids = prior.type_ids
+        self.index = {d: i for i, d in enumerate(self.drone_ids)}
+        self.pairs = [(i, j) for i in self.drone_ids
+                      for j in self.drone_ids if i != j]
 
 
 @dataclass
 class ObservationLog:
-    """Power samples per (observer, observed) pair with round indices."""
+    """Power samples per (observer, observed) pair with round indices.
+
+    ``add`` also extends each pair's running sums of x and x * x
+    (sequential float64 additions from 0.0, as ``np.cumsum`` makes them).
+    ``update_beliefs`` reads them and keeps its per-(type set, window)
+    event counts and the uniform-prior table here, so samples must enter
+    the log through the constructor or ``add``, not by appending to
+    ``samples``.
+    """
     samples: dict[tuple[int, int], list[float]] = field(default_factory=dict)
     rounds: dict[tuple[int, int], list[int]] = field(default_factory=dict)
+    _sums: dict[tuple[int, int], tuple[list[float], list[float]]] = field(
+        default_factory=dict, init=False, repr=False, compare=False)
+    _events: dict[tuple, _EventCounts] = field(
+        default_factory=dict, init=False, repr=False, compare=False)
+    _base: _UniformBase | None = field(
+        default=None, init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        for key, history in self.samples.items():
+            for x in history:
+                self._extend_sums(key, float(x))
 
     def add(self, observer: int, observed: int, sample: float,
             round_index: int) -> None:
@@ -77,7 +190,14 @@ class ObservationLog:
         if prev and round_index <= prev[-1]:
             raise ValueError("round indices must be strictly increasing")
         prev.append(round_index)
-        self.samples.setdefault(key, []).append(float(sample))
+        x = float(sample)
+        self.samples.setdefault(key, []).append(x)
+        self._extend_sums(key, x)
+
+    def _extend_sums(self, key: tuple[int, int], x: float) -> None:
+        s1, s2 = self._sums.setdefault(key, ([0.0], [0.0]))
+        s1.append(s1[-1] + x)
+        s2.append(s2[-1] + x * x)
 
 
 @dataclass
@@ -90,58 +210,47 @@ class TypePrediction:
         return dict(self.classified)
 
 
-def _prefix_classifications(samples: np.ndarray, type_set,
-                            window: int | None) -> np.ndarray:
-    """Classified type index after each successive sample."""
-    n = len(samples)
-    c1 = np.concatenate([[0.0], np.cumsum(samples)])
-    c2 = np.concatenate([[0.0], np.cumsum(samples ** 2)])
-    idx = np.arange(1, n + 1)
-    lo = np.maximum(0, idx - window) if window else np.zeros(n, dtype=int)
-    cnt = idx - lo
-    mean = (c1[idx] - c1[lo]) / cnt
-    var = np.maximum((c2[idx] - c2[lo]) / cnt - mean ** 2, 0.0)
-    sigma = np.sqrt(var)
-    sigma = np.maximum(sigma, SIGMA_FLOOR_FACTOR * np.maximum(np.abs(mean), 1.0))
-    types = sorted(type_set, key=lambda t: t.id)
-    kls = np.stack([
-        np.log(t.sigma / sigma)
-        + (sigma ** 2 + (mean - t.mu) ** 2) / (2.0 * t.sigma ** 2) - 0.5
-        for t in types])
-    return kls.argmin(axis=0)   # argmin takes the lowest index on ties
-
-
 def update_beliefs(log: ObservationLog, type_set, scenario,
                    window: int | None = None
                    ) -> tuple[BeliefState, TypePrediction]:
-    """Recompute beliefs from the observation log.
+    """Beliefs from the observation log.
 
-    For every pair, each logged round contributes one classification event
-    (MLE over the history up to that round, then KL classification); the
-    belief vector is the per-type frequency of those events.  Pairs with
-    no observations keep the uniform prior.
+    For every pair, each logged sample contributes one classification
+    event (MLE over the history up to that sample, or over its last
+    ``window`` samples, then KL classification); the belief vector is the
+    per-type frequency of those events.  Pairs with no observations keep
+    the uniform prior.  An event never changes once its sample is logged,
+    so a call classifies only the samples logged since the previous call
+    with the same type set and window; the beliefs equal a from-scratch
+    recomputation bit for bit.
     """
-    beliefs = BeliefState.uniform(scenario)
-    types = sorted(type_set, key=lambda t: t.id)
-    m = len(types)
-    classified: dict[tuple[int, int], int] = {}
-    freqs: dict[tuple[int, int], np.ndarray] = {}
-    for (observer, observed), samples in log.samples.items():
-        events = _prefix_classifications(np.asarray(samples, dtype=float),
-                                         types, window)
-        counts = np.bincount(events, minlength=m).astype(float)
-        freq = counts / counts.sum()
-        beliefs.set_row(observer, observed, freq)
-        freqs[(observer, observed)] = freq
-        classified[(observer, observed)] = types[int(freq.argmax())].id
+    key = (tuple(type_set), window or None)
+    events = log._events.get(key)
+    if events is None:
+        events = log._events[key] = _EventCounts(*key)
+    events.extend(list(log._sums.values()))
+    base = log._base
+    if base is None or base.scenario is not scenario:
+        base = log._base = _UniformBase(scenario)
+
+    pairs = list(log._sums)
+    counts = events.counts.astype(float)
+    freq = counts / counts.sum(axis=1, keepdims=True)
+    table = base.table.copy()
+    table[[base.index[i] for i, _ in pairs],
+          [base.index[j] for _, j in pairs]] = freq
+    beliefs = BeliefState(table, base.drone_ids, base.type_ids)
+
+    ids = events.types.ids
+    classified = {pair: ids[k]
+                  for pair, k in zip(pairs, freq.argmax(axis=1).tolist())}
+    freqs = dict(zip(pairs, freq))
     # unobserved pairs predict by the uniform-prior argmax (lowest id)
-    ids = scenario.drone_ids
-    uniform = np.full(m, 1.0 / m)
-    for i in ids:
-        for j in ids:
-            if i != j and (i, j) not in classified:
-                classified[(i, j)] = types[0].id
-                freqs[(i, j)] = uniform.copy()
+    uniform = np.full(len(ids), 1.0 / len(ids))
+    for pair in base.pairs:
+        if pair not in classified:
+            classified[pair] = ids[0]
+            freqs[pair] = uniform.copy()
     return beliefs, TypePrediction(classified, freqs)
 
 
@@ -153,21 +262,15 @@ def frobenius_convergence(prediction: TypePrediction, scenario
     For type m, entry (i, j) of the prediction matrix is 1 iff drone i
     currently predicts type m for drone j; diagonals use the true type
     (each drone knows its own).  Zero norm for every type means all
-    cross-predictions are correct.
+    cross-predictions are correct.  The matrices are 0/1, so each norm is
+    the square root of a mismatch count.
     """
     ids = scenario.drone_ids
-    types = sorted(scenario.type_set, key=lambda t: t.id)
-    d = len(ids)
-    norms = np.zeros(len(types))
-    truth = {i: scenario.drone(i).true_type for i in ids}
-    for k, t in enumerate(types):
-        pred = np.zeros((d, d))
-        true = np.zeros((d, d))
-        for a, i in enumerate(ids):
-            for b, j in enumerate(ids):
-                predicted = truth[j] if i == j \
-                    else prediction.classified[(i, j)]
-                pred[a, b] = 1.0 if predicted == t.id else 0.0
-                true[a, b] = 1.0 if truth[j] == t.id else 0.0
-        norms[k] = np.linalg.norm(pred - true)
+    truth = [scenario.drone(j).true_type for j in ids]
+    classified = prediction.classified
+    pred = np.array([[t if i == j else classified[(i, j)]
+                      for j, t in zip(ids, truth)] for i in ids])
+    type_ids = np.array(sorted(t.id for t in scenario.type_set))[:, None, None]
+    mismatch = (pred == type_ids) != (np.array(truth) == type_ids)
+    norms = np.sqrt(np.count_nonzero(mismatch, axis=(1, 2)).astype(float))
     return norms, float(norms.mean())

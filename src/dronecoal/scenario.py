@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -92,9 +93,12 @@ class Scenario:
         return tuple(d.id for d in self.drones)
 
     def drone(self, drone_id: int) -> DroneSpec:
-        return self._drone_index()[drone_id]
+        return self._drone_index[drone_id]
 
+    @cached_property
     def _drone_index(self) -> dict[int, DroneSpec]:
+        # built on first lookup and kept in the instance __dict__; equality
+        # and hashing stay on the fields
         return {d.id: d for d in self.drones}
 
     def type_spec(self, type_id: int) -> TypeSpec:

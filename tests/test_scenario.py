@@ -166,6 +166,18 @@ class TestScenarioValidation:
         assert set(raw) == {"area_m", "seed", "env", "type_set",
                             "drones", "users"}
 
+    def test_drone_lookup_keeps_field_equality(self):
+        sc = generate(SETTINGS["S1"], URBAN, seed=9)
+        fresh = Scenario.from_dict(sc.to_dict())
+        for d in sc.drones:
+            assert sc.drone(d.id) is d
+        with pytest.raises(KeyError):
+            sc.drone(99)
+        # the cached id index is not a field: equality and hashing still
+        # compare the fields only
+        assert sc == fresh
+        assert hash(sc) == hash(fresh)
+
 
 def _independent_baseline(scenario):
     """Recompute baseline rates from first principles: per-drone inverse
