@@ -7,18 +7,16 @@ from .scenario import (DEFAULT_TYPE_SET, SETTINGS, Scenario,
                        SimulationSetting, TypeSpec, baseline_rates, generate,
                        kmeans_placement)
 from .allocation import (AllocationResult, CoalitionEvaluator,
-                         evaluate_coalition, max_weight_matching, waterfill,
-                         weight_matrix)
+                         max_weight_matching, waterfill)
 from .game import (BeliefState, CoalitionStructure, PayoffEngine,
-                   bayesian_core, enumerate_structures, is_nash_stable,
-                   joint_belief)
+                   bayesian_core, enumerate_structures, is_nash_stable)
 from .learning import (ObservationLog, TypePrediction, classify,
                        frobenius_convergence, kl_gaussian, mle_gaussian,
                        update_beliefs)
 from .dynamics import (DynamicsConfig, NonConvergenceError, RoundRecord,
                        best_reply_step, run_best_reply, run_repeated_game)
 from .markov import (MarkovModel, absorbing_states, build_chain,
-                     formation_probabilities, stationary_distribution)
+                     formation_probabilities)
 from .bench import (RegimeResult, RunManifest, aggregate, emit_outputs,
                     run_manifest, run_regime)
 

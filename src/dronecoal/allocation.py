@@ -139,10 +139,21 @@ class CoalitionEvaluator:
         users.sort()
         return tuple(channels), tuple(users)
 
+    def weight_matrix(self, coalition: frozenset) -> np.ndarray:
+        """Channel x user matrix of inverse linear mean path losses."""
+        if not coalition:
+            raise ValueError("coalition must be non-empty")
+        channels, users = self.coalition_members(coalition)
+        w = np.empty((len(channels), len(users)))
+        for i, (_, d) in enumerate(channels):
+            for j, u in enumerate(users):
+                w[i, j] = 1.0 / propagation.to_linear(self.mean_loss_db(d, u))
+        return w
+
     def matching(self, coalition: frozenset):
         if coalition not in self._matchings:
             channels, users = self.coalition_members(coalition)
-            w = weight_matrix(coalition, self.scenario, self)
+            w = self.weight_matrix(coalition)
             pairs = max_weight_matching(w)
             matched = tuple((channels[r][0], channels[r][1], users[c])
                             for r, c in pairs)
@@ -182,26 +193,3 @@ class CoalitionEvaluator:
             matching=tuple(pairs), user_drone=user_drone,
             powers=PowerVector(power_map, budget, mu),
             per_drone_rate=per_drone, total_rate=total)
-
-
-def weight_matrix(coalition: frozenset, scenario,
-                  evaluator: CoalitionEvaluator | None = None) -> np.ndarray:
-    """Channel x user matrix of inverse linear mean path losses."""
-    if not coalition:
-        raise ValueError("coalition must be non-empty")
-    ev = evaluator or CoalitionEvaluator(scenario)
-    channels, users = ev.coalition_members(frozenset(coalition))
-    w = np.empty((len(channels), len(users)))
-    for i, (_, d) in enumerate(channels):
-        for j, u in enumerate(users):
-            w[i, j] = 1.0 / propagation.to_linear(ev.mean_loss_db(d, u))
-    return w
-
-
-def evaluate_coalition(coalition, scenario,
-                       assumed_powers: dict[int, float],
-                       evaluator: CoalitionEvaluator | None = None
-                       ) -> AllocationResult:
-    """Full pipeline: weights -> matching -> water-filling -> rates."""
-    ev = evaluator or CoalitionEvaluator(scenario)
-    return ev.evaluate(frozenset(coalition), assumed_powers)

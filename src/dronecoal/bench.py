@@ -116,18 +116,17 @@ def structure_rates(structure: CoalitionStructure, scenario,
 
 
 def stable_set_analysis(scenario, engine: PayoffEngine,
-                        beliefs: BeliefState,
-                        cap: int = PARTITION_CAP):
+                        beliefs: BeliefState):
     """All Nash-stable structures, their true-power totals, and the
     analytic formation probabilities from the all-singletons start."""
-    structures = enumerate_structures(scenario.drone_ids, cap)
+    structures = enumerate_structures(scenario.drone_ids)
     stable = [s for s in structures
               if is_nash_stable(s, beliefs, scenario, engine)[0]]
     totals = {}
     for s in stable:
         rates = structure_rates(s, scenario, engine.evaluator)
         totals[s.to_string()] = math.fsum(rates.values())
-    model = build_chain(scenario, beliefs, engine, cap)
+    model = build_chain(scenario, beliefs, engine)
     probs = formation_probabilities(model)
     prob_map = {model.states[i].to_string(): p for i, p in probs.items()}
     return stable, totals, prob_map, model
@@ -136,18 +135,21 @@ def stable_set_analysis(scenario, engine: PayoffEngine,
 def run_regime(scenario, regime: str, manifest: RunManifest,
                setting: str, topology: int, repetition: int,
                engine: PayoffEngine | None = None) -> RegimeResult:
+    """One regime on one (topology, repetition).  run_topology adds the
+    topology-only stable-set analysis to full_info results."""
+    if setting not in manifest.settings:
+        raise ValueError(f"setting {setting!r} is not in the manifest")
     engine = engine or PayoffEngine(scenario)
     evaluator = engine.evaluator
-    base = baseline_rates(scenario)
-    base_total = math.fsum(base.values())
     singles = CoalitionStructure.singletons(scenario.drone_ids)
-    idx = manifest.settings.index(setting) if setting in manifest.settings \
-        else 0
-    seed = run_seed(manifest, idx, topology, repetition)
+    seed = run_seed(manifest, manifest.settings.index(setting), topology,
+                    repetition)
 
     if regime == "baseline":
+        base = baseline_rates(scenario)
         return RegimeResult(regime, setting, topology, repetition,
-                            base_total, base, singles.to_string())
+                            math.fsum(base.values()), base,
+                            singles.to_string())
 
     if regime == "full_info":
         beliefs = BeliefState.point_mass_truth(scenario)
@@ -156,17 +158,10 @@ def run_regime(scenario, regime: str, manifest: RunManifest,
             singles, beliefs, scenario, engine, rng,
             manifest.stability_window)
         rates = structure_rates(final, scenario, evaluator)
-        result = RegimeResult(
+        return RegimeResult(
             regime, setting, topology, repetition,
             math.fsum(rates.values()), rates, final.to_string(),
             structure_changes=stats.changes)
-        if len(scenario.drone_ids) <= PARTITION_CAP:
-            _, totals, probs, _ = stable_set_analysis(scenario, engine,
-                                                      beliefs)
-            result.stable_totals = totals
-            result.formation_probs = probs
-            result.best_stable_total = max(totals.values())
-        return result
 
     if regime == "proposed":
         config = DynamicsConfig(
@@ -190,6 +185,7 @@ def run_regime(scenario, regime: str, manifest: RunManifest,
             return RegimeResult(regime, setting, topology, repetition,
                                 float("nan"), {}, "",
                                 note="skipped: enumeration cap exceeded")
+        base = baseline_rates(scenario)
         best_total, best_struct, best_rates = -math.inf, None, None
         unconstrained = (-math.inf, None, None)
         for s in enumerate_structures(scenario.drone_ids):
@@ -214,15 +210,27 @@ def run_regime(scenario, regime: str, manifest: RunManifest,
 
 def run_topology(scenario, manifest: RunManifest, setting: str,
                  topology: int) -> list[RegimeResult]:
-    """All requested regimes on one topology, sharing one payoff engine."""
+    """All requested regimes on one topology, sharing one payoff engine
+    and one full-information stable-set analysis, which each full_info
+    result gets its own copy of."""
     engine = PayoffEngine(scenario)
+    totals = probs = None
+    if "full_info" in manifest.regimes \
+            and len(scenario.drone_ids) <= PARTITION_CAP:
+        truth = BeliefState.point_mass_truth(scenario)
+        _, totals, probs, _ = stable_set_analysis(scenario, engine, truth)
     out = []
     for regime in manifest.regimes:
         reps = manifest.repetitions if regime in ("full_info", "proposed") \
             else 1
         for rep in range(reps):
-            out.append(run_regime(scenario, regime, manifest, setting,
-                                  topology, rep, engine))
+            result = run_regime(scenario, regime, manifest, setting,
+                                topology, rep, engine)
+            if regime == "full_info" and totals is not None:
+                result.stable_totals = dict(totals)
+                result.formation_probs = dict(probs)
+                result.best_stable_total = max(totals.values())
+            out.append(result)
     return out
 
 

@@ -75,16 +75,13 @@ def candidate_groups(structure: CoalitionStructure, proposer: int,
 
 def best_reply_step(structure: CoalitionStructure, proposer: int,
                     beliefs: BeliefState, scenario,
-                    engine: PayoffEngine | None = None,
-                    rng: np.random.Generator | None = None
-                    ) -> CoalitionStructure:
+                    engine: PayoffEngine,
+                    rng: np.random.Generator) -> CoalitionStructure:
     """One proposal: the proposer moves to its best strictly-improving
     admissible option, falling back to the next-best payoff level when
     every maximizer at a level is vetoed.  Ties are broken uniformly at
     random; with no admissible improvement the structure is unchanged.
     """
-    engine = engine or PayoffEngine(scenario)
-    rng = rng or np.random.default_rng()
     for _, entries in candidate_groups(structure, proposer, beliefs, engine):
         ok = [target for target, admitted in entries if admitted]
         if ok:
@@ -100,8 +97,8 @@ class BestReplyStats:
 
 
 def run_best_reply(initial: CoalitionStructure, beliefs: BeliefState,
-                   scenario, engine: PayoffEngine | None = None,
-                   rng: np.random.Generator | None = None,
+                   scenario, engine: PayoffEngine,
+                   rng: np.random.Generator,
                    stability_window: int = 10,
                    step_cap: int = STEP_CAP,
                    tie_rng: np.random.Generator | None = None
@@ -114,8 +111,6 @@ def run_best_reply(initial: CoalitionStructure, beliefs: BeliefState,
     proposals the structure is verified with the exhaustive deviation
     scan; the returned structure always passes it.
     """
-    engine = engine or PayoffEngine(scenario)
-    rng = rng or np.random.default_rng()
     tie_rng = tie_rng or rng
     ids = list(initial.members())
     d = len(ids)

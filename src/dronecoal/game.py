@@ -120,8 +120,8 @@ class BeliefState:
     """Per-drone probability tables over the type set.
 
     table[i, j] is observer i's belief vector over observed drone j's
-    type; self-rows are point masses on the true type.  ``version`` is a
-    monotone counter used for payoff memoization.
+    type; self-rows are point masses on the true type.  ``uid`` keys
+    payoff memoization; ``set_row`` assigns a fresh one.
     """
 
     _instances = itertools.count()
@@ -138,10 +138,11 @@ class BeliefState:
             raise ValueError("belief table has wrong shape")
         if np.any(table < 0):
             raise ValueError("belief probabilities must be non-negative")
-        if not np.allclose(table.sum(axis=2), 1.0, atol=1e-12):
+        # np.allclose(sums, 1.0, atol=1e-12) without its overhead; NaN fails
+        sums = table.sum(axis=2)
+        if not np.all(np.abs(sums - 1.0) <= 1e-12 + 1e-5):
             raise ValueError("belief vectors must sum to 1")
         self.table = table
-        self.version = 0
 
     @classmethod
     def uniform(cls, scenario) -> "BeliefState":
@@ -175,33 +176,19 @@ class BeliefState:
         if not math.isclose(probs.sum(), 1.0, abs_tol=1e-12):
             raise ValueError("belief vector must sum to 1")
         self.table[self._index[observer], self._index[observed], :] = probs
-        self.version += 1
+        self.uid = next(BeliefState._instances)
 
     def snapshot_hash(self) -> str:
         return hashlib.sha1(self.table.tobytes()).hexdigest()[:16]
 
 
-def joint_belief(observer: int, member_types: dict[int, int],
-                 beliefs: BeliefState) -> float:
-    """Product of the observer's marginals over the given (drone, type)
-    hypotheses; the empty hypothesis has probability 1."""
-    if observer in member_types:
-        raise ValueError("member hypotheses must exclude the observer")
-    p = 1.0
-    for j, t in member_types.items():
-        p *= beliefs.prob(observer, j, t)
-    return p
-
-
 class PayoffEngine:
     """Expected payoffs under belief uncertainty, memoized per
-    (subject, observer, coalition, belief version)."""
+    (subject, observer, coalition, beliefs uid)."""
 
-    def __init__(self, scenario, evaluator: CoalitionEvaluator | None = None,
-                 type_space_cap: int = TYPE_SPACE_CAP):
+    def __init__(self, scenario):
         self.scenario = scenario
-        self.evaluator = evaluator or CoalitionEvaluator(scenario)
-        self.type_space_cap = type_space_cap
+        self.evaluator = CoalitionEvaluator(scenario)
         self._cache: dict[tuple, float] = {}
 
     def expected_payoff(self, observer: int, coalition,
@@ -218,7 +205,7 @@ class PayoffEngine:
             raise ValueError("subject must belong to the coalition")
         if observer not in coalition:
             raise ValueError("observer must belong to the coalition")
-        key = (subject, observer, coalition, beliefs.uid, beliefs.version)
+        key = (subject, observer, coalition, beliefs.uid)
         if key not in self._cache:
             self._cache[key] = self._compute(subject, observer, coalition,
                                              beliefs)
@@ -229,10 +216,10 @@ class PayoffEngine:
         sc = self.scenario
         others = sorted(coalition - {observer})
         m = len(sc.type_set)
-        if m ** len(others) > self.type_space_cap:
+        if m ** len(others) > TYPE_SPACE_CAP:
             raise ValueError(
                 f"type space {m}^{len(others)} exceeds cap "
-                f"{self.type_space_cap}")
+                f"{TYPE_SPACE_CAP}")
         own_power = sc.true_power(observer)
         type_ids = [t.id for t in sc.type_set]
         mus = {t.id: t.mu for t in sc.type_set}
@@ -283,11 +270,10 @@ def admissible(proposer: int, target: tuple[int, ...] | None,
 
 
 def is_nash_stable(structure: CoalitionStructure, beliefs: BeliefState,
-                   scenario, engine: PayoffEngine | None = None
+                   scenario, engine: PayoffEngine
                    ) -> tuple[bool, DeviationWitness | None]:
     """Deviation scan: the structure is stable iff no drone has a strictly
     profitable move that every member of the target coalition accepts."""
-    engine = engine or PayoffEngine(scenario)
     for d in structure.members():
         current, targets = deviation_candidates(structure, d)
         q_current = engine.expected_payoff(d, frozenset(current), beliefs)
@@ -311,9 +297,8 @@ class CoreVerdict:
     blocking: tuple[int, ...] | None
 
 
-def bayesian_core(scenario, beliefs: BeliefState, kind: str = "weak",
-                  engine: PayoffEngine | None = None,
-                  cap: int = PARTITION_CAP) -> CoreVerdict:
+def bayesian_core(scenario, beliefs: BeliefState, kind: str,
+                  engine: PayoffEngine) -> CoreVerdict:
     """Membership of the grand coalition in the weak or strong Bayesian
     core.
 
@@ -327,9 +312,8 @@ def bayesian_core(scenario, beliefs: BeliefState, kind: str = "weak",
     if kind not in ("weak", "strong"):
         raise ValueError("kind must be 'weak' or 'strong'")
     ids = scenario.drone_ids
-    if len(ids) > cap:
+    if len(ids) > PARTITION_CAP:
         raise ValueError(f"{len(ids)} drones exceeds the enumeration cap")
-    engine = engine or PayoffEngine(scenario)
     grand = frozenset(ids)
 
     def weakly_prefers(d, s):

@@ -233,15 +233,22 @@ def update_beliefs(log: ObservationLog, type_set, scenario,
     if base is None or base.scenario is not scenario:
         base = log._base = _UniformBase(scenario)
 
+    ids = events.types.ids
+    unknown = sorted(set(ids) - set(base.type_ids))
+    if unknown:
+        raise ValueError(f"type ids {unknown} are not in the scenario")
     pairs = list(log._sums)
     counts = events.counts.astype(float)
     freq = counts / counts.sum(axis=1, keepdims=True)
+    # freq columns follow type ids; the table's type axis follows the
+    # scenario's type set
+    rows = np.zeros((len(pairs), len(base.type_ids)))
+    rows[:, [base.type_ids.index(t) for t in ids]] = freq
     table = base.table.copy()
     table[[base.index[i] for i, _ in pairs],
-          [base.index[j] for _, j in pairs]] = freq
+          [base.index[j] for _, j in pairs]] = rows
     beliefs = BeliefState(table, base.drone_ids, base.type_ids)
 
-    ids = events.types.ids
     classified = {pair: ids[k]
                   for pair, k in zip(pairs, freq.argmax(axis=1).tolist())}
     freqs = dict(zip(pairs, freq))

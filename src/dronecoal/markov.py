@@ -14,7 +14,7 @@ import numpy as np
 
 from .dynamics import candidate_groups
 from .game import (BeliefState, CoalitionStructure, PayoffEngine,
-                   enumerate_structures, PARTITION_CAP)
+                   enumerate_structures)
 
 ROW_SUM_TOL = 1e-9
 ABSORBING_TOL = 1e-12
@@ -46,8 +46,7 @@ class MarkovModel:
 
 
 def build_chain(scenario, beliefs: BeliefState,
-                engine: PayoffEngine | None = None,
-                cap: int = PARTITION_CAP,
+                engine: PayoffEngine,
                 veto_self_loop: bool = False) -> MarkovModel:
     """Analytic transition matrix of the best-reply process.
 
@@ -56,10 +55,7 @@ def build_chain(scenario, beliefs: BeliefState,
     the self-loop instead of falling through to the next-best group.
     """
     ids = scenario.drone_ids
-    if len(ids) > cap:
-        raise ValueError(f"{len(ids)} drones exceeds the enumeration cap")
-    engine = engine or PayoffEngine(scenario)
-    states = enumerate_structures(ids, cap)
+    states = enumerate_structures(ids)
     index = {s: i for i, s in enumerate(states)}
     d = len(ids)
     t = np.zeros((len(states), len(states)))
@@ -139,18 +135,3 @@ def formation_probabilities(model: MarkovModel,
     model.absorbing = absorbing
     model.formation_probs = probs
     return probs
-
-
-def stationary_distribution(model: MarkovModel) -> np.ndarray:
-    """Solve pi^T W = pi^T with sum(pi) = 1.
-
-    Well-posed only when the solution simplex is a point (a single
-    absorbing state); with several absorbing states use
-    formation_probabilities instead.
-    """
-    t = model.transition
-    n = len(t)
-    a = np.vstack([t.T - np.eye(n), np.ones(n)])
-    b = np.concatenate([np.zeros(n), [1.0]])
-    pi, *_ = np.linalg.lstsq(a, b, rcond=None)
-    return pi

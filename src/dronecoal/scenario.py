@@ -219,23 +219,17 @@ def _repair_capacity(points: np.ndarray, centroids: np.ndarray,
     while np.any(counts > capacity):
         over = int(np.argmax(counts))
         members = np.flatnonzero(assignment == over)
-        # move the member farthest from its centroid
+        # move the member farthest from its centroid (the first on ties)
         d_own = np.linalg.norm(points[members] - centroids[over], axis=1)
-        order = members[np.argsort(-d_own, kind="stable")]
-        moved = False
-        for idx in order:
-            under = np.flatnonzero(counts < capacity)
-            if len(under) == 0:
-                raise ValueError("total capacity below number of points")
-            d = np.linalg.norm(centroids[under] - points[idx], axis=1)
-            target = under[int(np.argmin(d))]
-            assignment[idx] = target
-            counts[over] -= 1
-            counts[target] += 1
-            moved = True
-            break
-        if not moved:  # pragma: no cover
-            break
+        idx = members[int(np.argmax(d_own))]
+        under = np.flatnonzero(counts < capacity)
+        if len(under) == 0:
+            raise ValueError("total capacity below number of points")
+        d = np.linalg.norm(centroids[under] - points[idx], axis=1)
+        target = under[int(np.argmin(d))]
+        assignment[idx] = target
+        counts[over] -= 1
+        counts[target] += 1
     return assignment
 
 

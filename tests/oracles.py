@@ -62,7 +62,14 @@ def update_beliefs(log: ObservationLog, type_set, scenario,
                                          types, window)
         counts = np.bincount(events, minlength=m).astype(float)
         freq = counts / counts.sum()
-        beliefs.set_row(observer, observed, freq)
+        # freq follows type ids; the belief row follows the scenario's
+        # type set
+        row = np.zeros(len(beliefs.type_ids))
+        for k, t in enumerate(types):
+            if t.id not in beliefs.type_ids:
+                raise ValueError(f"type id {t.id} is not in the scenario")
+            row[beliefs.type_ids.index(t.id)] = freq[k]
+        beliefs.set_row(observer, observed, row)
         freqs[(observer, observed)] = freq
         classified[(observer, observed)] = types[int(freq.argmax())].id
     # unobserved pairs predict by the uniform-prior argmax (lowest id)

@@ -12,7 +12,8 @@ import numpy as np
 import pytest
 
 from dronecoal.allocation import max_weight_matching, waterfill
-from dronecoal.bench import RunManifest, emit_outputs, run_manifest, run_regime
+from dronecoal.bench import (RunManifest, emit_outputs, run_manifest,
+                             run_topology)
 from dronecoal.dynamics import (DynamicsConfig, best_reply_step,
                                 run_best_reply, run_repeated_game)
 from dronecoal.game import (BeliefState, CoalitionStructure, PayoffEngine,
@@ -40,17 +41,16 @@ def _report(num, name, ok, detail=""):
 def dominance_runs():
     """Baseline / full-info / social-optimal on 100 topologies per setting."""
     manifest = RunManifest(settings=["S1", "S2", "S3", "S4"],
-                           topologies=100, repetitions=1)
+                           topologies=100, repetitions=1,
+                           regimes=["baseline", "full_info",
+                                    "social_optimal"])
     runs = {}
     for si, name in enumerate(manifest.settings):
         for topo in range(manifest.topologies):
             sc = generate(SETTINGS[name], URBAN,
                           seed=si * 10_000 + topo)
             runs[(name, topo)] = (
-                sc,
-                run_regime(sc, "baseline", manifest, name, topo, 0),
-                run_regime(sc, "full_info", manifest, name, topo, 0),
-                run_regime(sc, "social_optimal", manifest, name, topo, 0))
+                sc, *run_topology(sc, manifest, name, topo))
     return runs
 
 

@@ -4,9 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from dronecoal.allocation import (CoalitionEvaluator, evaluate_coalition,
-                                  max_weight_matching, waterfill,
-                                  weight_matrix)
+from dronecoal.allocation import (CoalitionEvaluator, max_weight_matching,
+                                  waterfill)
 from dronecoal.propagation import ENVIRONMENTS, to_linear
 from dronecoal.scenario import SETTINGS, baseline_rates, generate
 
@@ -150,7 +149,7 @@ class TestWeightMatrix:
         sc = generate(SETTINGS["S1"], URBAN, seed=14)
         ev = CoalitionEvaluator(sc)
         coalition = frozenset([0])
-        w = weight_matrix(coalition, sc, ev)
+        w = ev.weight_matrix(coalition)
         channels, users = ev.coalition_members(coalition)
         assert w.shape == (3, 3)
         for j, u in enumerate(users):
@@ -161,7 +160,7 @@ class TestWeightMatrix:
         sc = generate(SETTINGS["S1"], URBAN, seed=14)
         ev = CoalitionEvaluator(sc)
         coalition = frozenset([0, 1])
-        w = weight_matrix(coalition, sc, ev)
+        w = ev.weight_matrix(coalition)
         channels, _ = ev.coalition_members(coalition)
         owners = [d for _, d in channels]
         for i in range(1, len(owners)):
@@ -171,7 +170,7 @@ class TestWeightMatrix:
     def test_empty_coalition_rejected(self):
         sc = generate(SETTINGS["S1"], URBAN, seed=14)
         with pytest.raises(ValueError):
-            weight_matrix(frozenset(), sc)
+            CoalitionEvaluator(sc).weight_matrix(frozenset())
 
 
 class TestEvaluateCoalition:
@@ -179,19 +178,20 @@ class TestEvaluateCoalition:
         sc = generate(SETTINGS["S1"], URBAN, seed=15)
         base = baseline_rates(sc)
         for d in sc.drone_ids:
-            result = evaluate_coalition([d], sc, {d: sc.true_power(d)})
+            result = CoalitionEvaluator(sc).evaluate(
+                frozenset([d]), {d: sc.true_power(d)})
             assert result.per_drone_rate[d] == pytest.approx(base[d])
             assert result.total_rate == pytest.approx(base[d])
 
     def test_missing_power_rejected(self):
         sc = generate(SETTINGS["S1"], URBAN, seed=15)
         with pytest.raises(ValueError):
-            evaluate_coalition([0, 1], sc, {0: 12.0})
+            CoalitionEvaluator(sc).evaluate(frozenset([0, 1]), {0: 12.0})
 
     def test_total_rate_is_sum(self):
         sc = generate(SETTINGS["S1"], URBAN, seed=15)
-        result = evaluate_coalition(
-            [0, 1, 2], sc, {d: sc.true_power(d) for d in sc.drone_ids})
+        result = CoalitionEvaluator(sc).evaluate(
+            frozenset([0, 1, 2]), {d: sc.true_power(d) for d in sc.drone_ids})
         assert result.total_rate == \
             pytest.approx(math.fsum(result.per_drone_rate.values()))
         assert len(result.matching) == 9
@@ -200,15 +200,17 @@ class TestEvaluateCoalition:
 
     def test_monotone_in_budget(self):
         sc = generate(SETTINGS["S1"], URBAN, seed=16)
-        lo = evaluate_coalition([0, 1], sc, {0: 6.0, 1: 6.0})
-        hi = evaluate_coalition([0, 1], sc, {0: 12.0, 1: 12.0})
+        ev = CoalitionEvaluator(sc)
+        lo = ev.evaluate(frozenset([0, 1]), {0: 6.0, 1: 6.0})
+        hi = ev.evaluate(frozenset([0, 1]), {0: 12.0, 1: 12.0})
         assert hi.total_rate > lo.total_rate
 
     def test_deterministic_across_evaluators(self):
         sc = generate(SETTINGS["S2"], URBAN, seed=17)
         powers = {d: sc.true_power(d) for d in sc.drone_ids}
-        a = evaluate_coalition(sc.drone_ids, sc, powers)
-        b = evaluate_coalition(sc.drone_ids, sc, powers)
+        grand = frozenset(sc.drone_ids)
+        a = CoalitionEvaluator(sc).evaluate(grand, powers)
+        b = CoalitionEvaluator(sc).evaluate(grand, powers)
         assert a.matching == b.matching
         assert a.per_drone_rate == b.per_drone_rate
 

@@ -5,6 +5,7 @@ import os
 import numpy as np
 import pytest
 
+from dronecoal import bench
 from dronecoal.bench import (REGIMES, RegimeResult, RunManifest, aggregate,
                              emit_outputs, run_manifest, run_regime,
                              run_seed, run_topology, scenario_seed,
@@ -81,6 +82,14 @@ def s1():
     return generate(SETTINGS["S1"], URBAN, seed=8)
 
 
+def topology_regimes(sc):
+    """Baseline, full-info and social-optimum results of one repetition
+    on one topology, through run_topology."""
+    m = tiny_manifest(repetitions=1,
+                      regimes=["baseline", "full_info", "social_optimal"])
+    return run_topology(sc, m, "S1", 0)
+
+
 class TestRunRegime:
     def test_baseline(self, s1):
         m = tiny_manifest()
@@ -90,8 +99,8 @@ class TestRunRegime:
             math.fsum(baseline_rates(s1).values()))
 
     def test_full_info_reports_stable_set(self, s1):
-        m = tiny_manifest()
-        r = run_regime(s1, "full_info", m, "S1", 0, 0)
+        _, r, _ = topology_regimes(s1)
+        assert r.regime == "full_info"
         assert r.stable_totals
         assert r.best_stable_total == max(r.stable_totals.values())
         assert sum(r.formation_probs.values()) == pytest.approx(1.0)
@@ -106,10 +115,7 @@ class TestRunRegime:
         assert r.frobenius_series[-1] == 0.0
 
     def test_social_optimal_dominates(self, s1):
-        m = tiny_manifest()
-        base = run_regime(s1, "baseline", m, "S1", 0, 0)
-        social = run_regime(s1, "social_optimal", m, "S1", 0, 0)
-        full = run_regime(s1, "full_info", m, "S1", 0, 0)
+        base, full, social = topology_regimes(s1)
         assert social.total_rate >= full.best_stable_total - 1e-9
         assert full.best_stable_total >= base.total_rate - 1e-9
         # per-drone feasibility unless flagged as a fallback
@@ -120,6 +126,17 @@ class TestRunRegime:
     def test_unknown_regime(self, s1):
         with pytest.raises(ValueError):
             run_regime(s1, "magic", tiny_manifest(), "S1", 0, 0)
+
+    def test_unknown_setting(self, s1):
+        # a setting outside the manifest has no seeds of its own
+        with pytest.raises(ValueError, match="not in the manifest"):
+            run_regime(s1, "baseline", tiny_manifest(), "S2", 0, 0)
+
+    def test_full_info_leaves_analysis_to_run_topology(self, s1):
+        r = run_regime(s1, "full_info", tiny_manifest(), "S1", 0, 0)
+        assert r.stable_totals == {}
+        assert r.formation_probs == {}
+        assert r.best_stable_total is None
 
     def test_single_drone_all_regimes_equal(self):
         setting = SimulationSetting("one", 1, 3, 3, 3, 3)
@@ -144,6 +161,46 @@ class TestStableSetAnalysis:
         assert {s.to_string() for s in stable} == set(totals)
         assert set(probs) <= set(totals)
         assert sum(probs.values()) == pytest.approx(1.0)
+
+
+class TestRunTopology:
+    def test_analysis_runs_once_per_topology(self, s1, monkeypatch):
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args[0])
+            return stable_set_analysis(*args, **kwargs)
+
+        monkeypatch.setattr(bench, "stable_set_analysis", counting)
+        m = tiny_manifest(repetitions=3)
+        results = run_topology(s1, m, "S1", 0)
+        assert calls == [s1]
+        assert sum(r.regime == "full_info" for r in results) == 3
+
+    def test_each_full_info_result_owns_the_analysis(self, s1):
+        m = tiny_manifest(repetitions=3,
+                          regimes=["baseline", "full_info", "social_optimal"])
+        results = run_topology(s1, m, "S1", 0)
+        full = [r for r in results if r.regime == "full_info"]
+        assert len(full) == 3
+        _, totals, probs, _ = stable_set_analysis(
+            s1, PayoffEngine(s1), BeliefState.point_mass_truth(s1))
+        for r in full:
+            assert r.stable_totals == totals
+            assert r.formation_probs == probs
+            assert r.best_stable_total == max(totals.values())
+        dicts = [d for r in results
+                 for d in (r.stable_totals, r.formation_probs)]
+        assert len({id(d) for d in dicts}) == len(dicts)
+
+    def test_no_analysis_without_full_info(self, s1, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("stable_set_analysis called")
+
+        monkeypatch.setattr(bench, "stable_set_analysis", fail)
+        m = tiny_manifest(regimes=["baseline", "social_optimal"])
+        assert [r.regime for r in run_topology(s1, m, "S1", 0)] == \
+            ["baseline", "social_optimal"]
 
 
 class TestAggregate:

@@ -78,14 +78,15 @@ class TestBestReplyStep:
         beliefs = BeliefState.point_mass_truth(sc)
         grand = CoalitionStructure.grand(sc.drone_ids)
         rng = np.random.default_rng(0)
-        assert best_reply_step(grand, 0, beliefs, sc, rng=rng) == grand
+        assert best_reply_step(grand, 0, beliefs, sc, PayoffEngine(sc),
+                               rng) == grand
 
     def test_profitable_merge_taken(self):
         sc = swap_scenario()
         beliefs = BeliefState.point_mass_truth(sc)
         singles = CoalitionStructure.singletons(sc.drone_ids)
         rng = np.random.default_rng(0)
-        new = best_reply_step(singles, 0, beliefs, sc, rng=rng)
+        new = best_reply_step(singles, 0, beliefs, sc, PayoffEngine(sc), rng)
         assert new == CoalitionStructure.grand(sc.drone_ids)
 
     def test_veto_falls_through_to_next_group(self):
@@ -143,8 +144,8 @@ class TestRunBestReply:
         sc = swap_scenario()
         beliefs = BeliefState.point_mass_truth(sc)
         grand = CoalitionStructure.grand(sc.drone_ids)
-        final, stats = run_best_reply(grand, beliefs, sc,
-                                      rng=np.random.default_rng(0))
+        final, stats = run_best_reply(grand, beliefs, sc, PayoffEngine(sc),
+                                      np.random.default_rng(0))
         assert final == grand
         assert stats.changes == 0
 
@@ -178,8 +179,8 @@ class TestRunBestReply:
         beliefs = BeliefState.point_mass_truth(sc)
         with pytest.raises(NonConvergenceError):
             run_best_reply(CoalitionStructure.singletons(sc.drone_ids),
-                           beliefs, sc, rng=np.random.default_rng(0),
-                           step_cap=1)
+                           beliefs, sc, PayoffEngine(sc),
+                           np.random.default_rng(0), step_cap=1)
 
 
 class TestRoundRecord:

@@ -4,11 +4,11 @@ import math
 import numpy as np
 import pytest
 
+from dronecoal import game
 from dronecoal.game import (BeliefState, CoalitionStructure, PayoffEngine,
                             admissible, bayesian_core, deviation_candidates,
-                            enumerate_structures, is_nash_stable,
-                            joint_belief)
-from dronecoal.allocation import evaluate_coalition
+                            enumerate_structures, is_nash_stable)
+from dronecoal.allocation import CoalitionEvaluator
 from dronecoal.propagation import ENVIRONMENTS
 from dronecoal.scenario import (SETTINGS, SimulationSetting, baseline_rates,
                                 generate)
@@ -116,10 +116,22 @@ class TestBeliefState:
 
     def test_set_row_bumps_version(self, s1):
         b = BeliefState.uniform(s1)
-        v = b.version
+        uid = b.uid
         b.set_row(0, 1, [0.7, 0.3])
-        assert b.version == v + 1
+        assert b.uid != uid
         assert b.prob(0, 1, 0) == pytest.approx(0.7)
+
+    def test_table_sums_checked(self, s1):
+        ids, tids = s1.drone_ids, [t.id for t in s1.type_set]
+        base = BeliefState.uniform(s1).table
+        for bad in (math.nan, 1.0 + 2e-5, 1.0 - 2e-5):
+            table = base.copy()
+            table[0, 1] = [bad, 0.0]
+            with pytest.raises(ValueError, match="sum to 1"):
+                BeliefState(table, ids, tids)
+        table = base.copy()
+        table[0, 1] = [1.0 + 5e-6, 0.0]
+        assert BeliefState(table, ids, tids).prob(0, 1, 0) == 1.0 + 5e-6
 
     def test_invalid_rows_rejected(self, s1):
         b = BeliefState.uniform(s1)
@@ -134,33 +146,6 @@ class TestBeliefState:
         assert a.snapshot_hash() != b.snapshot_hash()
 
 
-class TestJointBelief:
-    def test_product_of_marginals(self, s1):
-        b = BeliefState.uniform(s1)
-        b.set_row(0, 1, [0.7, 0.3])
-        b.set_row(0, 2, [0.6, 0.4])
-        assert joint_belief(0, {1: 0, 2: 0}, b) == pytest.approx(0.42)
-        assert joint_belief(0, {1: 1, 2: 1}, b) == pytest.approx(0.12)
-
-    def test_empty_hypothesis(self, s1):
-        b = BeliefState.uniform(s1)
-        assert joint_belief(0, {}, b) == 1.0
-
-    def test_observer_excluded(self, s1):
-        b = BeliefState.uniform(s1)
-        with pytest.raises(ValueError):
-            joint_belief(0, {0: 0}, b)
-
-    def test_sums_to_one_over_type_space(self, s1):
-        b = BeliefState.uniform(s1)
-        b.set_row(0, 1, [0.8, 0.2])
-        b.set_row(0, 2, [0.25, 0.75])
-        tids = [t.id for t in s1.type_set]
-        total = sum(joint_belief(0, dict(zip((1, 2), combo)), b)
-                    for combo in itertools.product(tids, repeat=2))
-        assert total == pytest.approx(1.0)
-
-
 class TestPayoffEngine:
     def test_singleton_equals_baseline(self, s1, s1_engine):
         base = baseline_rates(s1)
@@ -173,7 +158,7 @@ class TestPayoffEngine:
         b = BeliefState.point_mass_truth(s1)
         coalition = frozenset([0, 1])
         powers = {d: s1.true_power(d) for d in coalition}
-        result = evaluate_coalition(coalition, s1, powers)
+        result = CoalitionEvaluator(s1).evaluate(coalition, powers)
         for d in coalition:
             q = s1_engine.expected_payoff(d, coalition, b)
             assert q == pytest.approx(result.per_drone_rate[d])
@@ -186,8 +171,8 @@ class TestPayoffEngine:
         mus = {t.id: t.mu for t in s1.type_set}
         expected = 0.0
         for t, w in ((0, 0.5), (1, 0.5)):
-            result = evaluate_coalition(
-                coalition, s1, {0: s1.true_power(0), 1: mus[t]})
+            result = CoalitionEvaluator(s1).evaluate(
+                coalition, {0: s1.true_power(0), 1: mus[t]})
             expected += w * result.per_drone_rate[0]
         assert s1_engine.expected_payoff(0, coalition, b) == \
             pytest.approx(expected)
@@ -197,8 +182,8 @@ class TestPayoffEngine:
         b.set_row(0, 1, [0.9, 0.1])
         mus = {t.id: t.mu for t in s1.type_set}
         coalition = frozenset([0, 1])
-        expected = sum(w * evaluate_coalition(
-            coalition, s1, {0: s1.true_power(0), 1: mus[t]}).per_drone_rate[0]
+        expected = sum(w * CoalitionEvaluator(s1).evaluate(
+            coalition, {0: s1.true_power(0), 1: mus[t]}).per_drone_rate[0]
             for t, w in ((0, 0.9), (1, 0.1)))
         assert s1_engine.expected_payoff(0, coalition, b) == \
             pytest.approx(expected)
@@ -210,8 +195,8 @@ class TestPayoffEngine:
         b.set_row(0, 1, [1.0, 0.0])
         coalition = frozenset([0, 1])
         mus = {t.id: t.mu for t in s1.type_set}
-        result = evaluate_coalition(
-            coalition, s1, {0: s1.true_power(0), 1: mus[0]})
+        result = CoalitionEvaluator(s1).evaluate(
+            coalition, {0: s1.true_power(0), 1: mus[0]})
         assert s1_engine.expected_payoff_of(1, 0, coalition, b) == \
             pytest.approx(result.per_drone_rate[1])
 
@@ -220,8 +205,9 @@ class TestPayoffEngine:
         with pytest.raises(ValueError):
             s1_engine.expected_payoff(0, frozenset([1, 2]), b)
 
-    def test_type_space_cap(self, s1):
-        engine = PayoffEngine(s1, type_space_cap=1)
+    def test_type_space_cap(self, s1, monkeypatch):
+        monkeypatch.setattr(game, "TYPE_SPACE_CAP", 1)
+        engine = PayoffEngine(s1)
         b = BeliefState.uniform(s1)
         with pytest.raises(ValueError):
             engine.expected_payoff(0, frozenset(s1.drone_ids), b)
@@ -309,8 +295,9 @@ class TestBayesianCore:
         setting = SimulationSetting("one", 1, 3, 3, 3, 3)
         sc = generate(setting, URBAN, seed=0)
         b = BeliefState.point_mass_truth(sc)
-        assert bayesian_core(sc, b, "weak").in_core
-        assert bayesian_core(sc, b, "strong").in_core
+        engine = PayoffEngine(sc)
+        assert bayesian_core(sc, b, "weak", engine).in_core
+        assert bayesian_core(sc, b, "strong", engine).in_core
 
     def test_blocked_by_dominant_singleton(self):
         # a drone whose standalone rate beats its grand-coalition rate
@@ -346,6 +333,6 @@ class TestBayesianCore:
             if strong.in_core:
                 assert weak.in_core
 
-    def test_invalid_kind(self, s1):
+    def test_invalid_kind(self, s1, s1_engine):
         with pytest.raises(ValueError):
-            bayesian_core(s1, BeliefState.uniform(s1), "medium")
+            bayesian_core(s1, BeliefState.uniform(s1), "medium", s1_engine)

@@ -186,6 +186,26 @@ class TestUpdateBeliefs:
         assert beliefs_win.prob(0, 1, 0) > 0.5
         assert beliefs_win.prob(0, 1, 0) >= beliefs_full.prob(0, 1, 0)
 
+    def test_beliefs_follow_the_scenario_type_order(self):
+        # a type set listed out of id order: the belief table's type axis
+        # follows the list, the learned frequencies follow the ids
+        types = (TypeSpec(1, 18.0, 3.0), TypeSpec(0, 12.0, 3.0))
+        sc = generate(SETTINGS["S1"], URBAN, type_set=types, seed=30)
+        log = ObservationLog()
+        for r in range(5):
+            log.add(0, 1, 12.0, r)
+        beliefs, prediction = update_beliefs(log, types, sc)
+        assert prediction.classified[(0, 1)] == 0
+        assert beliefs.prob(0, 1, 0) == 1.0
+        assert beliefs.prob(0, 1, 1) == 0.0
+
+    def test_type_outside_the_scenario_rejected(self):
+        sc = self._scenario()
+        log = ObservationLog()
+        log.add(0, 1, 12.0, 0)
+        with pytest.raises(ValueError, match="not in the scenario"):
+            update_beliefs(log, TYPES + (TypeSpec(2, 24.0, 3.0),), sc)
+
     def test_true_types_learned_from_sampled_powers(self):
         sc = self._scenario(seed=31)
         rng = np.random.default_rng(24)

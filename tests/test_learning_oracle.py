@@ -77,6 +77,11 @@ def test_incremental_beliefs_equal_from_scratch(case):
             assert beliefs.table.tobytes() == ref_beliefs.table.tobytes()
             assert beliefs.snapshot_hash() == ref_beliefs.snapshot_hash()
             assert_same_prediction(prediction, ref_prediction)
+            ids = sorted(t.id for t in types)
+            for i, j in log.samples:
+                freq = prediction.frequencies[(i, j)]
+                for k, t in enumerate(ids):
+                    assert beliefs.prob(i, j, t) == freq[k]
             norms, mean = frobenius_convergence(prediction, sc)
             ref_norms, ref_mean = oracles.frobenius_convergence(
                 ref_prediction, sc)

@@ -6,8 +6,7 @@ from dronecoal.game import (BeliefState, CoalitionStructure, PayoffEngine,
                             enumerate_structures, is_nash_stable)
 from dronecoal.markov import (MarkovModel, TrappedClassError,
                               absorbing_states, build_chain,
-                              formation_probabilities,
-                              stationary_distribution)
+                              formation_probabilities)
 from dronecoal.propagation import ENVIRONMENTS
 from dronecoal.scenario import SETTINGS, SimulationSetting, generate
 
@@ -105,21 +104,6 @@ class TestFormationProbabilities:
         assert probs[1] == pytest.approx(0.75)
 
 
-class TestStationaryDistribution:
-    def test_single_absorbing_point_mass(self):
-        model = _model(_fake_states(3),
-                       [[0.5, 0.25, 0.25],
-                        [0.0, 0.5, 0.5],
-                        [0.0, 0.0, 1.0]])
-        pi = stationary_distribution(model)
-        assert pi == pytest.approx([0.0, 0.0, 1.0], abs=1e-9)
-
-    def test_doubly_stochastic_uniform(self):
-        model = _model(_fake_states(2), [[0.5, 0.5], [0.5, 0.5]])
-        pi = stationary_distribution(model)
-        assert pi == pytest.approx([0.5, 0.5], abs=1e-9)
-
-
 @pytest.fixture(scope="module")
 def s1_chain():
     sc = generate(SETTINGS["S1"], URBAN, seed=8)
@@ -134,7 +118,7 @@ class TestBuildChain:
         setting = SimulationSetting("one", 1, 3, 3, 3, 3)
         sc = generate(setting, URBAN, seed=0)
         beliefs = BeliefState.point_mass_truth(sc)
-        model = build_chain(sc, beliefs)
+        model = build_chain(sc, beliefs, PayoffEngine(sc))
         assert model.transition.shape == (1, 1)
         assert model.transition[0, 0] == 1.0
         assert formation_probabilities(model) == {0: 1.0}
@@ -201,10 +185,12 @@ class TestBuildChain:
         assert not np.allclose(default.transition, variant.transition)
 
     def test_cap_enforced(self):
-        sc = generate(SETTINGS["S1"], URBAN, seed=0)
+        # nine drones exceed the partition enumeration cap of eight
+        setting = SimulationSetting("nine", 9, 27, 27, 3, 3)
+        sc = generate(setting, URBAN, seed=0)
         beliefs = BeliefState.point_mass_truth(sc)
-        with pytest.raises(ValueError):
-            build_chain(sc, beliefs, cap=2)
+        with pytest.raises(ValueError, match="enumeration cap"):
+            build_chain(sc, beliefs, PayoffEngine(sc))
 
 
 class TestExportText:
