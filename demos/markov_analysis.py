@@ -48,8 +48,7 @@ for _ in range(2000):
     state = CoalitionStructure.singletons(ids)
     while model.index(state) not in absorbing_set:
         proposer = ids[int(rng.integers(len(ids)))]
-        state = best_reply_step(state, proposer, beliefs, scenario, engine,
-                                rng)
+        state = best_reply_step(state, proposer, beliefs, engine, rng)
     counts[model.index(state)] += 1
 for i in absorbing:
     print(f"  {model.states[i].to_string():<16} "

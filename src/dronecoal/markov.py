@@ -1,9 +1,8 @@
 """Markov chain over coalition structures induced by best-reply dynamics.
 
-The chain is built from the same decision skeleton as the simulated
-dynamics: per proposer, strictly improving targets are grouped by payoff,
-vetoed groups are skipped, and the proposal mass is split uniformly over
-the admissible targets of the best non-vetoed group.
+The chain is built from the same decision as the simulated dynamics,
+``game.best_reply``: per proposer, the proposal mass is split uniformly
+over the proposer's best-reply targets.
 """
 
 from __future__ import annotations
@@ -12,11 +11,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dynamics import candidate_groups
 from .game import (BeliefState, CoalitionStructure, PayoffEngine,
-                   enumerate_structures)
+                   best_reply, candidate_groups, enumerate_structures)
 
-ROW_SUM_TOL = 1e-9
 ABSORBING_TOL = 1e-12
 
 
@@ -57,32 +54,25 @@ def build_chain(scenario, beliefs: BeliefState,
     ids = scenario.drone_ids
     states = enumerate_structures(ids)
     index = {s: i for i, s in enumerate(states)}
-    d = len(ids)
+    share = 1.0 / len(ids)
     t = np.zeros((len(states), len(states)))
     for i, w in enumerate(states):
         for proposer in ids:
-            groups = candidate_groups(w, proposer, beliefs, engine)
-            share = 1.0 / d
-            placed = False
-            for gi, (_, entries) in enumerate(groups):
-                ok = [target for target, admitted in entries if admitted]
-                if veto_self_loop:
-                    # every maximizer in the top group gets 1/k; vetoed
-                    # picks stay put
-                    k = len(entries)
-                    for target, admitted in entries:
-                        j = index[w.move(proposer, target)] if admitted else i
-                        t[i, j] += share / k
-                    placed = True
-                    break
-                if ok:
-                    for target in ok:
-                        t[i, index[w.move(proposer, target)]] += \
-                            share / len(ok)
-                    placed = True
-                    break
-            if not placed:
+            if veto_self_loop:
+                # every maximizer in the top group gets 1/k; vetoed
+                # picks stay put
+                groups = candidate_groups(w, proposer, beliefs, engine)
+                dests = [index[w.move(proposer, target)] if admitted else i
+                         for target, admitted in groups[0][1]] \
+                    if groups else []
+            else:
+                _, targets = best_reply(w, proposer, beliefs, engine)
+                dests = [index[w.move(proposer, target)]
+                         for target in targets]
+            if not dests:
                 t[i, i] += share
+            for j in dests:
+                t[i, j] += share / len(dests)
     return MarkovModel(states=states, transition=t)
 
 

@@ -18,11 +18,6 @@ import numpy as np
 SPEED_OF_LIGHT = 3.0e8  # m/s
 
 
-def to_db(x: float) -> float:
-    """Linear power ratio -> dB."""
-    return 10.0 * math.log10(x)
-
-
 def to_linear(x_db: float) -> float:
     """dB -> linear power ratio."""
     return 10.0 ** (x_db / 10.0)

@@ -10,15 +10,24 @@ against them bit for bit.
   ``BeliefState``.
 - ``frobenius_convergence`` builds each type's indicator matrices in a
   Python loop and takes ``np.linalg.norm`` of their difference.
+- ``candidate_groups``, ``best_reply_step``, ``is_nash_stable`` and
+  ``build_chain`` each make the best-reply decision on their own, with
+  the comparisons they used before the library put them behind
+  ``game.best_reply``, ``strictly_better`` and ``weakly_better``: a
+  relative 1e-12 tolerance for improving moves and payoff ties, and an
+  exact comparison in ``admissible``.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from dronecoal.game import BeliefState
+from dronecoal.game import (BeliefState, CoalitionStructure,
+                            DeviationWitness, PayoffEngine,
+                            deviation_candidates, enumerate_structures)
 from dronecoal.learning import (SIGMA_FLOOR_FACTOR, ObservationLog,
                                 TypePrediction)
+from dronecoal.markov import MarkovModel
 
 
 def _prefix_classifications(samples: np.ndarray, type_set,
@@ -109,3 +118,129 @@ def frobenius_convergence(prediction: TypePrediction, scenario
                 true[a, b] = 1.0 if truth[j] == t.id else 0.0
         norms[k] = np.linalg.norm(pred - true)
     return norms, float(norms.mean())
+
+
+# -- the best-reply decision, as each caller made it on its own -------------
+
+def admissible(proposer: int, target: tuple[int, ...] | None,
+               engine: PayoffEngine, beliefs: BeliefState) -> bool:
+    """All members of the target accept: under each member's own beliefs,
+    its expected payoff with the proposer is no lower than without."""
+    if target is None:
+        return True
+    joined = frozenset(target) | {proposer}
+    for j in target:
+        before = engine.expected_payoff(j, frozenset(target), beliefs)
+        after = engine.expected_payoff(j, joined, beliefs)
+        if after < before:
+            return False
+    return True
+
+
+def is_nash_stable(structure: CoalitionStructure, beliefs: BeliefState,
+                   scenario, engine: PayoffEngine
+                   ) -> tuple[bool, DeviationWitness | None]:
+    """Deviation scan: the structure is stable iff no drone has a strictly
+    profitable move that every member of the target coalition accepts."""
+    for d in structure.members():
+        current, targets = deviation_candidates(structure, d)
+        q_current = engine.expected_payoff(d, frozenset(current), beliefs)
+        for target in targets:
+            joined = frozenset(target) | {d} if target else frozenset([d])
+            q_new = engine.expected_payoff(d, joined, beliefs)
+            if q_new <= q_current + _tol(q_current):
+                continue
+            if admissible(d, target, engine, beliefs):
+                return False, DeviationWitness(d, target, q_new - q_current)
+    return True, None
+
+
+def _tol(x: float) -> float:
+    return 1e-12 * max(1.0, abs(x))
+
+
+def candidate_groups(structure: CoalitionStructure, proposer: int,
+                     beliefs: BeliefState, engine: PayoffEngine):
+    """Strictly improving move targets for the proposer, grouped by
+    expected payoff (descending), with per-target admissibility.
+
+    Shared by the simulated step and the analytic Markov chain so both
+    encode the same decision skeleton.  Each group is a list of
+    (target_block_or_None, admissible) entries at one payoff level.
+    """
+    current, targets = deviation_candidates(structure, proposer)
+    q_current = engine.expected_payoff(proposer, frozenset(current), beliefs)
+    scored = []
+    for target in targets:
+        joined = frozenset(target) | {proposer} if target \
+            else frozenset([proposer])
+        q = engine.expected_payoff(proposer, joined, beliefs)
+        if q > q_current + _tol(q_current):
+            scored.append((q, target))
+    scored.sort(key=lambda e: -e[0])
+    groups = []
+    for q, target in scored:
+        ok = admissible(proposer, target, engine, beliefs)
+        if groups and abs(groups[-1][0] - q) <= _tol(q):
+            groups[-1][1].append((target, ok))
+        else:
+            groups.append((q, [(target, ok)]))
+    return [(q, entries) for q, entries in groups]
+
+
+def best_reply_step(structure: CoalitionStructure, proposer: int,
+                    beliefs: BeliefState, scenario,
+                    engine: PayoffEngine,
+                    rng: np.random.Generator) -> CoalitionStructure:
+    """One proposal: the proposer moves to its best strictly-improving
+    admissible option, falling back to the next-best payoff level when
+    every maximizer at a level is vetoed.  Ties are broken uniformly at
+    random; with no admissible improvement the structure is unchanged.
+    """
+    for _, entries in candidate_groups(structure, proposer, beliefs, engine):
+        ok = [target for target, admitted in entries if admitted]
+        if ok:
+            target = ok[int(rng.integers(len(ok)))] if len(ok) > 1 else ok[0]
+            return structure.move(proposer, target)
+    return structure
+
+
+def build_chain(scenario, beliefs: BeliefState,
+                engine: PayoffEngine,
+                veto_self_loop: bool = False) -> MarkovModel:
+    """Analytic transition matrix of the best-reply process.
+
+    With ``veto_self_loop`` the alternative reading is used: only the top
+    payoff group counts, and a vetoed maximizer sends its whole share to
+    the self-loop instead of falling through to the next-best group.
+    """
+    ids = scenario.drone_ids
+    states = enumerate_structures(ids)
+    index = {s: i for i, s in enumerate(states)}
+    d = len(ids)
+    t = np.zeros((len(states), len(states)))
+    for i, w in enumerate(states):
+        for proposer in ids:
+            groups = candidate_groups(w, proposer, beliefs, engine)
+            share = 1.0 / d
+            placed = False
+            for gi, (_, entries) in enumerate(groups):
+                ok = [target for target, admitted in entries if admitted]
+                if veto_self_loop:
+                    # every maximizer in the top group gets 1/k; vetoed
+                    # picks stay put
+                    k = len(entries)
+                    for target, admitted in entries:
+                        j = index[w.move(proposer, target)] if admitted else i
+                        t[i, j] += share / k
+                    placed = True
+                    break
+                if ok:
+                    for target in ok:
+                        t[i, index[w.move(proposer, target)]] += \
+                            share / len(ok)
+                    placed = True
+                    break
+            if not placed:
+                t[i, i] += share
+    return MarkovModel(states=states, transition=t)

@@ -171,8 +171,8 @@ def test_criterion_6_markov_oracle():
             steps = 0
             while idx not in absorbing:
                 proposer = ids[int(rng.integers(len(ids)))]
-                state = best_reply_step(state, proposer, beliefs, sc,
-                                        engine, rng)
+                state = best_reply_step(state, proposer, beliefs, engine,
+                                        rng)
                 idx = model.index(state)
                 steps += 1
                 assert steps < 10_000

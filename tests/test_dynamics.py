@@ -3,12 +3,13 @@ import json
 import numpy as np
 import pytest
 
+from dronecoal import dynamics
 from dronecoal.dynamics import (DynamicsConfig, NonConvergenceError,
-                                RepeatedGameResult, RoundRecord,
-                                best_reply_step, candidate_groups,
-                                run_best_reply, run_repeated_game)
+                                RoundRecord, best_reply_step, run_best_reply,
+                                run_repeated_game)
 from dronecoal.game import (BeliefState, CoalitionStructure, PayoffEngine,
-                            admissible, enumerate_structures, is_nash_stable)
+                            admissible, candidate_groups,
+                            enumerate_structures, is_nash_stable)
 from dronecoal.propagation import ENVIRONMENTS, Position3D
 from dronecoal.scenario import (DEFAULT_TYPE_SET, SETTINGS, DroneSpec,
                                 Scenario, TypeSpec, UserSpec, baseline_rates,
@@ -78,7 +79,7 @@ class TestBestReplyStep:
         beliefs = BeliefState.point_mass_truth(sc)
         grand = CoalitionStructure.grand(sc.drone_ids)
         rng = np.random.default_rng(0)
-        assert best_reply_step(grand, 0, beliefs, sc, PayoffEngine(sc),
+        assert best_reply_step(grand, 0, beliefs, PayoffEngine(sc),
                                rng) == grand
 
     def test_profitable_merge_taken(self):
@@ -86,7 +87,7 @@ class TestBestReplyStep:
         beliefs = BeliefState.point_mass_truth(sc)
         singles = CoalitionStructure.singletons(sc.drone_ids)
         rng = np.random.default_rng(0)
-        new = best_reply_step(singles, 0, beliefs, sc, PayoffEngine(sc), rng)
+        new = best_reply_step(singles, 0, beliefs, PayoffEngine(sc), rng)
         assert new == CoalitionStructure.grand(sc.drone_ids)
 
     def test_veto_falls_through_to_next_group(self):
@@ -101,7 +102,7 @@ class TestBestReplyStep:
         top_ok = [t for t, a in groups[0][1] if a]
         assert top_ok == []   # fixture precondition: best group vetoed
         rng = np.random.default_rng(0)
-        new = best_reply_step(structure, 1, beliefs, sc, engine, rng)
+        new = best_reply_step(structure, 1, beliefs, engine, rng)
         assert new != structure
         taken = [t for _, entries in groups[1:] for t, a in entries if a]
         expected = {structure.move(1, t) for t in taken}
@@ -114,7 +115,7 @@ class TestBestReplyStep:
         rng = np.random.default_rng(1)
         for s in enumerate_structures(sc.drone_ids):
             for d in sc.drone_ids:
-                new = best_reply_step(s, d, beliefs, sc, engine, rng)
+                new = best_reply_step(s, d, beliefs, engine, rng)
                 if new == s:
                     continue
                 target = tuple(x for x in new.block_of(d) if x != d) or None
@@ -174,13 +175,14 @@ class TestRunBestReply:
                     d, frozenset(final.block_of(d)), beliefs)
                 assert q >= base[d] - 1e-9 * max(1.0, base[d])
 
-    def test_step_cap_raises(self):
+    def test_step_cap_raises(self, monkeypatch):
         sc = generate(SETTINGS["S1"], URBAN, seed=8)
         beliefs = BeliefState.point_mass_truth(sc)
+        monkeypatch.setattr(dynamics, "STEP_CAP", 1)
         with pytest.raises(NonConvergenceError):
             run_best_reply(CoalitionStructure.singletons(sc.drone_ids),
                            beliefs, sc, PayoffEngine(sc),
-                           np.random.default_rng(0), step_cap=1)
+                           np.random.default_rng(0))
 
 
 class TestRoundRecord:
@@ -191,8 +193,12 @@ class TestRoundRecord:
             payoffs={0: 1.5, 1: 2.25, 2: 0.75},
             shared_samples={(1, 2): 11.5, (2, 1): 17.0},
             belief_hash="abc123", type_norms=(0.0, 1.0), mean_norm=0.5)
-        restored = RoundRecord.from_json(record.to_json())
-        assert restored == record
+        assert json.loads(record.to_json()) == {
+            "index": 3, "grand_coalition": False, "structure": "{0}{1,2}",
+            "payoffs": {"0": 1.5, "1": 2.25, "2": 0.75},
+            "shared_samples": {"1->2": 11.5, "2->1": 17.0},
+            "belief_hash": "abc123", "type_norms": [0.0, 1.0],
+            "mean_norm": 0.5}
 
     def test_json_is_single_line(self):
         record = RoundRecord(0, True, CoalitionStructure.grand([0, 1]),
@@ -275,8 +281,8 @@ class TestRepeatedGame:
         _, result = self._run()
         path = tmp_path / "trace.jsonl"
         result.write_trace(path)
-        final = RepeatedGameResult.final_structure_from_trace(path)
-        assert final == result.rounds[-1].structure
         with open(path) as f:
             lines = [l for l in f if l.strip()]
-        assert len(lines) == len(result.rounds)
+        assert lines == [r.to_json() + "\n" for r in result.rounds]
+        assert json.loads(lines[-1])["structure"] == \
+            result.rounds[-1].structure.to_string()

@@ -86,10 +86,11 @@ class TestEnumeration:
         assert got == {"{0,1,2}", "{0,1}{2}", "{0,2}{1}", "{0}{1,2}",
                        "{0}{1}{2}"}
 
-    def test_cap_enforced(self):
+    def test_cap_enforced(self, monkeypatch):
         with pytest.raises(ValueError):
             enumerate_structures(range(9))
-        assert len(enumerate_structures(range(9), cap=9)) == 21147
+        monkeypatch.setattr(game, "PARTITION_CAP", 9)
+        assert len(enumerate_structures(range(9))) == 21147
 
     def test_deterministic_order(self):
         a = [s.to_string() for s in enumerate_structures(range(4))]

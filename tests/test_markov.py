@@ -166,8 +166,7 @@ class TestBuildChain:
             counts = {j: 0 for j in range(len(model.states))}
             for _ in range(n):
                 proposer = ids[int(rng.integers(len(ids)))]
-                new = best_reply_step(state, proposer, beliefs, sc, engine,
-                                      rng)
+                new = best_reply_step(state, proposer, beliefs, engine, rng)
                 counts[model.index(new)] += 1
             for j in range(len(model.states)):
                 p = model.transition[i, j]

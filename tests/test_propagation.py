@@ -7,7 +7,7 @@ import pytest
 from dronecoal.propagation import (ENVIRONMENTS, Environment, Position3D,
                                    elevation_angle, free_space_loss_db,
                                    los_probability, path_loss, rate,
-                                   rician_k, shadow_std, sinr_slope, to_db,
+                                   rician_k, shadow_std, sinr_slope,
                                    to_linear)
 
 URBAN = ENVIRONMENTS["urban"]
@@ -175,9 +175,10 @@ class TestRate:
 
 class TestDbConversions:
     def test_round_trip(self):
+        # 10 * exp dB is the linear ratio 10 ** exp
         for exp in range(-12, 13):
-            x = 10.0 ** exp
-            assert to_linear(to_db(x)) == pytest.approx(x, rel=1e-12)
+            assert to_linear(10.0 * exp) == pytest.approx(10.0 ** exp,
+                                                          rel=1e-12)
 
 
 class TestEnvironmentPresets:
