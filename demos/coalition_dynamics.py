@@ -16,7 +16,7 @@ from dronecoal.scenario import SETTINGS, baseline_rates, generate
 scenario = generate(SETTINGS["S1"], ENVIRONMENTS["urban"], seed=8)
 engine = PayoffEngine(scenario)
 beliefs = BeliefState.point_mass_truth(scenario)
-base = baseline_rates(scenario)
+base = baseline_rates(scenario, engine.evaluator)
 
 print("=== scenario ===")
 for d in scenario.drones:

@@ -9,7 +9,7 @@ from .scenario import (DEFAULT_TYPE_SET, SETTINGS, Scenario,
 from .allocation import (AllocationResult, CoalitionEvaluator,
                          max_weight_matching, waterfill)
 from .game import (BeliefState, CoalitionStructure, PayoffEngine,
-                   bayesian_core, enumerate_structures, is_nash_stable)
+                   enumerate_structures, is_nash_stable)
 from .learning import (ObservationLog, TypePrediction, classify,
                        frobenius_convergence, kl_gaussian, mle_gaussian,
                        update_beliefs)

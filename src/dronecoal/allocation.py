@@ -1,8 +1,8 @@
 """Resource allocation inside a coalition.
 
 Maximum-weight bipartite matching of channels to users (weights are the
-inverse linear mean path loss), the implied user-to-drone association, and
-water-filling power allocation over the matched links.
+inverse linear mean path loss) and water-filling power allocation over the
+matched links, giving each drone's rate from its matched channels.
 """
 
 from __future__ import annotations
@@ -20,13 +20,11 @@ from . import propagation
 class PowerVector:
     powers: dict[int, float]   # user id -> Watts
     total_budget: float
-    water_level: float
 
 
 @dataclass(frozen=True)
 class AllocationResult:
     matching: tuple[tuple[int, int], ...]   # (channel id, user id) pairs
-    user_drone: dict[int, int]              # served user id -> drone id
     powers: PowerVector
     per_drone_rate: dict[int, float]
     total_rate: float
@@ -176,20 +174,17 @@ class CoalitionEvaluator:
         sc = self.scenario
         _, _, matched = self.matching(coalition)
         gains = np.array([self.slope(d, u) for _, d, u in matched])
-        powers, mu = waterfill(gains, budget)
+        powers, _ = waterfill(gains, budget)
         per_drone = {d: 0.0 for d in coalition}
         power_map: dict[int, float] = {}
         total = 0.0
         pairs = []
-        user_drone = {}
         for (q, d, u), p in zip(matched, powers):
             r = sc.env.bandwidth_hz * math.log2(1.0 + p * self.slope(d, u))
             per_drone[d] += r
             total += r
             pairs.append((q, u))
-            user_drone[u] = d
             power_map[u] = float(p)
         return AllocationResult(
-            matching=tuple(pairs), user_drone=user_drone,
-            powers=PowerVector(power_map, budget, mu),
+            matching=tuple(pairs), powers=PowerVector(power_map, budget),
             per_drone_rate=per_drone, total_rate=total)

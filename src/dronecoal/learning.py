@@ -206,9 +206,6 @@ class TypePrediction:
     classified: dict[tuple[int, int], int]
     frequencies: dict[tuple[int, int], np.ndarray]
 
-    def argmax_map(self) -> dict[tuple[int, int], int]:
-        return dict(self.classified)
-
 
 def update_beliefs(log: ObservationLog, type_set, scenario,
                    window: int | None = None

@@ -12,7 +12,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .game import (BeliefState, CoalitionStructure, PayoffEngine,
-                   best_reply, candidate_groups, enumerate_structures)
+                   admissible, best_reply, candidate_groups,
+                   enumerate_structures)
 
 ABSORBING_TOL = 1e-12
 
@@ -62,8 +63,9 @@ def build_chain(scenario, beliefs: BeliefState,
                 # every maximizer in the top group gets 1/k; vetoed
                 # picks stay put
                 groups = candidate_groups(w, proposer, beliefs, engine)
-                dests = [index[w.move(proposer, target)] if admitted else i
-                         for target, admitted in groups[0][1]] \
+                dests = [index[w.move(proposer, target)]
+                         if admissible(proposer, target, engine, beliefs)
+                         else i for target in groups[0][1]] \
                     if groups else []
             else:
                 _, targets = best_reply(w, proposer, beliefs, engine)
@@ -76,10 +78,9 @@ def build_chain(scenario, beliefs: BeliefState,
     return MarkovModel(states=states, transition=t)
 
 
-def absorbing_states(model: MarkovModel,
-                     tol: float = ABSORBING_TOL) -> tuple[int, ...]:
+def absorbing_states(model: MarkovModel) -> tuple[int, ...]:
     diag = np.diag(model.transition)
-    return tuple(int(i) for i in np.flatnonzero(diag >= 1.0 - tol))
+    return tuple(int(i) for i in np.flatnonzero(diag >= 1.0 - ABSORBING_TOL))
 
 
 class TrappedClassError(RuntimeError):

@@ -264,15 +264,13 @@ def generate(setting: SimulationSetting, env: Environment,
                     env=env, area_m=area_m, seed=seed)
 
 
-def baseline_rates(scenario: Scenario) -> dict[int, float]:
+def baseline_rates(scenario: Scenario, evaluator) -> dict[int, float]:
     """Per-drone aggregate rate when every drone serves its own users with
-    its own channels and expected power."""
-    from .allocation import CoalitionEvaluator
-
-    ev = CoalitionEvaluator(scenario)
+    its own channels and expected power, from the scenario's
+    ``CoalitionEvaluator``."""
     rates = {}
     for d in scenario.drones:
-        result = ev.evaluate(frozenset([d.id]),
-                             {d.id: scenario.true_power(d.id)})
+        result = evaluator.evaluate(frozenset([d.id]),
+                                    {d.id: scenario.true_power(d.id)})
         rates[d.id] = result.per_drone_rate[d.id]
     return rates

@@ -16,12 +16,18 @@ against them bit for bit.
   ``game.best_reply``, ``strictly_better`` and ``weakly_better``: a
   relative 1e-12 tolerance for improving moves and payoff ties, and an
   exact comparison in ``admissible``.
+- ``flagged_candidate_groups`` and ``flagged_best_reply`` are the one
+  decision as it was made before ``candidate_groups`` left the vetoes to
+  its readers: every payoff level's targets carry their ``admissible``
+  flag.  They look ``admissible`` and ``strictly_better`` up on
+  ``dronecoal.game`` at call time, so a wrapper there sees their calls.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from dronecoal import game
 from dronecoal.game import (BeliefState, CoalitionStructure,
                             DeviationWitness, PayoffEngine,
                             deviation_candidates, enumerate_structures)
@@ -244,3 +250,43 @@ def build_chain(scenario, beliefs: BeliefState,
             if not placed:
                 t[i, i] += share
     return MarkovModel(states=states, transition=t)
+
+
+def flagged_candidate_groups(structure: CoalitionStructure, proposer: int,
+                             beliefs: BeliefState, engine: PayoffEngine):
+    """Strictly improving move targets for the proposer, grouped by
+    expected payoff (descending) as (payoff, [(target_block_or_None,
+    admissible), ...]); a target joins the last group unless that group's
+    payoff is strictly better than its own."""
+    current, targets = deviation_candidates(structure, proposer)
+    q_current = engine.expected_payoff(proposer, frozenset(current), beliefs)
+    scored = []
+    for target in targets:
+        joined = frozenset(target) | {proposer} if target \
+            else frozenset([proposer])
+        q = engine.expected_payoff(proposer, joined, beliefs)
+        if game.strictly_better(q, q_current):
+            scored.append((q, target))
+    scored.sort(key=lambda e: -e[0])
+    groups = []
+    for q, target in scored:
+        ok = game.admissible(proposer, target, engine, beliefs)
+        if groups and not game.strictly_better(groups[-1][0], q):
+            groups[-1][1].append((target, ok))
+        else:
+            groups.append((q, [(target, ok)]))
+    return groups
+
+
+def flagged_best_reply(structure: CoalitionStructure, proposer: int,
+                       beliefs: BeliefState, engine: PayoffEngine
+                       ) -> tuple[float | None, list]:
+    """The admissible targets of the best payoff level of
+    flagged_candidate_groups that is not wholly vetoed, with that level's
+    payoff, or ``(None, [])``."""
+    for q, entries in flagged_candidate_groups(structure, proposer, beliefs,
+                                               engine):
+        targets = [target for target, admitted in entries if admitted]
+        if targets:
+            return q, targets
+    return None, []

@@ -176,7 +176,7 @@ class TestWeightMatrix:
 class TestEvaluateCoalition:
     def test_singleton_matches_baseline(self):
         sc = generate(SETTINGS["S1"], URBAN, seed=15)
-        base = baseline_rates(sc)
+        base = baseline_rates(sc, CoalitionEvaluator(sc))
         for d in sc.drone_ids:
             result = CoalitionEvaluator(sc).evaluate(
                 frozenset([d]), {d: sc.true_power(d)})

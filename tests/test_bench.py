@@ -6,12 +6,13 @@ import numpy as np
 import pytest
 
 from dronecoal import bench
+from dronecoal.allocation import CoalitionEvaluator
 from dronecoal.bench import (REGIMES, RegimeResult, RunManifest, aggregate,
                              emit_outputs, run_manifest, run_regime,
                              run_seed, run_topology, scenario_seed,
                              stable_set_analysis, structure_rates)
 from dronecoal.game import (BeliefState, CoalitionStructure, PayoffEngine,
-                            enumerate_structures)
+                            enumerate_structures, is_nash_stable)
 from dronecoal.propagation import ENVIRONMENTS
 from dronecoal.scenario import (SETTINGS, SimulationSetting, baseline_rates,
                                 generate)
@@ -65,7 +66,7 @@ class TestStructureRates:
         engine = PayoffEngine(sc)
         rates = structure_rates(CoalitionStructure.singletons(sc.drone_ids),
                                 sc, engine.evaluator)
-        base = baseline_rates(sc)
+        base = baseline_rates(sc, CoalitionEvaluator(sc))
         for d in sc.drone_ids:
             assert rates[d] == pytest.approx(base[d])
 
@@ -95,8 +96,8 @@ class TestRunRegime:
         m = tiny_manifest()
         r = run_regime(s1, "baseline", m, "S1", 0, 0)
         assert r.structure == "{0}{1}{2}"
-        assert r.total_rate == pytest.approx(
-            math.fsum(baseline_rates(s1).values()))
+        base = baseline_rates(s1, CoalitionEvaluator(s1))
+        assert r.total_rate == pytest.approx(math.fsum(base.values()))
 
     def test_full_info_reports_stable_set(self, s1):
         _, r, _ = topology_regimes(s1)
@@ -105,7 +106,8 @@ class TestRunRegime:
         assert r.best_stable_total == max(r.stable_totals.values())
         assert sum(r.formation_probs.values()) == pytest.approx(1.0)
         assert r.structure in r.stable_totals
-        assert r.total_rate >= math.fsum(baseline_rates(s1).values()) - 1e-9
+        base = baseline_rates(s1, CoalitionEvaluator(s1))
+        assert r.total_rate >= math.fsum(base.values()) - 1e-9
 
     def test_proposed_records_series(self, s1):
         m = tiny_manifest()
@@ -155,12 +157,17 @@ class TestStableSetAnalysis:
     def test_consistency(self):
         sc = generate(SETTINGS["S1"], URBAN, seed=8)
         engine = PayoffEngine(sc)
-        beliefs = BeliefState.point_mass_truth(sc)
-        stable, totals, probs, model = stable_set_analysis(sc, engine,
-                                                           beliefs)
-        assert {s.to_string() for s in stable} == set(totals)
-        assert set(probs) <= set(totals)
-        assert sum(probs.values()) == pytest.approx(1.0)
+        for beliefs in (BeliefState.point_mass_truth(sc),
+                        BeliefState.uniform(sc)):
+            stable, totals, probs, model = stable_set_analysis(sc, engine,
+                                                               beliefs)
+            # the chain's absorbing states are the Nash-stable structures,
+            # in enumeration order
+            assert stable == [s for s in enumerate_structures(sc.drone_ids)
+                              if is_nash_stable(s, beliefs, sc, engine)[0]]
+            assert {s.to_string() for s in stable} == set(totals)
+            assert set(probs) <= set(totals)
+            assert sum(probs.values()) == pytest.approx(1.0)
 
 
 class TestRunTopology:

@@ -8,7 +8,7 @@ import pytest
 from dronecoal import bench
 from dronecoal.bench import RunManifest, run_regime
 from dronecoal.game import (CoalitionStructure, DeviationWitness,
-                            admissible, bayesian_core, best_reply,
+                            admissible, best_reply,
                             candidate_groups, is_nash_stable,
                             strictly_better, weakly_better)
 
@@ -48,8 +48,7 @@ def test_equal_values():
 
 
 class StubEngine:
-    """Expected payoffs from a table keyed by (subject, coalition); every
-    observer believes the same."""
+    """Expected payoffs from a table keyed by (observer, coalition)."""
 
     evaluator = None
 
@@ -58,9 +57,6 @@ class StubEngine:
 
     def expected_payoff(self, observer, coalition, beliefs):
         return self.payoffs[(observer, frozenset(coalition))]
-
-    def expected_payoff_of(self, subject, observer, coalition, beliefs):
-        return self.payoffs[(subject, frozenset(coalition))]
 
 
 @pytest.mark.parametrize("base", (1.0, 1e6))
@@ -83,28 +79,14 @@ def test_payoff_levels_tie_inside_the_band(rel, tied):
     singles = CoalitionStructure.singletons([0, 1, 2])
     groups = candidate_groups(singles, 0, None, engine)
     if tied:
-        assert groups == [(2.0, [((1,), True), ((2,), True)])]
+        assert groups == [(2.0, [(1,), (2,)])]
         assert best_reply(singles, 0, None, engine) == (2.0, [(1,), (2,)])
     else:
-        assert groups == [(2.0, [((1,), True)]), (q, [((2,), True)])]
+        assert groups == [(2.0, [(1,)]), (q, [(2,)])]
         assert best_reply(singles, 0, None, engine) == (2.0, [(1,)])
     # the witness is the first best-reply target, at the level's gain
     assert is_nash_stable(singles, None, None, engine) == \
         (False, DeviationWitness(0, (1,), 1.0))
-
-
-@pytest.mark.parametrize("rel,in_core", ((0.5e-12, False), (2e-12, True)))
-def test_core_blocking_inside_the_band(rel, in_core):
-    # alone, each drone gets its grand-coalition payoff less rel: inside
-    # the band that ties, so {0} weakly blocks the grand coalition
-    engine = StubEngine({(0, (0,)): 5.0 - gap(5.0, rel),
-                         (1, (1,)): 2.0,
-                         (0, (0, 1)): 5.0, (1, (0, 1)): 3.0})
-    scenario = SimpleNamespace(drone_ids=(0, 1))
-    for kind in ("weak", "strong"):
-        verdict = bayesian_core(scenario, None, kind, engine)
-        assert verdict.in_core is in_core
-        assert verdict.blocking == (None if in_core else (0,))
 
 
 @pytest.mark.parametrize("rel,feasible", ((0.5e-12, True), (2e-12, False)))
@@ -115,7 +97,7 @@ def test_social_optimum_feasibility_inside_the_band(monkeypatch, rel,
     base = {0: 10.0, 1: 1e6}
     rates = {"{0,1}": {0: 20.0, 1: base[1] - gap(base[1], rel)},
              "{0}{1}": dict(base)}
-    monkeypatch.setattr(bench, "baseline_rates", lambda sc: dict(base))
+    monkeypatch.setattr(bench, "baseline_rates", lambda sc, ev: dict(base))
     monkeypatch.setattr(bench, "structure_rates",
                         lambda s, sc, ev: dict(rates[s.to_string()]))
     scenario = SimpleNamespace(drone_ids=(0, 1))

@@ -1,14 +1,16 @@
 """Differential tests: the one best-reply decision (``game.best_reply``
 behind ``strictly_better`` / ``weakly_better``) against the per-caller
 decisions in ``oracles.py``, under point-mass, uniform and learned
-beliefs."""
+beliefs.  The decision checks only the vetoes it reads, so it never
+calls ``admissible`` more often than the references."""
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from dronecoal import game
+from dronecoal import game, markov
 from dronecoal.dynamics import best_reply_step
 from dronecoal.game import BeliefState, PayoffEngine, enumerate_structures
 from dronecoal.learning import ObservationLog, update_beliefs
@@ -55,7 +57,34 @@ def decision_cases(draw):
 
 
 def bits(groups):
-    return [(q.hex(), entries) for q, entries in groups]
+    return [(q.hex(), level) for q, level in groups]
+
+
+def unflagged(groups):
+    return [(q.hex(), [target for target, _ in entries])
+            for q, entries in groups]
+
+
+def count_admissible(mp) -> list[int]:
+    """Counts every admissible call made through the library or the
+    oracles; the returned list holds the running count."""
+    calls = [0]
+
+    def counting(fn):
+        def counted(*args, **kwargs):
+            calls[0] += 1
+            return fn(*args, **kwargs)
+        return counted
+
+    for module in (game, markov, oracles):
+        mp.setattr(module, "admissible", counting(module.admissible))
+    return calls
+
+
+def admissible_calls(calls, fn, *args, **kwargs):
+    before = calls[0]
+    result = fn(*args, **kwargs)
+    return result, calls[0] - before
 
 
 @settings(deadline=None, max_examples=100)
@@ -65,16 +94,30 @@ def test_one_decision_equals_the_per_caller_decisions(case):
     engine = PayoffEngine(sc)
     states = enumerate_structures(sc.drone_ids)
 
-    for s in states:
-        for d in sc.drone_ids:
-            assert bits(game.candidate_groups(s, d, beliefs, engine)) == \
-                bits(oracles.candidate_groups(s, d, beliefs, engine))
+    with pytest.MonkeyPatch.context() as mp:
+        calls = count_admissible(mp)
+        for s in states:
+            for d in sc.drone_ids:
+                args = (s, d, beliefs, engine)
+                assert bits(game.candidate_groups(*args)) == \
+                    unflagged(oracles.flagged_candidate_groups(*args)) == \
+                    unflagged(oracles.candidate_groups(*args))
+                got, n = admissible_calls(calls, game.best_reply, *args)
+                ref, n_ref = admissible_calls(calls,
+                                              oracles.flagged_best_reply,
+                                              *args)
+                assert got == ref
+                assert n <= n_ref
 
-    for veto in (False, True):
-        got = build_chain(sc, beliefs, engine, veto_self_loop=veto)
-        ref = oracles.build_chain(sc, beliefs, engine, veto_self_loop=veto)
-        assert got.states == ref.states
-        assert got.transition.tobytes() == ref.transition.tobytes()
+        for veto in (False, True):
+            got, n = admissible_calls(calls, build_chain, sc, beliefs,
+                                      engine, veto_self_loop=veto)
+            ref, n_ref = admissible_calls(calls, oracles.build_chain, sc,
+                                          beliefs, engine,
+                                          veto_self_loop=veto)
+            assert got.states == ref.states
+            assert got.transition.tobytes() == ref.transition.tobytes()
+            assert n <= n_ref
 
     rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
     for s in states:

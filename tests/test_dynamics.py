@@ -58,8 +58,9 @@ class TestCandidateGroups:
         singles = CoalitionStructure.singletons(sc.drone_ids)
         groups = candidate_groups(singles, 0, beliefs, engine)
         assert len(groups) == 1
-        q, entries = groups[0]
-        assert entries == [((1,), True)]
+        q, level = groups[0]
+        assert level == [(1,)]
+        assert admissible(0, (1,), engine, beliefs)
         assert q > engine.expected_payoff(0, frozenset([0]), beliefs)
 
     def test_descending_payoff_order(self):
@@ -99,12 +100,14 @@ class TestBestReplyStep:
         structure = CoalitionStructure.from_string("{0}{1,2}")
         groups = candidate_groups(structure, 1, beliefs, engine)
         assert len(groups) >= 2
-        top_ok = [t for t, a in groups[0][1] if a]
+        top_ok = [t for t in groups[0][1]
+                  if admissible(1, t, engine, beliefs)]
         assert top_ok == []   # fixture precondition: best group vetoed
         rng = np.random.default_rng(0)
         new = best_reply_step(structure, 1, beliefs, engine, rng)
         assert new != structure
-        taken = [t for _, entries in groups[1:] for t, a in entries if a]
+        taken = [t for _, level in groups[1:] for t in level
+                 if admissible(1, t, engine, beliefs)]
         expected = {structure.move(1, t) for t in taken}
         assert new in expected
 
@@ -166,7 +169,7 @@ class TestRunBestReply:
             sc = generate(SETTINGS["S1"], URBAN, seed=seed)
             engine = PayoffEngine(sc)
             beliefs = BeliefState.point_mass_truth(sc)
-            base = baseline_rates(sc)
+            base = baseline_rates(sc, engine.evaluator)
             final, _ = run_best_reply(
                 CoalitionStructure.singletons(sc.drone_ids), beliefs, sc,
                 engine, np.random.default_rng(0))

@@ -1,4 +1,3 @@
-import itertools
 import math
 
 import numpy as np
@@ -6,12 +5,11 @@ import pytest
 
 from dronecoal import game
 from dronecoal.game import (BeliefState, CoalitionStructure, PayoffEngine,
-                            admissible, bayesian_core, deviation_candidates,
+                            admissible, deviation_candidates,
                             enumerate_structures, is_nash_stable)
 from dronecoal.allocation import CoalitionEvaluator
 from dronecoal.propagation import ENVIRONMENTS
-from dronecoal.scenario import (SETTINGS, SimulationSetting, baseline_rates,
-                                generate)
+from dronecoal.scenario import SETTINGS, baseline_rates, generate
 
 URBAN = ENVIRONMENTS["urban"]
 
@@ -149,7 +147,7 @@ class TestBeliefState:
 
 class TestPayoffEngine:
     def test_singleton_equals_baseline(self, s1, s1_engine):
-        base = baseline_rates(s1)
+        base = baseline_rates(s1, CoalitionEvaluator(s1))
         b = BeliefState.uniform(s1)
         for d in s1.drone_ids:
             q = s1_engine.expected_payoff(d, frozenset([d]), b)
@@ -188,18 +186,6 @@ class TestPayoffEngine:
             for t, w in ((0, 0.9), (1, 0.1)))
         assert s1_engine.expected_payoff(0, coalition, b) == \
             pytest.approx(expected)
-
-    def test_subject_observer_split(self, s1, s1_engine):
-        # observer 0's view of drone 1's payoff in {0,1} uses observer 0's
-        # beliefs but drone 1's allocated rate
-        b = BeliefState.uniform(s1)
-        b.set_row(0, 1, [1.0, 0.0])
-        coalition = frozenset([0, 1])
-        mus = {t.id: t.mu for t in s1.type_set}
-        result = CoalitionEvaluator(s1).evaluate(
-            coalition, {0: s1.true_power(0), 1: mus[0]})
-        assert s1_engine.expected_payoff_of(1, 0, coalition, b) == \
-            pytest.approx(result.per_drone_rate[1])
 
     def test_membership_required(self, s1, s1_engine):
         b = BeliefState.uniform(s1)
@@ -289,51 +275,3 @@ class TestNashStability:
             for s in enumerate_structures(sc.drone_ids):
                 assert is_nash_stable(s, b, sc, engine)[0] == \
                     _independent_stability_scan(s, b, sc, engine)
-
-
-class TestBayesianCore:
-    def test_single_drone_trivially_in_core(self):
-        setting = SimulationSetting("one", 1, 3, 3, 3, 3)
-        sc = generate(setting, URBAN, seed=0)
-        b = BeliefState.point_mass_truth(sc)
-        engine = PayoffEngine(sc)
-        assert bayesian_core(sc, b, "weak", engine).in_core
-        assert bayesian_core(sc, b, "strong", engine).in_core
-
-    def test_blocked_by_dominant_singleton(self):
-        # a drone whose standalone rate beats its grand-coalition rate
-        # blocks on its own
-        sc = generate(SETTINGS["S1"], URBAN, seed=0)
-        engine = PayoffEngine(sc)
-        b = BeliefState.point_mass_truth(sc)
-        base = baseline_rates(sc)
-        grand = frozenset(sc.drone_ids)
-        losers = [d for d in sc.drone_ids
-                  if base[d] > engine.expected_payoff(d, grand, b)]
-        assert losers  # precondition of this fixture
-        verdict = bayesian_core(sc, b, "weak", engine)
-        assert not verdict.in_core
-        assert verdict.blocking is not None
-
-    def test_strong_subset_of_weak(self):
-        for seed in range(25):
-            sc = generate(SETTINGS["S1"], URBAN, seed=200 + seed)
-            engine = PayoffEngine(sc)
-            for beliefs in (BeliefState.point_mass_truth(sc),
-                            BeliefState.uniform(sc)):
-                strong = bayesian_core(sc, beliefs, "strong", engine)
-                weak = bayesian_core(sc, beliefs, "weak", engine)
-                if strong.in_core:
-                    assert weak.in_core
-        for seed in range(25):
-            sc = generate(SETTINGS["S2"], URBAN, seed=300 + seed)
-            engine = PayoffEngine(sc)
-            beliefs = BeliefState.uniform(sc)
-            strong = bayesian_core(sc, beliefs, "strong", engine)
-            weak = bayesian_core(sc, beliefs, "weak", engine)
-            if strong.in_core:
-                assert weak.in_core
-
-    def test_invalid_kind(self, s1, s1_engine):
-        with pytest.raises(ValueError):
-            bayesian_core(s1, BeliefState.uniform(s1), "medium", s1_engine)

@@ -6,6 +6,7 @@ import pytest
 from scipy.optimize import linear_sum_assignment
 
 from dronecoal import propagation
+from dronecoal.allocation import CoalitionEvaluator
 from dronecoal.propagation import ENVIRONMENTS, Position3D
 from dronecoal.scenario import (DEFAULT_TYPE_SET, SETTINGS, DroneSpec,
                                 Scenario, SimulationSetting, TypeSpec,
@@ -213,7 +214,7 @@ def _independent_baseline(scenario):
 class TestBaselineRates:
     def test_matches_independent_recomputation(self):
         sc = generate(SETTINGS["S1"], URBAN, seed=13)
-        got = baseline_rates(sc)
+        got = baseline_rates(sc, CoalitionEvaluator(sc))
         expected = _independent_baseline(sc)
         for d in sc.drone_ids:
             assert got[d] == pytest.approx(expected[d], rel=1e-6)
@@ -222,9 +223,10 @@ class TestBaselineRates:
     def test_vanishing_power_gives_vanishing_rates(self):
         tiny = (TypeSpec(0, 1e-12, 1.0),)
         sc = generate(SETTINGS["S1"], URBAN, type_set=tiny, seed=1)
-        rates = baseline_rates(sc)
+        rates = baseline_rates(sc, CoalitionEvaluator(sc))
         assert all(abs(r) < 1e-9 for r in rates.values())
 
     def test_deterministic(self):
         sc = generate(SETTINGS["S2"], URBAN, seed=21)
-        assert baseline_rates(sc) == baseline_rates(sc)
+        assert baseline_rates(sc, CoalitionEvaluator(sc)) == \
+            baseline_rates(sc, CoalitionEvaluator(sc))
