@@ -6,8 +6,7 @@ from .propagation import (ENVIRONMENTS, Environment, LinkBudget, Position3D,
 from .scenario import (DEFAULT_TYPE_SET, SETTINGS, Scenario,
                        SimulationSetting, TypeSpec, baseline_rates, generate,
                        kmeans_placement)
-from .allocation import (AllocationResult, CoalitionEvaluator,
-                         max_weight_matching, waterfill)
+from .allocation import CoalitionEvaluator, max_weight_matching, waterfill
 from .game import (BeliefState, CoalitionStructure, PayoffEngine,
                    enumerate_structures, is_nash_stable)
 from .learning import (ObservationLog, TypePrediction, classify,

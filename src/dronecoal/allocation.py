@@ -8,26 +8,11 @@ matched links, giving each drone's rate from its matched channels.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from . import propagation
-
-
-@dataclass(frozen=True)
-class PowerVector:
-    powers: dict[int, float]   # user id -> Watts
-    total_budget: float
-
-
-@dataclass(frozen=True)
-class AllocationResult:
-    matching: tuple[tuple[int, int], ...]   # (channel id, user id) pairs
-    powers: PowerVector
-    per_drone_rate: dict[int, float]
-    total_rate: float
 
 
 def max_weight_matching(weights: np.ndarray) -> list[tuple[int, int]]:
@@ -97,7 +82,7 @@ class CoalitionEvaluator:
 
     The matching inside a coalition depends only on path losses, so it is
     computed once per coalition; rates additionally depend only on the
-    total power budget, so allocation results are cached per
+    total power budget, so the per-drone rates are cached per
     (coalition, budget).
     """
 
@@ -107,7 +92,7 @@ class CoalitionEvaluator:
         self._loss: dict[tuple[int, int], float] = {}
         self._slope: dict[tuple[int, int], float] = {}
         self._matchings: dict[frozenset, tuple] = {}
-        self._results: dict[tuple[frozenset, float], AllocationResult] = {}
+        self._results: dict[tuple[frozenset, float], dict[int, float]] = {}
 
     def mean_loss_db(self, drone_id: int, user_id: int) -> float:
         key = (drone_id, user_id)
@@ -148,43 +133,39 @@ class CoalitionEvaluator:
                 w[i, j] = 1.0 / propagation.to_linear(self.mean_loss_db(d, u))
         return w
 
-    def matching(self, coalition: frozenset):
+    def matching(self, coalition: frozenset) -> tuple[tuple[int, int], ...]:
+        """The coalition's matched links as (drone id, user id) pairs, in
+        channel order."""
         if coalition not in self._matchings:
             channels, users = self.coalition_members(coalition)
             w = self.weight_matrix(coalition)
             pairs = max_weight_matching(w)
-            matched = tuple((channels[r][0], channels[r][1], users[c])
-                            for r, c in pairs)
-            self._matchings[coalition] = (channels, users, matched)
+            self._matchings[coalition] = tuple(
+                (channels[r][1], users[c]) for r, c in pairs)
         return self._matchings[coalition]
 
-    def evaluate(self, coalition: frozenset,
-                 assumed_powers: dict[int, float]) -> AllocationResult:
-        missing = coalition - set(assumed_powers)
-        if missing:
-            raise ValueError(f"missing assumed powers for drones {missing}")
-        budget = math.fsum(assumed_powers[d] for d in sorted(coalition))
-        key = (coalition, budget)
+    def evaluate(self, coalition: frozenset, powers) -> dict[int, float]:
+        """Each member's rate when the members' assumed powers, one per
+        member in any order, are pooled into the coalition's budget.  The
+        dict is cached and shared, so callers must not mutate it."""
+        if len(powers) != len(coalition):
+            raise ValueError(f"expected {len(coalition)} assumed powers, "
+                             f"got {len(powers)}")
+        # fsum is correctly rounded, so the budget, and with it the cache
+        # key, does not depend on the order of the powers
+        key = (coalition, math.fsum(powers))
         if key not in self._results:
-            self._results[key] = self._evaluate(coalition, budget)
+            self._results[key] = self._evaluate(*key)
         return self._results[key]
 
     def _evaluate(self, coalition: frozenset,
-                  budget: float) -> AllocationResult:
+                  budget: float) -> dict[int, float]:
         sc = self.scenario
-        _, _, matched = self.matching(coalition)
-        gains = np.array([self.slope(d, u) for _, d, u in matched])
+        matched = self.matching(coalition)
+        gains = np.array([self.slope(d, u) for d, u in matched])
         powers, _ = waterfill(gains, budget)
         per_drone = {d: 0.0 for d in coalition}
-        power_map: dict[int, float] = {}
-        total = 0.0
-        pairs = []
-        for (q, d, u), p in zip(matched, powers):
-            r = sc.env.bandwidth_hz * math.log2(1.0 + p * self.slope(d, u))
-            per_drone[d] += r
-            total += r
-            pairs.append((q, u))
-            power_map[u] = float(p)
-        return AllocationResult(
-            matching=tuple(pairs), powers=PowerVector(power_map, budget),
-            per_drone_rate=per_drone, total_rate=total)
+        for (d, u), p in zip(matched, powers):
+            per_drone[d] += sc.env.bandwidth_hz * math.log2(
+                1.0 + p * self.slope(d, u))
+        return per_drone

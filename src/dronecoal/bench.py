@@ -108,9 +108,8 @@ def structure_rates(structure: CoalitionStructure, scenario,
     """Per-drone rates of a structure under the true expected powers."""
     rates: dict[int, float] = {}
     for block in structure.blocks:
-        powers = {d: scenario.true_power(d) for d in block}
-        result = evaluator.evaluate(frozenset(block), powers)
-        rates.update(result.per_drone_rate)
+        rates.update(evaluator.evaluate(
+            frozenset(block), [scenario.true_power(d) for d in block]))
     return rates
 
 

@@ -141,6 +141,8 @@ class RepeatedGameResult:
     prediction: TypePrediction
     rounds: list[RoundRecord] = field(default_factory=list)
     converged: bool = False
+    # the best-reply cycle that ended the game, if one did
+    stall: NonConvergenceError | None = None
 
     def write_trace(self, path) -> None:
         with open(path, "w") as f:
@@ -168,8 +170,8 @@ def _share_samples(structure: CoalitionStructure, scenario, log,
 
 
 def run_repeated_game(scenario, config: DynamicsConfig,
-                      engine: PayoffEngine | None = None,
-                      window: int | None = None) -> RepeatedGameResult:
+                      engine: PayoffEngine | None = None
+                      ) -> RepeatedGameResult:
     """Repeated coalition formation under uncertainty.
 
     A few initial grand-coalition rounds seed the observation log; then
@@ -177,7 +179,9 @@ def run_repeated_game(scenario, config: DynamicsConfig,
     runs best-reply dynamics from the previous structure, shares samples
     inside each coalition, and re-learns the beliefs.  Convergence:
     unchanged per-pair type predictions for ``stability_window``
-    consecutive rounds and a repeating (non-grand) structure.
+    consecutive rounds and a repeating (non-grand) structure.  A
+    best-reply run that does not stabilise ends the game unconverged, with
+    the last structure that formed and the error as ``stall``.
     """
     engine = engine or PayoffEngine(scenario)
     ids = scenario.drone_ids
@@ -193,7 +197,7 @@ def run_repeated_game(scenario, config: DynamicsConfig,
         shared = _share_samples(grand, scenario, log, round_index,
                                 rng_sample)
         beliefs, prediction = update_beliefs(log, scenario.type_set,
-                                             scenario, window)
+                                             scenario)
         norms, mean_norm = frobenius_convergence(prediction, scenario)
         records.append(RoundRecord(
             round_index, True, grand,
@@ -208,19 +212,24 @@ def run_repeated_game(scenario, config: DynamicsConfig,
     prev_classified = prediction.classified
     stable_streak = 0
     converged = False
+    stall = None
     for _ in range(config.max_rounds):
         grand_round = bool(rng_bernoulli.random() < config.epsilon)
         if grand_round:
             current = grand
         else:
-            current, _stats = run_best_reply(
-                structure, beliefs, scenario, engine, rng_proposer,
-                config.stability_window, tie_rng=rng_tie)
+            try:
+                current, _stats = run_best_reply(
+                    structure, beliefs, scenario, engine, rng_proposer,
+                    config.stability_window, tie_rng=rng_tie)
+            except NonConvergenceError as exc:
+                stall = exc
+                break
             structure = current
         shared = _share_samples(current, scenario, log, round_index,
                                 rng_sample)
         beliefs, prediction = update_beliefs(log, scenario.type_set,
-                                             scenario, window)
+                                             scenario)
         norms, mean_norm = frobenius_convergence(prediction, scenario)
         records.append(RoundRecord(
             round_index, grand_round, current,
@@ -243,4 +252,4 @@ def run_repeated_game(scenario, config: DynamicsConfig,
             break
     return RepeatedGameResult(structure=structure, beliefs=beliefs,
                               prediction=prediction, rounds=records,
-                              converged=converged)
+                              converged=converged, stall=stall)

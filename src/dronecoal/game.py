@@ -184,6 +184,13 @@ class BeliefState:
                                 self._index[observed],
                                 self._tindex[type_id]])
 
+    def rows(self, observer: int, observed, type_ids) -> list[list[float]]:
+        """Observer's belief vectors about each drone in ``observed``, as
+        Python floats, with the columns in ``type_ids`` order."""
+        table = self.table[self._index[observer]].tolist()
+        cols = [self._tindex[t] for t in type_ids]
+        return [[table[self._index[j]][k] for k in cols] for j in observed]
+
     def set_row(self, observer: int, observed: int, probs) -> None:
         probs = np.asarray(probs, dtype=float)
         if not math.isclose(probs.sum(), 1.0, abs_tol=1e-12):
@@ -239,19 +246,18 @@ class PayoffEngine:
                 f"type space {m}^{len(others)} exceeds cap "
                 f"{TYPE_SPACE_CAP}")
         own_power = sc.true_power(observer)
-        type_ids = [t.id for t in sc.type_set]
-        mus = {t.id: t.mu for t in sc.type_set}
+        mus = [t.mu for t in sc.type_set]
+        rows = beliefs.rows(observer, others, [t.id for t in sc.type_set])
         total = 0.0
-        for combo in itertools.product(type_ids, repeat=len(others)):
+        for combo in itertools.product(range(m), repeat=len(others)):
             weight = 1.0
-            powers = {observer: own_power}
-            for j, t in zip(others, combo):
-                weight *= beliefs.prob(observer, j, t)
-                powers[j] = mus[t]
+            for row, k in zip(rows, combo):
+                weight *= row[k]
             if weight == 0.0:
                 continue
-            result = self.evaluator.evaluate(coalition, powers)
-            total += weight * result.per_drone_rate[observer]
+            rates = self.evaluator.evaluate(
+                coalition, [own_power, *[mus[k] for k in combo]])
+            total += weight * rates[observer]
         return total
 
 

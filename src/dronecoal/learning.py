@@ -97,45 +97,39 @@ def classify(estimate: tuple[float, float], type_set) -> int:
 
 
 class _EventCounts:
-    """Per-pair type-event counts of one (type set, window) over a log.
+    """Per-pair type-event counts of one type set over a log.
 
     Row p of ``counts`` belongs to the log's p-th pair; ``done[p]`` is how
     many of that pair's samples have been classified.
     """
 
-    def __init__(self, type_set, window: int | None):
+    def __init__(self, type_set):
         self.types = _TypeColumns(type_set)
-        self.window = window
         self.counts = np.zeros((0, len(self.types.ids)), dtype=np.int64)
         self.done: list[int] = []
 
     def extend(self, sums: list[tuple[list[float], list[float]]]) -> None:
         """Classify every sample added since the last call, for all pairs
         in one pass.  Sample n's event is the KL classification of the MLE
-        over samples lo+1..n (lo = n - window, at least 0), read off the
-        running sums."""
+        over samples 1..n, read off the running sums."""
         m = len(self.types.ids)
         grow = len(sums) - len(self.done)
         if grow:
             self.counts = np.vstack(
                 [self.counts, np.zeros((grow, m), dtype=np.int64)])
             self.done.extend([0] * grow)
-        w = self.window
-        pair, cnt, bounds = [], [], []
+        pair, rows = [], []
         for p, (s1, s2) in enumerate(sums):
             n = len(s1) - 1
             for idx in range(self.done[p] + 1, n + 1):
-                lo = max(0, idx - w) if w else 0
                 pair.append(p)
-                cnt.append(idx - lo)
-                bounds.append((s1[idx], s1[lo], s2[idx], s2[lo]))
+                rows.append((idx, s1[idx], s2[idx]))
             self.done[p] = n
         if not pair:
             return
-        b = np.array(bounds)
-        cnt = np.array(cnt)
-        mean = (b[:, 0] - b[:, 1]) / cnt
-        var = (b[:, 2] - b[:, 3]) / cnt - mean ** 2
+        cnt, sum1, sum2 = np.array(rows).T
+        mean = sum1 / cnt
+        var = sum2 / cnt - mean ** 2
         events = _classify(mean, var, self.types)
         self.counts += np.bincount(
             np.array(pair) * m + events,
@@ -162,10 +156,9 @@ class ObservationLog:
 
     ``add`` also extends each pair's running sums of x and x * x
     (sequential float64 additions from 0.0, as ``np.cumsum`` makes them).
-    ``update_beliefs`` reads them and keeps its per-(type set, window)
-    event counts and the uniform-prior table here, so samples must enter
-    the log through the constructor or ``add``, not by appending to
-    ``samples``.
+    ``update_beliefs`` reads them and keeps its per-type-set event counts
+    and the uniform-prior table here, so samples must enter the log
+    through the constructor or ``add``, not by appending to ``samples``.
     """
     samples: dict[tuple[int, int], list[float]] = field(default_factory=dict)
     rounds: dict[tuple[int, int], list[int]] = field(default_factory=dict)
@@ -202,29 +195,26 @@ class ObservationLog:
 
 @dataclass
 class TypePrediction:
-    """Per-pair classified type and per-type observation frequencies."""
+    """Per-pair classified type."""
     classified: dict[tuple[int, int], int]
-    frequencies: dict[tuple[int, int], np.ndarray]
 
 
-def update_beliefs(log: ObservationLog, type_set, scenario,
-                   window: int | None = None
+def update_beliefs(log: ObservationLog, type_set, scenario
                    ) -> tuple[BeliefState, TypePrediction]:
     """Beliefs from the observation log.
 
     For every pair, each logged sample contributes one classification
-    event (MLE over the history up to that sample, or over its last
-    ``window`` samples, then KL classification); the belief vector is the
-    per-type frequency of those events.  Pairs with no observations keep
-    the uniform prior.  An event never changes once its sample is logged,
-    so a call classifies only the samples logged since the previous call
-    with the same type set and window; the beliefs equal a from-scratch
-    recomputation bit for bit.
+    event (MLE over the history up to that sample, then KL
+    classification); the belief vector is the per-type frequency of those
+    events.  Pairs with no observations keep the uniform prior.  An event
+    never changes once its sample is logged, so a call classifies only the
+    samples logged since the previous call with the same type set; the
+    beliefs equal a from-scratch recomputation bit for bit.
     """
-    key = (tuple(type_set), window or None)
+    key = tuple(type_set)
     events = log._events.get(key)
     if events is None:
-        events = log._events[key] = _EventCounts(*key)
+        events = log._events[key] = _EventCounts(key)
     events.extend(list(log._sums.values()))
     base = log._base
     if base is None or base.scenario is not scenario:
@@ -248,14 +238,10 @@ def update_beliefs(log: ObservationLog, type_set, scenario,
 
     classified = {pair: ids[k]
                   for pair, k in zip(pairs, freq.argmax(axis=1).tolist())}
-    freqs = dict(zip(pairs, freq))
     # unobserved pairs predict by the uniform-prior argmax (lowest id)
-    uniform = np.full(len(ids), 1.0 / len(ids))
     for pair in base.pairs:
-        if pair not in classified:
-            classified[pair] = ids[0]
-            freqs[pair] = uniform.copy()
-    return beliefs, TypePrediction(classified, freqs)
+        classified.setdefault(pair, ids[0])
+    return beliefs, TypePrediction(classified)
 
 
 def frobenius_convergence(prediction: TypePrediction, scenario

@@ -118,7 +118,9 @@ def formation_probabilities(model: MarkovModel,
             b, *_ = np.linalg.lstsq(eye - q, r, rcond=None)
         reach = b.sum(axis=1)
         for col, a in enumerate(absorbing):
-            probs[a] += float(initial[transient] @ b[:, col])
+            share = float(initial[transient] @ b[:, col])
+            # rounding in solve can leave an unreachable state at -1e-18
+            probs[a] = max(0.0, probs[a] + share)
         if sum(probs.values()) < 1.0 - 1e-9:
             low = [transient[i] for i in np.flatnonzero(reach < 1.0 - 1e-6)]
             raise TrappedClassError(

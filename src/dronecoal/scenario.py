@@ -270,7 +270,6 @@ def baseline_rates(scenario: Scenario, evaluator) -> dict[int, float]:
     ``CoalitionEvaluator``."""
     rates = {}
     for d in scenario.drones:
-        result = evaluator.evaluate(frozenset([d.id]),
-                                    {d.id: scenario.true_power(d.id)})
-        rates[d.id] = result.per_drone_rate[d.id]
+        rates[d.id] = evaluator.evaluate(
+            frozenset([d.id]), [scenario.true_power(d.id)])[d.id]
     return rates

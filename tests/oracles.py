@@ -21,9 +21,14 @@ against them bit for bit.
   its readers: every payoff level's targets carry their ``admissible``
   flag.  They look ``admissible`` and ``strictly_better`` up on
   ``dronecoal.game`` at call time, so a wrapper there sees their calls.
+- ``expected_payoff`` is the payoff sum as it was before it read each
+  belief row once: one ``BeliefState.prob`` call per weight and a dict of
+  powers per type vector.
 """
 
 from __future__ import annotations
+
+import itertools
 
 import numpy as np
 
@@ -36,17 +41,14 @@ from dronecoal.learning import (SIGMA_FLOOR_FACTOR, ObservationLog,
 from dronecoal.markov import MarkovModel
 
 
-def _prefix_classifications(samples: np.ndarray, type_set,
-                            window: int | None) -> np.ndarray:
+def _prefix_classifications(samples: np.ndarray, type_set) -> np.ndarray:
     """Classified type index after each successive sample."""
     n = len(samples)
     c1 = np.concatenate([[0.0], np.cumsum(samples)])
     c2 = np.concatenate([[0.0], np.cumsum(samples ** 2)])
     idx = np.arange(1, n + 1)
-    lo = np.maximum(0, idx - window) if window else np.zeros(n, dtype=int)
-    cnt = idx - lo
-    mean = (c1[idx] - c1[lo]) / cnt
-    var = np.maximum((c2[idx] - c2[lo]) / cnt - mean ** 2, 0.0)
+    mean = c1[idx] / idx
+    var = np.maximum(c2[idx] / idx - mean ** 2, 0.0)
     sigma = np.sqrt(var)
     sigma = np.maximum(sigma, SIGMA_FLOOR_FACTOR * np.maximum(np.abs(mean), 1.0))
     types = sorted(type_set, key=lambda t: t.id)
@@ -57,8 +59,7 @@ def _prefix_classifications(samples: np.ndarray, type_set,
     return kls.argmin(axis=0)   # argmin takes the lowest index on ties
 
 
-def update_beliefs(log: ObservationLog, type_set, scenario,
-                   window: int | None = None
+def update_beliefs(log: ObservationLog, type_set, scenario
                    ) -> tuple[BeliefState, TypePrediction]:
     """Recompute beliefs from the observation log.
 
@@ -71,10 +72,9 @@ def update_beliefs(log: ObservationLog, type_set, scenario,
     types = sorted(type_set, key=lambda t: t.id)
     m = len(types)
     classified: dict[tuple[int, int], int] = {}
-    freqs: dict[tuple[int, int], np.ndarray] = {}
     for (observer, observed), samples in log.samples.items():
         events = _prefix_classifications(np.asarray(samples, dtype=float),
-                                         types, window)
+                                         types)
         counts = np.bincount(events, minlength=m).astype(float)
         freq = counts / counts.sum()
         # freq follows type ids; the belief row follows the scenario's
@@ -85,17 +85,14 @@ def update_beliefs(log: ObservationLog, type_set, scenario,
                 raise ValueError(f"type id {t.id} is not in the scenario")
             row[beliefs.type_ids.index(t.id)] = freq[k]
         beliefs.set_row(observer, observed, row)
-        freqs[(observer, observed)] = freq
         classified[(observer, observed)] = types[int(freq.argmax())].id
     # unobserved pairs predict by the uniform-prior argmax (lowest id)
     ids = scenario.drone_ids
-    uniform = np.full(m, 1.0 / m)
     for i in ids:
         for j in ids:
             if i != j and (i, j) not in classified:
                 classified[(i, j)] = types[0].id
-                freqs[(i, j)] = uniform.copy()
-    return beliefs, TypePrediction(classified, freqs)
+    return beliefs, TypePrediction(classified)
 
 
 def frobenius_convergence(prediction: TypePrediction, scenario
@@ -290,3 +287,26 @@ def flagged_best_reply(structure: CoalitionStructure, proposer: int,
         if targets:
             return q, targets
     return None, []
+
+
+def expected_payoff(scenario, evaluator, observer: int, coalition: frozenset,
+                    beliefs: BeliefState) -> float:
+    """Observer's expected rate in the coalition, one type vector of the
+    other members at a time."""
+    others = sorted(coalition - {observer})
+    own_power = scenario.true_power(observer)
+    type_ids = [t.id for t in scenario.type_set]
+    mus = {t.id: t.mu for t in scenario.type_set}
+    total = 0.0
+    for combo in itertools.product(type_ids, repeat=len(others)):
+        weight = 1.0
+        powers = {observer: own_power}
+        for j, t in zip(others, combo):
+            weight *= beliefs.prob(observer, j, t)
+            powers[j] = mus[t]
+        if weight == 0.0:
+            continue
+        rates = evaluator.evaluate(
+            coalition, [powers[d] for d in sorted(coalition)])
+        total += weight * rates[observer]
+    return total

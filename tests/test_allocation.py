@@ -178,41 +178,52 @@ class TestEvaluateCoalition:
         sc = generate(SETTINGS["S1"], URBAN, seed=15)
         base = baseline_rates(sc, CoalitionEvaluator(sc))
         for d in sc.drone_ids:
-            result = CoalitionEvaluator(sc).evaluate(
-                frozenset([d]), {d: sc.true_power(d)})
-            assert result.per_drone_rate[d] == pytest.approx(base[d])
-            assert result.total_rate == pytest.approx(base[d])
+            rates = CoalitionEvaluator(sc).evaluate(
+                frozenset([d]), [sc.true_power(d)])
+            assert rates == {d: pytest.approx(base[d])}
 
     def test_missing_power_rejected(self):
         sc = generate(SETTINGS["S1"], URBAN, seed=15)
         with pytest.raises(ValueError):
-            CoalitionEvaluator(sc).evaluate(frozenset([0, 1]), {0: 12.0})
+            CoalitionEvaluator(sc).evaluate(frozenset([0, 1]), [12.0])
+        with pytest.raises(ValueError):
+            CoalitionEvaluator(sc).evaluate(frozenset([0, 1]),
+                                            [12.0, 12.0, 12.0])
 
     def test_total_rate_is_sum(self):
+        # the member rates add up to the rate of the water-filled matched
+        # links, which spend at most the pooled budget
         sc = generate(SETTINGS["S1"], URBAN, seed=15)
-        result = CoalitionEvaluator(sc).evaluate(
-            frozenset([0, 1, 2]), {d: sc.true_power(d) for d in sc.drone_ids})
-        assert result.total_rate == \
-            pytest.approx(math.fsum(result.per_drone_rate.values()))
-        assert len(result.matching) == 9
-        assert math.fsum(result.powers.powers.values()) <= \
-            result.powers.total_budget + 1e-9
+        ev = CoalitionEvaluator(sc)
+        coalition = frozenset([0, 1, 2])
+        powers = [sc.true_power(d) for d in sc.drone_ids]
+        rates = ev.evaluate(coalition, powers)
+        assert set(rates) == coalition
+        matched = ev.matching(coalition)
+        assert len(matched) == 9
+        gains = np.array([ev.slope(d, u) for d, u in matched])
+        p, _ = waterfill(gains, math.fsum(powers))
+        assert math.fsum(p) <= math.fsum(powers) + 1e-9
+        total = sc.env.bandwidth_hz * math.fsum(np.log2(1.0 + p * gains))
+        assert math.fsum(rates.values()) == pytest.approx(total)
 
     def test_monotone_in_budget(self):
         sc = generate(SETTINGS["S1"], URBAN, seed=16)
         ev = CoalitionEvaluator(sc)
-        lo = ev.evaluate(frozenset([0, 1]), {0: 6.0, 1: 6.0})
-        hi = ev.evaluate(frozenset([0, 1]), {0: 12.0, 1: 12.0})
-        assert hi.total_rate > lo.total_rate
+        lo = ev.evaluate(frozenset([0, 1]), [6.0, 6.0])
+        hi = ev.evaluate(frozenset([0, 1]), [12.0, 12.0])
+        assert math.fsum(hi.values()) > math.fsum(lo.values())
 
     def test_deterministic_across_evaluators(self):
         sc = generate(SETTINGS["S2"], URBAN, seed=17)
-        powers = {d: sc.true_power(d) for d in sc.drone_ids}
+        powers = [sc.true_power(d) for d in sc.drone_ids]
         grand = frozenset(sc.drone_ids)
-        a = CoalitionEvaluator(sc).evaluate(grand, powers)
-        b = CoalitionEvaluator(sc).evaluate(grand, powers)
-        assert a.matching == b.matching
-        assert a.per_drone_rate == b.per_drone_rate
+        a, b = CoalitionEvaluator(sc), CoalitionEvaluator(sc)
+        rates_a = a.evaluate(grand, powers)
+        # the powers pool into one budget, so their order does not matter
+        rates_b = b.evaluate(grand, powers[::-1])
+        assert a.matching(grand) == b.matching(grand)
+        assert list(rates_a.items()) == list(rates_b.items())
 
     def test_independent_recomputation_two_drones(self):
         # end-to-end oracle: weights from scratch, brute-force matching,
@@ -221,7 +232,7 @@ class TestEvaluateCoalition:
         ev = CoalitionEvaluator(sc)
         coalition = frozenset([0, 2])
         powers = {0: sc.true_power(0), 2: sc.true_power(2)}
-        result = ev.evaluate(coalition, powers)
+        rates = ev.evaluate(coalition, list(powers.values()))
 
         channels, users = ev.coalition_members(coalition)
         w = np.array([[1.0 / to_linear(ev.mean_loss_db(d, u))
@@ -234,11 +245,13 @@ class TestEvaluateCoalition:
         budget = powers[0] + powers[2]
         p, _ = waterfill(gains, budget)
         expected_total = float(np.sum(np.log2(1.0 + p * gains)))
-        assert result.total_rate == pytest.approx(expected_total, rel=1e-9)
+        assert math.fsum(rates.values()) == \
+            pytest.approx(expected_total, rel=1e-9)
 
     def test_matching_independent_of_power(self):
         sc = generate(SETTINGS["S1"], URBAN, seed=19)
-        ev = CoalitionEvaluator(sc)
-        a = ev.evaluate(frozenset([0, 1]), {0: 12.0, 1: 18.0})
-        b = ev.evaluate(frozenset([0, 1]), {0: 1.0, 1: 2.0})
-        assert a.matching == b.matching
+        coalition = frozenset([0, 1])
+        a, b = CoalitionEvaluator(sc), CoalitionEvaluator(sc)
+        a.evaluate(coalition, [12.0, 18.0])
+        b.evaluate(coalition, [1.0, 2.0])
+        assert a.matching(coalition) == b.matching(coalition)

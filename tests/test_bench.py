@@ -7,6 +7,7 @@ import pytest
 
 from dronecoal import bench
 from dronecoal.allocation import CoalitionEvaluator
+from dronecoal.dynamics import NonConvergenceError, run_repeated_game
 from dronecoal.bench import (REGIMES, RegimeResult, RunManifest, aggregate,
                              emit_outputs, run_manifest, run_regime,
                              run_seed, run_topology, scenario_seed,
@@ -115,6 +116,35 @@ class TestRunRegime:
         assert r.rounds_to_convergence == len(r.frobenius_series)
         assert r.note == ""
         assert r.frobenius_series[-1] == 0.0
+
+    def test_best_reply_cycle_ends_the_run_unconverged(self, monkeypatch):
+        # S4 seed 0, topology 2, repetition 23: under one round's learned
+        # beliefs no structure is Nash-stable and best reply cycles
+        m = RunManifest(settings=["S4"], topologies=5, repetitions=30,
+                        seed=0, regimes=["proposed"])
+        sc = generate(SETTINGS["S4"], URBAN, m.types(),
+                      seed=scenario_seed(m, 0, 2))
+        outcomes = []
+
+        def recording(*args):
+            outcomes.append(run_repeated_game(*args))
+            return outcomes[-1]
+
+        monkeypatch.setattr(bench, "run_repeated_game", recording)
+        r = run_regime(sc, "proposed", m, "S4", 2, 23)
+        assert r.note == "non-converged"
+        assert CoalitionStructure.from_string(r.structure).members() == \
+            tuple(sorted(sc.drone_ids))
+        assert all(math.isfinite(x)
+                   for x in [r.total_rate, *r.per_drone.values()])
+        stall = outcomes[0].stall
+        assert isinstance(stall, NonConvergenceError)
+        # the run keeps the last structure that formed, where the stalled
+        # best-reply run started
+        assert r.structure == stall.trace[0].to_string()
+        cycle = ["{0}{1,5}{2}{3,4}", "{0}{1,3,4}{2}{5}",
+                 "{0}{1,3}{2}{4,5}", "{0}{1,3,5}{2}{4}"]
+        assert [s.to_string() for s in stall.trace[-8:]] == cycle * 2
 
     def test_social_optimal_dominates(self, s1):
         base, full, social = topology_regimes(s1)

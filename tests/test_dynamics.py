@@ -219,6 +219,7 @@ class TestRepeatedGame:
     def test_converges_and_is_stable(self):
         sc, result = self._run()
         assert result.converged
+        assert result.stall is None
         engine = PayoffEngine(sc)
         assert is_nash_stable(result.structure, result.beliefs, sc,
                               engine)[0]

@@ -156,11 +156,11 @@ class TestPayoffEngine:
     def test_point_mass_equals_deterministic(self, s1, s1_engine):
         b = BeliefState.point_mass_truth(s1)
         coalition = frozenset([0, 1])
-        powers = {d: s1.true_power(d) for d in coalition}
-        result = CoalitionEvaluator(s1).evaluate(coalition, powers)
+        rates = CoalitionEvaluator(s1).evaluate(
+            coalition, [s1.true_power(d) for d in coalition])
         for d in coalition:
             q = s1_engine.expected_payoff(d, coalition, b)
-            assert q == pytest.approx(result.per_drone_rate[d])
+            assert q == pytest.approx(rates[d])
 
     def test_uniform_two_drone_expansion(self, s1, s1_engine):
         # a two-member coalition under uniform beliefs averages the rates
@@ -170,9 +170,9 @@ class TestPayoffEngine:
         mus = {t.id: t.mu for t in s1.type_set}
         expected = 0.0
         for t, w in ((0, 0.5), (1, 0.5)):
-            result = CoalitionEvaluator(s1).evaluate(
-                coalition, {0: s1.true_power(0), 1: mus[t]})
-            expected += w * result.per_drone_rate[0]
+            rates = CoalitionEvaluator(s1).evaluate(
+                coalition, [s1.true_power(0), mus[t]])
+            expected += w * rates[0]
         assert s1_engine.expected_payoff(0, coalition, b) == \
             pytest.approx(expected)
 
@@ -182,7 +182,7 @@ class TestPayoffEngine:
         mus = {t.id: t.mu for t in s1.type_set}
         coalition = frozenset([0, 1])
         expected = sum(w * CoalitionEvaluator(s1).evaluate(
-            coalition, {0: s1.true_power(0), 1: mus[t]}).per_drone_rate[0]
+            coalition, [s1.true_power(0), mus[t]])[0]
             for t, w in ((0, 0.9), (1, 0.1)))
         assert s1_engine.expected_payoff(0, coalition, b) == \
             pytest.approx(expected)

@@ -145,8 +145,7 @@ class TestUpdateBeliefs:
         assert beliefs.prob(0, 1, 0) == pytest.approx(2.0 / 3.0)
         assert beliefs.prob(0, 1, 1) == pytest.approx(1.0 / 3.0)
         assert prediction.classified[(0, 1)] == 0
-        assert np.allclose(prediction.frequencies[(0, 1)],
-                           [2.0 / 3.0, 1.0 / 3.0])
+        assert beliefs.rows(0, [1], [0, 1]) == [[2.0 / 3.0, 1.0 / 3.0]]
 
     def test_unanimous_observations(self):
         sc = self._scenario()
@@ -170,25 +169,9 @@ class TestUpdateBeliefs:
         assert np.allclose(beliefs.table.sum(axis=2), 1.0)
         assert np.all(beliefs.table >= 0.0)
 
-    def test_rolling_window_forgets(self):
-        # early bad samples leave the window, so recent evidence dominates
-        sc = self._scenario()
-        samples = [30.0] * 3 + [12.0] * 20
-
-        log_full = ObservationLog()
-        log_win = ObservationLog()
-        for r, v in enumerate(samples):
-            log_full.add(0, 1, v, r)
-            log_win.add(0, 1, v, r)
-        beliefs_full, _ = update_beliefs(log_full, TYPES, sc)
-        beliefs_win, pred_win = update_beliefs(log_win, TYPES, sc, window=5)
-        assert pred_win.classified[(0, 1)] == 0
-        assert beliefs_win.prob(0, 1, 0) > 0.5
-        assert beliefs_win.prob(0, 1, 0) >= beliefs_full.prob(0, 1, 0)
-
     def test_beliefs_follow_the_scenario_type_order(self):
         # a type set listed out of id order: the belief table's type axis
-        # follows the list, the learned frequencies follow the ids
+        # follows the list, the learned classification follows the ids
         types = (TypeSpec(1, 18.0, 3.0), TypeSpec(0, 12.0, 3.0))
         sc = generate(SETTINGS["S1"], URBAN, type_set=types, seed=30)
         log = ObservationLog()

@@ -12,7 +12,6 @@ from dronecoal.propagation import ENVIRONMENTS
 from dronecoal.scenario import SETTINGS, TypeSpec, generate
 
 URBAN = ENVIRONMENTS["urban"]
-WINDOWS = (None, 1, 3, 7)
 SAMPLES = st.one_of(st.sampled_from([0.0, 12.0, 18.0]),
                     st.floats(0.0, 60.0, allow_nan=False))
 
@@ -32,11 +31,10 @@ def learning_cases(draw):
     types = draw(type_sets(m))
     sc = generate(SETTINGS[draw(st.sampled_from(["S1", "S2"]))], URBAN,
                   type_set=types, seed=draw(st.integers(0, 10_000)))
-    # one or two (type set, window) learners reading the same log
-    learners = [(types, draw(st.sampled_from(WINDOWS)))]
+    # one or two type-set learners reading the same log
+    learners = [types]
     if draw(st.booleans()):
-        other = draw(type_sets(m)) if draw(st.booleans()) else types
-        learners.append((other, draw(st.sampled_from(WINDOWS))))
+        learners.append(draw(type_sets(m)) if draw(st.booleans()) else types)
     pairs = [(i, j) for i in sc.drone_ids for j in sc.drone_ids if i != j]
     # some pairs are never observed; the others share in most rounds
     observed = [pair for pair in pairs if draw(st.integers(0, 3))]
@@ -55,9 +53,6 @@ def learning_cases(draw):
 def assert_same_prediction(got: TypePrediction, ref: TypePrediction):
     assert got.classified == ref.classified
     assert list(got.classified) == list(ref.classified)
-    assert list(got.frequencies) == list(ref.frequencies)
-    for pair, freq in ref.frequencies.items():
-        assert got.frequencies[pair].tobytes() == freq.tobytes()
 
 
 @settings(deadline=None, max_examples=60)
@@ -68,20 +63,15 @@ def test_incremental_beliefs_equal_from_scratch(case):
     for r, (shared, calls) in enumerate(rounds):
         for (i, j), x in shared:
             log.add(i, j, x, r)
-        for (types, window), call in zip(learners, calls):
+        for types, call in zip(learners, calls):
             if not call:
                 continue
-            beliefs, prediction = update_beliefs(log, types, sc, window)
+            beliefs, prediction = update_beliefs(log, types, sc)
             ref_beliefs, ref_prediction = oracles.update_beliefs(
-                log, types, sc, window)
+                log, types, sc)
             assert beliefs.table.tobytes() == ref_beliefs.table.tobytes()
             assert beliefs.snapshot_hash() == ref_beliefs.snapshot_hash()
             assert_same_prediction(prediction, ref_prediction)
-            ids = sorted(t.id for t in types)
-            for i, j in log.samples:
-                freq = prediction.frequencies[(i, j)]
-                for k, t in enumerate(ids):
-                    assert beliefs.prob(i, j, t) == freq[k]
             norms, mean = frobenius_convergence(prediction, sc)
             ref_norms, ref_mean = oracles.frobenius_convergence(
                 ref_prediction, sc)
@@ -97,7 +87,7 @@ def predictions(draw):
                   seed=draw(st.integers(0, 10_000)))
     classified = {(i, j): draw(st.integers(0, m - 1))
                   for i in sc.drone_ids for j in sc.drone_ids if i != j}
-    return sc, TypePrediction(classified, {})
+    return sc, TypePrediction(classified)
 
 
 @settings(deadline=None, max_examples=40)
