@@ -133,8 +133,9 @@ class BeliefState:
     """Per-drone probability tables over the type set.
 
     table[i, j] is observer i's belief vector over observed drone j's
-    type; self-rows are point masses on the true type.  ``uid`` keys
-    payoff memoization; ``set_row`` assigns a fresh one.
+    type; self-rows are point masses on the true type.  ``uid`` names the
+    state and ``content_key``, (drone_ids, type_ids, table bytes), its
+    content; ``set_row`` renews the one and clears the other.
     """
 
     _instances = itertools.count()
@@ -156,6 +157,10 @@ class BeliefState:
         if not np.all(np.abs(sums - 1.0) <= 1e-12 + 1e-5):
             raise ValueError("belief vectors must sum to 1")
         self.table = table
+
+    @functools.cached_property
+    def content_key(self) -> tuple:
+        return self.drone_ids, self.type_ids, self.table.tobytes()
 
     @classmethod
     def uniform(cls, scenario) -> "BeliefState":
@@ -179,11 +184,6 @@ class BeliefState:
             table[:, j, tids.index(scenario.drone(d).true_type)] = 1.0
         return cls(table, ids, tids)
 
-    def prob(self, observer: int, observed: int, type_id: int) -> float:
-        return float(self.table[self._index[observer],
-                                self._index[observed],
-                                self._tindex[type_id]])
-
     def rows(self, observer: int, observed, type_ids) -> list[list[float]]:
         """Observer's belief vectors about each drone in ``observed``, as
         Python floats, with the columns in ``type_ids`` order."""
@@ -197,19 +197,27 @@ class BeliefState:
             raise ValueError("belief vector must sum to 1")
         self.table[self._index[observer], self._index[observed], :] = probs
         self.uid = next(BeliefState._instances)
+        self.__dict__.pop("content_key", None)
 
     def snapshot_hash(self) -> str:
-        return hashlib.sha1(self.table.tobytes()).hexdigest()[:16]
+        return hashlib.sha1(self.content_key[-1]).hexdigest()[:16]
 
 
 class PayoffEngine:
-    """Expected payoffs under belief uncertainty, memoized per
-    (observer, coalition, beliefs uid)."""
+    """Expected payoffs under belief uncertainty, and the ``best_reply``
+    memo ``decisions`` keyed by (structure, proposer, beliefs content key),
+    for one scenario.  A payoff is memoized per (observer, coalition, beliefs
+    uid), which spares hits the row gather, and on a miss there per
+    (observer, coalition, the observer's rows about the other members in
+    the scenario's type order), which states of equal content share."""
 
     def __init__(self, scenario):
         self.scenario = scenario
         self.evaluator = CoalitionEvaluator(scenario)
+        self._type_ids = [t.id for t in scenario.type_set]
         self._cache: dict[tuple, float] = {}
+        self._by_rows: dict[tuple, float] = {}
+        self.decisions: dict[tuple, tuple] = {}
 
     @functools.cached_property
     def truth(self) -> BeliefState:
@@ -232,24 +240,28 @@ class PayoffEngine:
         if observer not in coalition:
             raise ValueError("observer must belong to the coalition")
         key = (observer, coalition, beliefs.uid)
-        if key not in self._cache:
-            self._cache[key] = self._compute(observer, coalition, beliefs)
-        return self._cache[key]
+        q = self._cache.get(key)
+        if q is None:
+            rows = beliefs.rows(observer, sorted(coalition - {observer}),
+                                self._type_ids)
+            rkey = (observer, coalition, tuple(map(tuple, rows)))
+            if rkey not in self._by_rows:
+                self._by_rows[rkey] = self._compute(observer, coalition, rows)
+            q = self._cache[key] = self._by_rows[rkey]
+        return q
 
     def _compute(self, observer: int, coalition: frozenset,
-                 beliefs: BeliefState) -> float:
+                 rows: list[list[float]]) -> float:
         sc = self.scenario
-        others = sorted(coalition - {observer})
         m = len(sc.type_set)
-        if m ** len(others) > TYPE_SPACE_CAP:
+        if m ** len(rows) > TYPE_SPACE_CAP:
             raise ValueError(
-                f"type space {m}^{len(others)} exceeds cap "
+                f"type space {m}^{len(rows)} exceeds cap "
                 f"{TYPE_SPACE_CAP}")
         own_power = sc.true_power(observer)
         mus = [t.mu for t in sc.type_set]
-        rows = beliefs.rows(observer, others, [t.id for t in sc.type_set])
         total = 0.0
-        for combo in itertools.product(range(m), repeat=len(others)):
+        for combo in itertools.product(range(m), repeat=len(rows)):
             weight = 1.0
             for row, k in zip(rows, combo):
                 weight *= row[k]
@@ -325,13 +337,20 @@ def best_reply(structure: CoalitionStructure, proposer: int,
     """The admissible targets of the best payoff level of candidate_groups
     that is not wholly vetoed, with that level's payoff, or ``(None, [])``.
     The simulated step, the Markov chain and the stability scan all decide
-    through this one function."""
-    for q, level in candidate_groups(structure, proposer, beliefs, engine):
-        targets = [target for target in level
-                   if admissible(proposer, target, engine, beliefs)]
-        if targets:
-            return q, targets
-    return None, []
+    through this one function.  Decisions are memoized in
+    ``engine.decisions``; each call returns a fresh target list."""
+    key = (structure, proposer, beliefs.content_key)
+    decision = engine.decisions.get(key)
+    if decision is None:
+        decision = None, ()
+        for q, level in candidate_groups(structure, proposer, beliefs, engine):
+            targets = tuple(target for target in level
+                            if admissible(proposer, target, engine, beliefs))
+            if targets:
+                decision = q, targets
+                break
+        engine.decisions[key] = decision
+    return decision[0], list(decision[1])
 
 
 def is_nash_stable(structure: CoalitionStructure, beliefs: BeliefState,

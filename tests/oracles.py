@@ -22,8 +22,8 @@ against them bit for bit.
   flag.  They look ``admissible`` and ``strictly_better`` up on
   ``dronecoal.game`` at call time, so a wrapper there sees their calls.
 - ``expected_payoff`` is the payoff sum as it was before it read each
-  belief row once: one ``BeliefState.prob`` call per weight and a dict of
-  powers per type vector.
+  belief row once: one ``prob`` call per weight and a dict of powers per
+  type vector.  ``prob`` reads one belief as a float.
 """
 
 from __future__ import annotations
@@ -289,6 +289,15 @@ def flagged_best_reply(structure: CoalitionStructure, proposer: int,
     return None, []
 
 
+def prob(beliefs: BeliefState, observer: int, observed: int,
+         type_id: int) -> float:
+    """Observer's belief that ``observed`` has type ``type_id``, indexed
+    into the table through its id tuples, not through ``BeliefState.rows``."""
+    return float(beliefs.table[beliefs.drone_ids.index(observer),
+                               beliefs.drone_ids.index(observed),
+                               beliefs.type_ids.index(type_id)])
+
+
 def expected_payoff(scenario, evaluator, observer: int, coalition: frozenset,
                     beliefs: BeliefState) -> float:
     """Observer's expected rate in the coalition, one type vector of the
@@ -302,7 +311,7 @@ def expected_payoff(scenario, evaluator, observer: int, coalition: frozenset,
         weight = 1.0
         powers = {observer: own_power}
         for j, t in zip(others, combo):
-            weight *= beliefs.prob(observer, j, t)
+            weight *= prob(beliefs, observer, j, t)
             powers[j] = mus[t]
         if weight == 0.0:
             continue

@@ -48,12 +48,14 @@ def test_equal_values():
 
 
 class StubEngine:
-    """Expected payoffs from a table keyed by (observer, coalition)."""
+    """Expected payoffs from a table keyed by (observer, coalition), and
+    the decision memo that ``best_reply`` fills."""
 
     evaluator = None
 
     def __init__(self, payoffs):
         self.payoffs = {(d, frozenset(s)): q for (d, s), q in payoffs.items()}
+        self.decisions = {}
 
     def expected_payoff(self, observer, coalition, beliefs):
         return self.payoffs[(observer, frozenset(coalition))]
@@ -69,6 +71,10 @@ def test_admissible_accepts_a_loss_inside_the_band(base, rel, accepted):
     assert admissible(0, None, engine, beliefs=None)
 
 
+# the stub payoffs ignore beliefs; best_reply keys its memo by their content
+BELIEFS = SimpleNamespace(content_key="stub")
+
+
 @pytest.mark.parametrize("rel,tied", ((0.5e-12, True), (2e-12, False)))
 def test_payoff_levels_tie_inside_the_band(rel, tied):
     # drone 0 gains by joining 1 or 2; joining 2 pays rel less
@@ -77,15 +83,15 @@ def test_payoff_levels_tie_inside_the_band(rel, tied):
                          (1, (1,)): 1.0, (1, (0, 1)): 1.0,
                          (2, (2,)): 1.0, (2, (0, 2)): 1.0})
     singles = CoalitionStructure.singletons([0, 1, 2])
-    groups = candidate_groups(singles, 0, None, engine)
+    groups = candidate_groups(singles, 0, BELIEFS, engine)
     if tied:
         assert groups == [(2.0, [(1,), (2,)])]
-        assert best_reply(singles, 0, None, engine) == (2.0, [(1,), (2,)])
+        assert best_reply(singles, 0, BELIEFS, engine) == (2.0, [(1,), (2,)])
     else:
         assert groups == [(2.0, [(1,)]), (q, [(2,)])]
-        assert best_reply(singles, 0, None, engine) == (2.0, [(1,)])
+        assert best_reply(singles, 0, BELIEFS, engine) == (2.0, [(1,)])
     # the witness is the first best-reply target, at the level's gain
-    assert is_nash_stable(singles, None, None, engine) == \
+    assert is_nash_stable(singles, BELIEFS, None, engine) == \
         (False, DeviationWitness(0, (1,), 1.0))
 
 

@@ -4,6 +4,8 @@ decisions in ``oracles.py``, under point-mass, uniform and learned
 beliefs.  The decision checks only the vetoes it reads, so it never
 calls ``admissible`` more often than the references."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,6 +13,7 @@ from hypothesis import strategies as st
 
 import oracles
 from dronecoal import game, markov
+from dronecoal.allocation import CoalitionEvaluator
 from dronecoal.dynamics import best_reply_step
 from dronecoal.game import BeliefState, PayoffEngine, enumerate_structures
 from dronecoal.learning import ObservationLog, update_beliefs
@@ -37,23 +40,29 @@ def learned_beliefs(sc, rounds: int, seed: int) -> BeliefState:
     return beliefs
 
 
-@st.composite
-def decision_cases(draw):
+def draw_types(draw) -> list[TypeSpec]:
     m = draw(st.integers(2, 4))
     mus = draw(st.lists(st.floats(1.0, 40.0), min_size=m, max_size=m))
     sigmas = draw(st.lists(st.floats(0.5, 8.0), min_size=m, max_size=m))
-    types = tuple(TypeSpec(k, mus[k], sigmas[k]) for k in range(m))
-    sc = generate(SETTINGS[draw(st.sampled_from(["S1", "S2"]))], URBAN,
-                  type_set=types, seed=draw(st.integers(0, 10_000)))
+    return [TypeSpec(k, mus[k], sigmas[k]) for k in range(m)]
+
+
+def draw_beliefs(draw, sc) -> BeliefState:
     kind = draw(st.sampled_from(["point_mass", "uniform", "learned"]))
     if kind == "point_mass":
-        beliefs = BeliefState.point_mass_truth(sc)
-    elif kind == "uniform":
-        beliefs = BeliefState.uniform(sc)
-    else:
-        beliefs = learned_beliefs(sc, draw(st.integers(1, 4)),
-                                  draw(st.integers(0, 2**32 - 1)))
-    return sc, beliefs, draw(st.integers(0, 2**32 - 1))
+        return BeliefState.point_mass_truth(sc)
+    if kind == "uniform":
+        return BeliefState.uniform(sc)
+    return learned_beliefs(sc, draw(st.integers(1, 4)),
+                           draw(st.integers(0, 2**32 - 1)))
+
+
+@st.composite
+def decision_cases(draw):
+    types = tuple(draw_types(draw))
+    sc = generate(SETTINGS[draw(st.sampled_from(["S1", "S2"]))], URBAN,
+                  type_set=types, seed=draw(st.integers(0, 10_000)))
+    return sc, draw_beliefs(draw, sc), draw(st.integers(0, 2**32 - 1))
 
 
 def bits(groups):
@@ -150,3 +159,84 @@ def test_one_decision_equals_the_per_caller_decisions(case):
         assert witness.payoff_gain > 0
     assert absorbing_states(build_chain(sc, beliefs, engine)) == \
         tuple(stable)
+
+
+@st.composite
+def memo_cases(draw):
+    # the scenario lists its types in a drawn order
+    types = tuple(draw(st.permutations(draw_types(draw))))
+    sc = generate(SETTINGS[draw(st.sampled_from(["S1", "S2", "S3"]))],
+                  URBAN, type_set=types, seed=draw(st.integers(0, 10_000)))
+    beliefs = draw_beliefs(draw, sc)
+    dperm = draw(st.permutations(range(len(sc.drone_ids))))
+    tperm = draw(st.permutations(range(len(types))))
+    return sc, beliefs, dperm, tperm
+
+
+def same_content(beliefs: BeliefState) -> BeliefState:
+    return BeliefState(beliefs.table.copy(), beliefs.drone_ids,
+                       beliefs.type_ids)
+
+
+def set_wrong_point_masses(beliefs: BeliefState, sc) -> None:
+    """Reset every row about another drone, one ``set_row`` at a time, to
+    a point mass on the type after the true one in the beliefs' type
+    order."""
+    tids = list(beliefs.type_ids)
+    for i in sc.drone_ids:
+        for j in sc.drone_ids:
+            if i != j:
+                row = np.zeros(len(tids))
+                row[(tids.index(sc.drone(j).true_type) + 1) % len(tids)] = 1.0
+                beliefs.set_row(i, j, row)
+
+
+def assert_memos_match(sc, beliefs, shared):
+    """Payoffs and decisions of ``shared`` under ``beliefs`` equal a fresh
+    engine's and the references', and no caller can change a memoized
+    target list."""
+    fresh, evaluator = PayoffEngine(sc), CoalitionEvaluator(sc)
+    ids = sorted(sc.drone_ids)
+    for k in range(1, len(ids) + 1):
+        for members in itertools.combinations(ids, k):
+            coalition = frozenset(members)
+            for d in members:
+                got = shared.expected_payoff(d, coalition, beliefs).hex()
+                assert got == \
+                    fresh.expected_payoff(d, coalition, beliefs).hex() == \
+                    oracles.expected_payoff(sc, evaluator, d, coalition,
+                                            beliefs).hex()
+    for s in enumerate_structures(ids):
+        for d in ids:
+            ref = oracles.flagged_best_reply(s, d, beliefs, fresh)
+            got = game.best_reply(s, d, beliefs, shared)
+            assert got == game.best_reply(s, d, beliefs, fresh) == ref
+            got[1].append(got[1][0] if got[1] else None)
+            assert game.best_reply(s, d, beliefs, shared) == ref
+
+
+@settings(deadline=None, max_examples=40)
+@given(memo_cases())
+def test_memos_answer_by_belief_content(case):
+    sc, beliefs, dperm, tperm = case
+    ids, tids = beliefs.drone_ids, beliefs.type_ids
+    shared = PayoffEngine(sc)
+    # warm the shared engine with a copy, then ask under the original:
+    # equal content and a different uid
+    twin = same_content(beliefs)
+    assert_memos_match(sc, twin, shared)
+    assert twin.uid != beliefs.uid
+    assert twin.content_key == beliefs.content_key
+    assert_memos_match(sc, beliefs, shared)
+    # the same beliefs with the drone and type axes in other orders
+    assert_memos_match(sc, BeliefState(
+        beliefs.table[np.ix_(dperm, dperm, tperm)],
+        [ids[i] for i in dperm], [tids[k] for k in tperm]), shared)
+    # equal bytes under relabelled axes are other beliefs
+    assert_memos_match(sc, BeliefState(
+        beliefs.table, ids, [tids[k] for k in tperm]), shared)
+    assert_memos_match(sc, BeliefState(
+        beliefs.table, [ids[i] for i in dperm], tids), shared)
+    # set_row on a state the memos have seen changes what they answer
+    set_wrong_point_masses(twin, sc)
+    assert_memos_match(sc, twin, shared)

@@ -8,6 +8,7 @@ from dronecoal.learning import (ObservationLog, classify,
                                 mle_gaussian, update_beliefs)
 from dronecoal.propagation import ENVIRONMENTS
 from dronecoal.scenario import SETTINGS, TypeSpec, generate
+from oracles import prob
 
 URBAN = ENVIRONMENTS["urban"]
 TYPES = (TypeSpec(0, 12.0, 3.0), TypeSpec(1, 18.0, 3.0))
@@ -129,7 +130,7 @@ class TestUpdateBeliefs:
         for i in sc.drone_ids:
             for j in sc.drone_ids:
                 if i != j:
-                    assert beliefs.prob(i, j, 0) == pytest.approx(0.5)
+                    assert prob(beliefs, i, j, 0) == pytest.approx(0.5)
                     assert prediction.classified[(i, j)] == 0
 
     def test_hand_counted_frequencies(self):
@@ -142,8 +143,8 @@ class TestUpdateBeliefs:
         for r, v in enumerate([12.0, 12.0, 30.0]):
             log.add(0, 1, v, r)
         beliefs, prediction = update_beliefs(log, TYPES, sc)
-        assert beliefs.prob(0, 1, 0) == pytest.approx(2.0 / 3.0)
-        assert beliefs.prob(0, 1, 1) == pytest.approx(1.0 / 3.0)
+        assert prob(beliefs, 0, 1, 0) == pytest.approx(2.0 / 3.0)
+        assert prob(beliefs, 0, 1, 1) == pytest.approx(1.0 / 3.0)
         assert prediction.classified[(0, 1)] == 0
         assert beliefs.rows(0, [1], [0, 1]) == [[2.0 / 3.0, 1.0 / 3.0]]
 
@@ -153,7 +154,7 @@ class TestUpdateBeliefs:
         for r in range(5):
             log.add(0, 1, 18.0 + 0.1 * r, r)
         beliefs, prediction = update_beliefs(log, TYPES, sc)
-        assert beliefs.prob(0, 1, 1) == pytest.approx(1.0)
+        assert prob(beliefs, 0, 1, 1) == pytest.approx(1.0)
         assert prediction.classified[(0, 1)] == 1
 
     def test_simplex_invariant(self):
@@ -179,8 +180,8 @@ class TestUpdateBeliefs:
             log.add(0, 1, 12.0, r)
         beliefs, prediction = update_beliefs(log, types, sc)
         assert prediction.classified[(0, 1)] == 0
-        assert beliefs.prob(0, 1, 0) == 1.0
-        assert beliefs.prob(0, 1, 1) == 0.0
+        assert prob(beliefs, 0, 1, 0) == 1.0
+        assert prob(beliefs, 0, 1, 1) == 0.0
 
     def test_type_outside_the_scenario_rejected(self):
         sc = self._scenario()

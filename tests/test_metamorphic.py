@@ -32,6 +32,7 @@ from dronecoal.markov import (TrappedClassError, absorbing_states,
 from dronecoal.propagation import ENVIRONMENTS
 from dronecoal.scenario import (DEFAULT_TYPE_SET, SETTINGS, Scenario,
                                 TypeSpec, generate)
+from oracles import prob
 
 URBAN = ENVIRONMENTS["urban"]
 REL = 1e-12
@@ -142,8 +143,8 @@ def assert_same_game(sc, other, kind, samples, relabel=None):
     for i in sc.drone_ids:
         for j in sc.drone_ids:
             for t in beliefs.type_ids:
-                assert other_beliefs.prob(relabel[i], relabel[j], t) \
-                    .hex() == beliefs.prob(i, j, t).hex()
+                assert prob(other_beliefs, relabel[i], relabel[j], t) \
+                    .hex() == prob(beliefs, i, j, t).hex()
 
     assert_close(payoffs(other, other_beliefs, other_engine),
                  payoffs(sc, beliefs, engine, relabel))

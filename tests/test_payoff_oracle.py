@@ -1,7 +1,7 @@
 """Differential test: ``PayoffEngine.expected_payoff``, which reads the
 observer's belief rows once, against the reference in ``oracles.py``,
-which looks every weight up with ``BeliefState.prob``, compared bit for
-bit."""
+which looks every weight up in the table with ``oracles.prob``, compared
+bit for bit."""
 
 import itertools
 

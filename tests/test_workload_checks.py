@@ -1,5 +1,6 @@
-"""The benchmark's workloads check their own outputs; a small slice of each
-at seed 0 must pass those checks, or fail only as the one known
+"""The benchmark's workloads check their own outputs; at seed 0 a small
+slice of ``paper_batch`` and ``chain_audit_4type`` and every unit of
+``repeated_game_s4`` must pass those checks, or fail only as the one known
 non-converged run, before the whole benchmark is run."""
 
 import importlib.util
@@ -44,13 +45,18 @@ def test_paper_batch_first_topology(workloads, tmp_path):
 
 
 def test_repeated_game_units(workloads, tmp_path):
+    # all 150 units in the workload's order, sharing each topology's
+    # engine: a faster program must not change which runs converge
     wl, harness = workloads
-    units = {u.name: u for u in _units(wl, "repeated_game_s4", tmp_path)}
-    assert _check(units["S4/t0/r0"]) is None
+    outcomes = {u.name: _check(u)
+                for u in _units(wl, "repeated_game_s4", tmp_path)}
+    assert len(outcomes) == 150
+    assert outcomes["S4/t0/r0"] is None
+    failed = {name: out for name, out in outcomes.items() if out is not None}
+    assert list(failed) == ["S4/t2/r23"]
     # the known best-reply cycle is reported as non-converged, not as a
     # wrong output
-    kind, _ = _check(units["S4/t2/r23"])
-    assert kind == harness.NON_CONVERGED
+    assert failed["S4/t2/r23"][0] == harness.NON_CONVERGED
 
 
 def test_chain_audit_first_audits(workloads, tmp_path):
