@@ -196,8 +196,7 @@ def run_repeated_game(scenario, config: DynamicsConfig,
     for _ in range(config.init_grand_rounds):
         shared = _share_samples(grand, scenario, log, round_index,
                                 rng_sample)
-        beliefs, prediction = update_beliefs(log, scenario.type_set,
-                                             scenario)
+        beliefs, prediction = update_beliefs(log, scenario)
         norms, mean_norm = frobenius_convergence(prediction, scenario)
         records.append(RoundRecord(
             round_index, True, grand,
@@ -228,8 +227,7 @@ def run_repeated_game(scenario, config: DynamicsConfig,
             structure = current
         shared = _share_samples(current, scenario, log, round_index,
                                 rng_sample)
-        beliefs, prediction = update_beliefs(log, scenario.type_set,
-                                             scenario)
+        beliefs, prediction = update_beliefs(log, scenario)
         norms, mean_norm = frobenius_convergence(prediction, scenario)
         records.append(RoundRecord(
             round_index, grand_round, current,

@@ -6,7 +6,6 @@ from __future__ import annotations
 import functools
 import hashlib
 import itertools
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -130,23 +129,22 @@ def enumerate_structures(drone_ids) -> list[CoalitionStructure]:
 
 
 class BeliefState:
-    """Per-drone probability tables over the type set.
+    """Per-drone probability tables over the type set, as an immutable
+    value.
 
     table[i, j] is observer i's belief vector over observed drone j's
-    type; self-rows are point masses on the true type.  ``uid`` names the
-    state and ``content_key``, (drone_ids, type_ids, table bytes), its
-    content; ``set_row`` renews the one and clears the other.
+    type; self-rows are point masses on the true type.  The constructor
+    copies the table and makes the copy read-only, so ``content_key``,
+    (drone_ids, type_ids, table bytes), computed once, is the state's one
+    identity.
     """
 
-    _instances = itertools.count()
-
     def __init__(self, table: np.ndarray, drone_ids, type_ids):
-        self.uid = next(BeliefState._instances)
         self.drone_ids = tuple(drone_ids)
         self.type_ids = tuple(type_ids)
         self._index = {d: i for i, d in enumerate(self.drone_ids)}
         self._tindex = {t: i for i, t in enumerate(self.type_ids)}
-        table = np.asarray(table, dtype=float)
+        table = np.array(table, dtype=float)
         if table.shape != (len(self.drone_ids), len(self.drone_ids),
                            len(self.type_ids)):
             raise ValueError("belief table has wrong shape")
@@ -156,11 +154,9 @@ class BeliefState:
         sums = table.sum(axis=2)
         if not np.all(np.abs(sums - 1.0) <= 1e-12 + 1e-5):
             raise ValueError("belief vectors must sum to 1")
+        table.setflags(write=False)
         self.table = table
-
-    @functools.cached_property
-    def content_key(self) -> tuple:
-        return self.drone_ids, self.type_ids, self.table.tobytes()
+        self.content_key = self.drone_ids, self.type_ids, table.tobytes()
 
     @classmethod
     def uniform(cls, scenario) -> "BeliefState":
@@ -191,14 +187,6 @@ class BeliefState:
         cols = [self._tindex[t] for t in type_ids]
         return [[table[self._index[j]][k] for k in cols] for j in observed]
 
-    def set_row(self, observer: int, observed: int, probs) -> None:
-        probs = np.asarray(probs, dtype=float)
-        if not math.isclose(probs.sum(), 1.0, abs_tol=1e-12):
-            raise ValueError("belief vector must sum to 1")
-        self.table[self._index[observer], self._index[observed], :] = probs
-        self.uid = next(BeliefState._instances)
-        self.__dict__.pop("content_key", None)
-
     def snapshot_hash(self) -> str:
         return hashlib.sha1(self.content_key[-1]).hexdigest()[:16]
 
@@ -206,10 +194,11 @@ class BeliefState:
 class PayoffEngine:
     """Expected payoffs under belief uncertainty, and the ``best_reply``
     memo ``decisions`` keyed by (structure, proposer, beliefs content key),
-    for one scenario.  A payoff is memoized per (observer, coalition, beliefs
-    uid), which spares hits the row gather, and on a miss there per
-    (observer, coalition, the observer's rows about the other members in
-    the scenario's type order), which states of equal content share."""
+    for one scenario.  A payoff is memoized per (observer, coalition,
+    beliefs content key), which spares hits the row gather, and on a miss
+    there per (observer, coalition, the observer's rows about the other
+    members in the scenario's type order), which states that differ only
+    in rows the payoff does not read share."""
 
     def __init__(self, scenario):
         self.scenario = scenario
@@ -239,7 +228,7 @@ class PayoffEngine:
         coalition = frozenset(coalition)
         if observer not in coalition:
             raise ValueError("observer must belong to the coalition")
-        key = (observer, coalition, beliefs.uid)
+        key = (observer, coalition, beliefs.content_key)
         q = self._cache.get(key)
         if q is None:
             rows = beliefs.rows(observer, sorted(coalition - {observer}),

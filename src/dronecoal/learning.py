@@ -13,7 +13,7 @@ over all pairs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -96,17 +96,24 @@ def classify(estimate: tuple[float, float], type_set) -> int:
     return types.ids[int(k[0])]
 
 
-class _EventCounts:
-    """Per-pair type-event counts of one type set over a log.
+class _ScenarioLearner:
+    """One scenario's learning state over a log: its type set sorted by id,
+    the per-pair type-event counts, the uniform prior, and the drone index
+    and pairs.
 
     Row p of ``counts`` belongs to the log's p-th pair; ``done[p]`` is how
     many of that pair's samples have been classified.
     """
 
-    def __init__(self, type_set):
-        self.types = _TypeColumns(type_set)
+    def __init__(self, scenario):
+        self.scenario = scenario
+        self.types = _TypeColumns(scenario.type_set)
         self.counts = np.zeros((0, len(self.types.ids)), dtype=np.int64)
         self.done: list[int] = []
+        self.prior = BeliefState.uniform(scenario)
+        self.index = {d: i for i, d in enumerate(self.prior.drone_ids)}
+        self.pairs = [(i, j) for i in self.prior.drone_ids
+                      for j in self.prior.drone_ids if i != j]
 
     def extend(self, sums: list[tuple[list[float], list[float]]]) -> None:
         """Classify every sample added since the last call, for all pairs
@@ -136,43 +143,21 @@ class _EventCounts:
             minlength=self.counts.size).reshape(self.counts.shape)
 
 
-class _UniformBase:
-    """The uniform-prior belief table of one scenario, and its index."""
-
-    def __init__(self, scenario):
-        prior = BeliefState.uniform(scenario)
-        self.scenario = scenario
-        self.table = prior.table
-        self.drone_ids = prior.drone_ids
-        self.type_ids = prior.type_ids
-        self.index = {d: i for i, d in enumerate(self.drone_ids)}
-        self.pairs = [(i, j) for i in self.drone_ids
-                      for j in self.drone_ids if i != j]
-
-
-@dataclass
 class ObservationLog:
     """Power samples per (observer, observed) pair with round indices.
 
     ``add`` also extends each pair's running sums of x and x * x
     (sequential float64 additions from 0.0, as ``np.cumsum`` makes them).
-    ``update_beliefs`` reads them and keeps its per-type-set event counts
-    and the uniform-prior table here, so samples must enter the log
-    through the constructor or ``add``, not by appending to ``samples``.
+    ``update_beliefs`` reads them and keeps the learning state of the last
+    scenario it was given here, so samples must enter the log through
+    ``add``, not by appending to ``samples``.
     """
-    samples: dict[tuple[int, int], list[float]] = field(default_factory=dict)
-    rounds: dict[tuple[int, int], list[int]] = field(default_factory=dict)
-    _sums: dict[tuple[int, int], tuple[list[float], list[float]]] = field(
-        default_factory=dict, init=False, repr=False, compare=False)
-    _events: dict[tuple, _EventCounts] = field(
-        default_factory=dict, init=False, repr=False, compare=False)
-    _base: _UniformBase | None = field(
-        default=None, init=False, repr=False, compare=False)
 
-    def __post_init__(self):
-        for key, history in self.samples.items():
-            for x in history:
-                self._extend_sums(key, float(x))
+    def __init__(self):
+        self.samples: dict[tuple[int, int], list[float]] = {}
+        self.rounds: dict[tuple[int, int], list[int]] = {}
+        self._sums: dict[tuple[int, int], tuple[list[float], list[float]]] = {}
+        self._learner: _ScenarioLearner | None = None
 
     def add(self, observer: int, observed: int, sample: float,
             round_index: int) -> None:
@@ -185,9 +170,6 @@ class ObservationLog:
         prev.append(round_index)
         x = float(sample)
         self.samples.setdefault(key, []).append(x)
-        self._extend_sums(key, x)
-
-    def _extend_sums(self, key: tuple[int, int], x: float) -> None:
         s1, s2 = self._sums.setdefault(key, ([0.0], [0.0]))
         s1.append(s1[-1] + x)
         s2.append(s2[-1] + x * x)
@@ -199,47 +181,41 @@ class TypePrediction:
     classified: dict[tuple[int, int], int]
 
 
-def update_beliefs(log: ObservationLog, type_set, scenario
+def update_beliefs(log: ObservationLog, scenario
                    ) -> tuple[BeliefState, TypePrediction]:
-    """Beliefs from the observation log.
+    """Beliefs from the observation log over the scenario's type set.
 
     For every pair, each logged sample contributes one classification
     event (MLE over the history up to that sample, then KL
     classification); the belief vector is the per-type frequency of those
     events.  Pairs with no observations keep the uniform prior.  An event
     never changes once its sample is logged, so a call classifies only the
-    samples logged since the previous call with the same type set; the
-    beliefs equal a from-scratch recomputation bit for bit.
+    samples logged since the previous call with the same scenario (another
+    scenario starts the log's learning state afresh); the beliefs equal a
+    from-scratch recomputation bit for bit.
     """
-    key = tuple(type_set)
-    events = log._events.get(key)
-    if events is None:
-        events = log._events[key] = _EventCounts(key)
-    events.extend(list(log._sums.values()))
-    base = log._base
-    if base is None or base.scenario is not scenario:
-        base = log._base = _UniformBase(scenario)
+    learner = log._learner
+    if learner is None or learner.scenario is not scenario:
+        learner = log._learner = _ScenarioLearner(scenario)
+    learner.extend(list(log._sums.values()))
 
-    ids = events.types.ids
-    unknown = sorted(set(ids) - set(base.type_ids))
-    if unknown:
-        raise ValueError(f"type ids {unknown} are not in the scenario")
+    ids, prior = learner.types.ids, learner.prior
     pairs = list(log._sums)
-    counts = events.counts.astype(float)
+    counts = learner.counts.astype(float)
     freq = counts / counts.sum(axis=1, keepdims=True)
     # freq columns follow type ids; the table's type axis follows the
     # scenario's type set
-    rows = np.zeros((len(pairs), len(base.type_ids)))
-    rows[:, [base.type_ids.index(t) for t in ids]] = freq
-    table = base.table.copy()
-    table[[base.index[i] for i, _ in pairs],
-          [base.index[j] for _, j in pairs]] = rows
-    beliefs = BeliefState(table, base.drone_ids, base.type_ids)
+    rows = np.zeros((len(pairs), len(prior.type_ids)))
+    rows[:, [prior.type_ids.index(t) for t in ids]] = freq
+    table = prior.table.copy()
+    table[[learner.index[i] for i, _ in pairs],
+          [learner.index[j] for _, j in pairs]] = rows
+    beliefs = BeliefState(table, prior.drone_ids, prior.type_ids)
 
     classified = {pair: ids[k]
                   for pair, k in zip(pairs, freq.argmax(axis=1).tolist())}
     # unobserved pairs predict by the uniform-prior argmax (lowest id)
-    for pair in base.pairs:
+    for pair in learner.pairs:
         classified.setdefault(pair, ids[0])
     return beliefs, TypePrediction(classified)
 

@@ -6,8 +6,10 @@ against them bit for bit.
 
 - ``update_beliefs`` re-learns every pair from its whole sample history
   through ``_prefix_classifications`` (``np.cumsum`` prefix sums, then one
-  KL classification per prefix) and writes the rows into a fresh uniform
-  ``BeliefState``.
+  KL classification per prefix), writes the rows into a copy of the
+  uniform table and builds the ``BeliefState`` once.
+- ``with_rows`` is a state with some belief vectors replaced, built anew,
+  since a ``BeliefState`` never changes.
 - ``frobenius_convergence`` builds each type's indicator matrices in a
   Python loop and takes ``np.linalg.norm`` of their difference.
 - ``candidate_groups``, ``best_reply_step``, ``is_nash_stable`` and
@@ -59,17 +61,30 @@ def _prefix_classifications(samples: np.ndarray, type_set) -> np.ndarray:
     return kls.argmin(axis=0)   # argmin takes the lowest index on ties
 
 
-def update_beliefs(log: ObservationLog, type_set, scenario
+def with_rows(beliefs: BeliefState, rows: dict) -> BeliefState:
+    """A new state equal to ``beliefs`` except for the given
+    ``{(observer, observed): row}`` belief vectors, in the state's type
+    order."""
+    table = beliefs.table.copy()
+    for (observer, observed), row in rows.items():
+        table[beliefs.drone_ids.index(observer),
+              beliefs.drone_ids.index(observed)] = row
+    return BeliefState(table, beliefs.drone_ids, beliefs.type_ids)
+
+
+def update_beliefs(log: ObservationLog, scenario
                    ) -> tuple[BeliefState, TypePrediction]:
-    """Recompute beliefs from the observation log.
+    """Recompute beliefs from the observation log over the scenario's
+    type set.
 
     For every pair, each logged round contributes one classification event
     (MLE over the history up to that round, then KL classification); the
     belief vector is the per-type frequency of those events.  Pairs with
     no observations keep the uniform prior.
     """
-    beliefs = BeliefState.uniform(scenario)
-    types = sorted(type_set, key=lambda t: t.id)
+    uniform = BeliefState.uniform(scenario)
+    table = uniform.table.copy()
+    types = sorted(scenario.type_set, key=lambda t: t.id)
     m = len(types)
     classified: dict[tuple[int, int], int] = {}
     for (observer, observed), samples in log.samples.items():
@@ -79,13 +94,12 @@ def update_beliefs(log: ObservationLog, type_set, scenario
         freq = counts / counts.sum()
         # freq follows type ids; the belief row follows the scenario's
         # type set
-        row = np.zeros(len(beliefs.type_ids))
+        row = table[uniform.drone_ids.index(observer),
+                    uniform.drone_ids.index(observed)]
         for k, t in enumerate(types):
-            if t.id not in beliefs.type_ids:
-                raise ValueError(f"type id {t.id} is not in the scenario")
-            row[beliefs.type_ids.index(t.id)] = freq[k]
-        beliefs.set_row(observer, observed, row)
+            row[uniform.type_ids.index(t.id)] = freq[k]
         classified[(observer, observed)] = types[int(freq.argmax())].id
+    beliefs = BeliefState(table, uniform.drone_ids, uniform.type_ids)
     # unobserved pairs predict by the uniform-prior argmax (lowest id)
     ids = scenario.drone_ids
     for i in ids:

@@ -5,8 +5,11 @@ from pathlib import Path
 
 import pytest
 
+from dronecoal import cli
 from dronecoal.bench import RunManifest
-from dronecoal.cli import (EXIT_OK, EXIT_VALIDATION, build_parser, main)
+from dronecoal.cli import (EXIT_NON_CONVERGENCE, EXIT_OK, EXIT_VALIDATION,
+                           build_parser, main)
+from dronecoal.dynamics import NonConvergenceError
 from dronecoal.scenario import Scenario
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
@@ -101,6 +104,41 @@ class TestRun:
         with open(path, "w") as f:
             json.dump({"settings": ["S9"]}, f)
         assert main(["run", "--manifest", str(path)]) == EXIT_VALIDATION
+
+    def test_strict_non_convergence_exits_3(self, tmp_path, monkeypatch,
+                                            capsys):
+        manifest_path = tmp_path / "manifest.json"
+        _write_manifest(manifest_path)
+        seen = []
+
+        def run_manifest(manifest, strict=False):
+            # a batch with a non-converged run, as bench.run_manifest
+            # reports it under strict
+            seen.append(strict)
+            if strict:
+                raise RuntimeError("non-convergence in at least one run")
+            return []
+
+        monkeypatch.setattr(cli, "run_manifest", run_manifest)
+        out = tmp_path / "out"
+        assert main(["run", "--manifest", str(manifest_path), "--strict",
+                     "--out", str(out)]) == EXIT_NON_CONVERGENCE == 3
+        assert seen == [True]
+        assert "error: non-convergence" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_aborted_batch_exits_3_without_strict(self, tmp_path,
+                                                  monkeypatch, capsys):
+        manifest_path = tmp_path / "manifest.json"
+        _write_manifest(manifest_path)
+
+        def run_manifest(manifest, strict=False):
+            raise NonConvergenceError("best-reply cycle")
+
+        monkeypatch.setattr(cli, "run_manifest", run_manifest)
+        assert main(["run", "--manifest", str(manifest_path),
+                     "--out", str(tmp_path / "out")]) == 3
+        assert "error: best-reply cycle" in capsys.readouterr().err
 
 
 class TestMarkov:

@@ -36,7 +36,7 @@ def learned_beliefs(sc, rounds: int, seed: int) -> BeliefState:
             for i in sc.drone_ids:
                 if i != j:
                     log.add(i, j, x, r)
-    beliefs, _ = update_beliefs(log, sc.type_set, sc)
+    beliefs, _ = update_beliefs(log, sc)
     return beliefs
 
 
@@ -178,17 +178,18 @@ def same_content(beliefs: BeliefState) -> BeliefState:
                        beliefs.type_ids)
 
 
-def set_wrong_point_masses(beliefs: BeliefState, sc) -> None:
-    """Reset every row about another drone, one ``set_row`` at a time, to
-    a point mass on the type after the true one in the beliefs' type
-    order."""
+def wrong_point_masses(beliefs: BeliefState, sc) -> BeliefState:
+    """The beliefs with every row about another drone reset to a point
+    mass on the type after the true one in the beliefs' type order."""
     tids = list(beliefs.type_ids)
+    rows = {}
     for i in sc.drone_ids:
         for j in sc.drone_ids:
             if i != j:
                 row = np.zeros(len(tids))
                 row[(tids.index(sc.drone(j).true_type) + 1) % len(tids)] = 1.0
-                beliefs.set_row(i, j, row)
+                rows[(i, j)] = row
+    return oracles.with_rows(beliefs, rows)
 
 
 def assert_memos_match(sc, beliefs, shared):
@@ -222,10 +223,9 @@ def test_memos_answer_by_belief_content(case):
     ids, tids = beliefs.drone_ids, beliefs.type_ids
     shared = PayoffEngine(sc)
     # warm the shared engine with a copy, then ask under the original:
-    # equal content and a different uid
+    # another state of equal content
     twin = same_content(beliefs)
     assert_memos_match(sc, twin, shared)
-    assert twin.uid != beliefs.uid
     assert twin.content_key == beliefs.content_key
     assert_memos_match(sc, beliefs, shared)
     # the same beliefs with the drone and type axes in other orders
@@ -237,6 +237,6 @@ def test_memos_answer_by_belief_content(case):
         beliefs.table, ids, [tids[k] for k in tperm]), shared)
     assert_memos_match(sc, BeliefState(
         beliefs.table, [ids[i] for i in dperm], tids), shared)
-    # set_row on a state the memos have seen changes what they answer
-    set_wrong_point_masses(twin, sc)
-    assert_memos_match(sc, twin, shared)
+    # a state built from one the memos have seen, with every row about
+    # another drone reset, gets its own answers
+    assert_memos_match(sc, wrong_point_masses(twin, sc), shared)

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -10,7 +11,7 @@ from dronecoal.game import (BeliefState, CoalitionStructure, PayoffEngine,
 from dronecoal.allocation import CoalitionEvaluator
 from dronecoal.propagation import ENVIRONMENTS
 from dronecoal.scenario import SETTINGS, baseline_rates, generate
-from oracles import prob
+from oracles import prob, with_rows
 
 URBAN = ENVIRONMENTS["urban"]
 
@@ -114,13 +115,6 @@ class TestBeliefState:
             for j in s1.drone_ids:
                 assert prob(b, i, j, s1.drone(j).true_type) == 1.0
 
-    def test_set_row_bumps_version(self, s1):
-        b = BeliefState.uniform(s1)
-        uid = b.uid
-        b.set_row(0, 1, [0.7, 0.3])
-        assert b.uid != uid
-        assert prob(b, 0, 1, 0) == pytest.approx(0.7)
-
     def test_table_sums_checked(self, s1):
         ids, tids = s1.drone_ids, [t.id for t in s1.type_set]
         base = BeliefState.uniform(s1).table
@@ -133,16 +127,37 @@ class TestBeliefState:
         table[0, 1] = [1.0 + 5e-6, 0.0]
         assert prob(BeliefState(table, ids, tids), 0, 1, 0) == 1.0 + 5e-6
 
-    def test_invalid_rows_rejected(self, s1):
-        b = BeliefState.uniform(s1)
+    def test_table_is_a_frozen_copy(self, s1):
+        table = BeliefState.uniform(s1).table.copy()
+        b = BeliefState(table, s1.drone_ids, [t.id for t in s1.type_set])
         with pytest.raises(ValueError):
-            b.set_row(0, 1, [0.7, 0.7])
+            b.table[0, 1] = [1.0, 0.0]
+        warm = PayoffEngine(s1)
+        key, digest = b.content_key, b.snapshot_hash()
+        ids = s1.drone_ids
+        coalitions = [frozenset(c) for k in range(1, len(ids) + 1)
+                      for c in itertools.combinations(ids, k)]
+
+        def answers(engine):
+            payoffs = [engine.expected_payoff(d, c, b).hex()
+                       for c in coalitions for d in sorted(c)]
+            replies = [game.best_reply(s, d, b, engine)
+                       for s in enumerate_structures(ids) for d in ids]
+            return payoffs, replies
+
+        before = answers(warm)
+        # editing the caller's array leaves the state as it was built
+        table[:, :, 0] = 1.0
+        table[:, :, 1:] = 0.0
+        assert (b.content_key, b.snapshot_hash()) == (key, digest)
+        assert b.table.tobytes() == key[-1]
+        assert answers(warm) == answers(PayoffEngine(s1)) == before
 
     def test_snapshot_hash_tracks_content(self, s1):
         a = BeliefState.uniform(s1)
         b = BeliefState.uniform(s1)
         assert a.snapshot_hash() == b.snapshot_hash()
-        b.set_row(0, 1, [0.9, 0.1])
+        b = with_rows(b, {(0, 1): [0.9, 0.1]})
         assert a.snapshot_hash() != b.snapshot_hash()
 
 
@@ -178,8 +193,7 @@ class TestPayoffEngine:
             pytest.approx(expected)
 
     def test_skewed_beliefs_weighting(self, s1, s1_engine):
-        b = BeliefState.uniform(s1)
-        b.set_row(0, 1, [0.9, 0.1])
+        b = with_rows(BeliefState.uniform(s1), {(0, 1): [0.9, 0.1]})
         mus = {t.id: t.mu for t in s1.type_set}
         coalition = frozenset([0, 1])
         expected = sum(w * CoalitionEvaluator(s1).evaluate(
@@ -204,7 +218,7 @@ class TestPayoffEngine:
         b = BeliefState.uniform(s1)
         coalition = frozenset([0, 1])
         before = s1_engine.expected_payoff(0, coalition, b)
-        b.set_row(0, 1, [1.0, 0.0])
+        b = with_rows(b, {(0, 1): [1.0, 0.0]})
         after = s1_engine.expected_payoff(0, coalition, b)
         assert before != after
 

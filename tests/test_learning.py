@@ -126,7 +126,7 @@ class TestUpdateBeliefs:
     def test_empty_log_keeps_uniform(self):
         sc = self._scenario()
         log = ObservationLog()
-        beliefs, prediction = update_beliefs(log, TYPES, sc)
+        beliefs, prediction = update_beliefs(log, sc)
         for i in sc.drone_ids:
             for j in sc.drone_ids:
                 if i != j:
@@ -142,7 +142,7 @@ class TestUpdateBeliefs:
         log = ObservationLog()
         for r, v in enumerate([12.0, 12.0, 30.0]):
             log.add(0, 1, v, r)
-        beliefs, prediction = update_beliefs(log, TYPES, sc)
+        beliefs, prediction = update_beliefs(log, sc)
         assert prob(beliefs, 0, 1, 0) == pytest.approx(2.0 / 3.0)
         assert prob(beliefs, 0, 1, 1) == pytest.approx(1.0 / 3.0)
         assert prediction.classified[(0, 1)] == 0
@@ -153,7 +153,7 @@ class TestUpdateBeliefs:
         log = ObservationLog()
         for r in range(5):
             log.add(0, 1, 18.0 + 0.1 * r, r)
-        beliefs, prediction = update_beliefs(log, TYPES, sc)
+        beliefs, prediction = update_beliefs(log, sc)
         assert prob(beliefs, 0, 1, 1) == pytest.approx(1.0)
         assert prediction.classified[(0, 1)] == 1
 
@@ -166,7 +166,7 @@ class TestUpdateBeliefs:
                 for j in sc.drone_ids:
                     if i != j:
                         log.add(i, j, float(rng.normal(15, 5)), r)
-        beliefs, _ = update_beliefs(log, TYPES, sc)
+        beliefs, _ = update_beliefs(log, sc)
         assert np.allclose(beliefs.table.sum(axis=2), 1.0)
         assert np.all(beliefs.table >= 0.0)
 
@@ -178,17 +178,10 @@ class TestUpdateBeliefs:
         log = ObservationLog()
         for r in range(5):
             log.add(0, 1, 12.0, r)
-        beliefs, prediction = update_beliefs(log, types, sc)
+        beliefs, prediction = update_beliefs(log, sc)
         assert prediction.classified[(0, 1)] == 0
         assert prob(beliefs, 0, 1, 0) == 1.0
         assert prob(beliefs, 0, 1, 1) == 0.0
-
-    def test_type_outside_the_scenario_rejected(self):
-        sc = self._scenario()
-        log = ObservationLog()
-        log.add(0, 1, 12.0, 0)
-        with pytest.raises(ValueError, match="not in the scenario"):
-            update_beliefs(log, TYPES + (TypeSpec(2, 24.0, 3.0),), sc)
 
     def test_true_types_learned_from_sampled_powers(self):
         sc = self._scenario(seed=31)
@@ -201,7 +194,7 @@ class TestUpdateBeliefs:
                 for i in sc.drone_ids:
                     if i != j:
                         log.add(i, j, draw, r)
-        _, prediction = update_beliefs(log, TYPES, sc)
+        _, prediction = update_beliefs(log, sc)
         for i in sc.drone_ids:
             for j in sc.drone_ids:
                 if i != j:
@@ -215,7 +208,7 @@ class TestFrobeniusConvergence:
 
     def _prediction(self, sc, overrides=None):
         log = ObservationLog()
-        _, prediction = update_beliefs(log, TYPES, sc)
+        _, prediction = update_beliefs(log, sc)
         truth = {(i, j): sc.drone(j).true_type
                  for i in sc.drone_ids for j in sc.drone_ids if i != j}
         prediction.classified.update(truth)

@@ -28,13 +28,15 @@ def type_sets(draw, m):
 @st.composite
 def learning_cases(draw):
     m = draw(st.integers(2, 4))
-    types = draw(type_sets(m))
-    sc = generate(SETTINGS[draw(st.sampled_from(["S1", "S2"]))], URBAN,
-                  type_set=types, seed=draw(st.integers(0, 10_000)))
-    # one or two type-set learners reading the same log
-    learners = [types]
+    setting = SETTINGS[draw(st.sampled_from(["S1", "S2"]))]
+    sc = generate(setting, URBAN, type_set=draw(type_sets(m)),
+                  seed=draw(st.integers(0, 10_000)))
+    # one scenario, or two of the same setting with other type sets,
+    # learning from the same log in turn
+    scenarios = [sc]
     if draw(st.booleans()):
-        learners.append(draw(type_sets(m)) if draw(st.booleans()) else types)
+        scenarios.append(generate(setting, URBAN, type_set=draw(type_sets(m)),
+                                  seed=draw(st.integers(0, 10_000))))
     pairs = [(i, j) for i in sc.drone_ids for j in sc.drone_ids if i != j]
     # some pairs are never observed; the others share in most rounds
     observed = [pair for pair in pairs if draw(st.integers(0, 3))]
@@ -43,11 +45,11 @@ def learning_cases(draw):
         active = [pair for pair in observed if draw(st.integers(0, 3))]
         values = draw(st.lists(SAMPLES, min_size=len(active),
                                max_size=len(active)))
-        # which learners update after this round
-        calls = draw(st.lists(st.booleans(), min_size=len(learners),
-                              max_size=len(learners)))
+        # which scenarios update after this round
+        calls = draw(st.lists(st.booleans(), min_size=len(scenarios),
+                              max_size=len(scenarios)))
         rounds.append((list(zip(active, values)), calls))
-    return sc, learners, rounds
+    return scenarios, rounds
 
 
 def assert_same_prediction(got: TypePrediction, ref: TypePrediction):
@@ -58,17 +60,16 @@ def assert_same_prediction(got: TypePrediction, ref: TypePrediction):
 @settings(deadline=None, max_examples=60)
 @given(learning_cases())
 def test_incremental_beliefs_equal_from_scratch(case):
-    sc, learners, rounds = case
+    scenarios, rounds = case
     log = ObservationLog()
     for r, (shared, calls) in enumerate(rounds):
         for (i, j), x in shared:
             log.add(i, j, x, r)
-        for types, call in zip(learners, calls):
+        for sc, call in zip(scenarios, calls):
             if not call:
                 continue
-            beliefs, prediction = update_beliefs(log, types, sc)
-            ref_beliefs, ref_prediction = oracles.update_beliefs(
-                log, types, sc)
+            beliefs, prediction = update_beliefs(log, sc)
+            ref_beliefs, ref_prediction = oracles.update_beliefs(log, sc)
             assert beliefs.table.tobytes() == ref_beliefs.table.tobytes()
             assert beliefs.snapshot_hash() == ref_beliefs.snapshot_hash()
             assert_same_prediction(prediction, ref_prediction)

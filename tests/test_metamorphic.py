@@ -74,7 +74,7 @@ def make_beliefs(sc, kind: str, samples: dict, relabel=None):
         for i in sc.drone_ids:
             if i != relabel[j]:
                 log.add(i, relabel[j], x, r)
-    beliefs, _ = update_beliefs(log, sc.type_set, sc)
+    beliefs, _ = update_beliefs(log, sc)
     return beliefs
 
 

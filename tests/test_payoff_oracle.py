@@ -29,7 +29,7 @@ def learned(sc, rounds: int, seed: int) -> BeliefState:
             if rng.random() < 0.75:
                 t = sc.type_spec(sc.drone(j).true_type)
                 log.add(i, j, max(0.0, float(rng.normal(t.mu, t.sigma))), r)
-    beliefs, _ = update_beliefs(log, sc.type_set, sc)
+    beliefs, _ = update_beliefs(log, sc)
     return beliefs
 
 

@@ -1,7 +1,8 @@
-"""The benchmark's workloads check their own outputs; at seed 0 a small
-slice of ``paper_batch`` and ``chain_audit_4type`` and every unit of
-``repeated_game_s4`` must pass those checks, or fail only as the one known
-non-converged run, before the whole benchmark is run."""
+"""The benchmark's workloads check their own outputs; at seed 0 every unit
+of ``paper_batch`` (with its CSV hashes pinned) and ``repeated_game_s4``
+and a small slice of ``chain_audit_4type`` must pass those checks, or fail
+only as the one known non-converged run, before the whole benchmark is
+run."""
 
 import importlib.util
 import sys
@@ -38,10 +39,30 @@ def _check(unit):
     return unit.check(unit.run())
 
 
-def test_paper_batch_first_topology(workloads, tmp_path):
+PAPER_BATCH_SHA256 = {
+    "summary.csv":
+        "8027f911f3a742d7ebf712ee6bc4726ad453ff92d55ef157705aa630849652f0",
+    "per_drone.csv":
+        "d9b8a0b2d1f3909d80163993ea3aed6be3a1d9a4ca1c45038664e0e8958ff214",
+    "convergence.csv":
+        "de4843dec6d50422cd4645af0f2bcf178e465f28a3dd2436667e91f41f411153",
+}
+
+
+def test_paper_batch_units(workloads, tmp_path):
+    # all 20 topologies and the workload's own finish, which hashes the
+    # CSVs of the pass and re-runs the first unit
     wl, _ = workloads
-    units = {u.name: u for u in _units(wl, "paper_batch", tmp_path)}
-    assert _check(units["S1/t0"]) is None
+    workload = wl.WORKLOADS["paper_batch"]
+    inputs = workload.setup(0, str(tmp_path))
+    units = list(workload.units(inputs))
+    assert len(units) == 20
+    for unit in units:
+        assert _check(unit) is None, unit.name
+    lines, errors = workload.finish(inputs, [])
+    assert errors == []
+    assert lines == [f"sha256 {fname} (20 topologies): {digest}"
+                     for fname, digest in PAPER_BATCH_SHA256.items()]
 
 
 def test_repeated_game_units(workloads, tmp_path):
