@@ -36,7 +36,7 @@ for s in enumerate_structures(scenario.drone_ids):
 print()
 print("=== best-reply run from singletons ===")
 singles = CoalitionStructure.singletons(scenario.drone_ids)
-final, stats = run_best_reply(singles, beliefs, scenario, engine,
+final, stats = run_best_reply(singles, beliefs, engine,
                               np.random.default_rng(0))
 print(f"final structure: {final.to_string()} "
       f"({stats.changes} changes over {stats.proposals} proposals)")

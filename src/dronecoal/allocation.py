@@ -78,71 +78,54 @@ def waterfill(gains: np.ndarray, budget: float) -> tuple[np.ndarray, float]:
 
 
 class CoalitionEvaluator:
-    """Caches per-scenario link quality and per-coalition allocations.
+    """A scenario's link table and its per-coalition allocations.
 
-    The matching inside a coalition depends only on path losses, so it is
-    computed once per coalition; rates additionally depend only on the
-    total power budget, so the per-drone rates are cached per
-    (coalition, budget).
+    The link table is built once, from the mean path loss of every
+    (drone, user) pair: a matching weight (inverse linear loss) and an
+    SINR slope per pair, indexed by the pair's positions in
+    ``scenario.drones`` and ``scenario.users``.  A coalition's matching
+    reads only the weights, so it is cached per coalition together with
+    its links' slopes; rates additionally depend only on the pooled power
+    budget, so they are cached per (coalition, budget).
     """
 
     def __init__(self, scenario):
         self.scenario = scenario
-        self._users = {u.id: u for u in scenario.users}
-        self._loss: dict[tuple[int, int], float] = {}
-        self._slope: dict[tuple[int, int], float] = {}
+        self._row = {d.id: i for i, d in enumerate(scenario.drones)}
+        self._col = {u.id: j for j, u in enumerate(scenario.users)}
+        losses = [[propagation.path_loss(d.position, u.position,
+                                         scenario.env).mean_loss_db
+                   for u in scenario.users] for d in scenario.drones]
+        self.weights = np.array([[1.0 / propagation.to_linear(x) for x in row]
+                                 for row in losses])
+        self.slopes = np.array([[propagation.sinr_slope(x, scenario.env)
+                                 for x in row] for row in losses])
+        self.weights.setflags(write=False)
+        self.slopes.setflags(write=False)
         self._matchings: dict[frozenset, tuple] = {}
         self._results: dict[tuple[frozenset, float], dict[int, float]] = {}
 
-    def mean_loss_db(self, drone_id: int, user_id: int) -> float:
-        key = (drone_id, user_id)
-        if key not in self._loss:
+    def _matched(self, coalition: frozenset) -> tuple:
+        if coalition not in self._matchings:
+            if not coalition:
+                raise ValueError("coalition must be non-empty")
             sc = self.scenario
-            budget = propagation.path_loss(
-                sc.drone(drone_id).position, self._users[user_id].position,
-                sc.env, mode="mean")
-            self._loss[key] = budget.mean_loss_db
-        return self._loss[key]
-
-    def slope(self, drone_id: int, user_id: int) -> float:
-        key = (drone_id, user_id)
-        if key not in self._slope:
-            self._slope[key] = propagation.sinr_slope(
-                self.mean_loss_db(drone_id, user_id), self.scenario.env)
-        return self._slope[key]
-
-    def coalition_members(self, coalition: frozenset) -> tuple:
-        sc = self.scenario
-        channels = []   # (channel id, owner drone id)
-        users = []
-        for d in sorted(coalition):
-            channels.extend((q, d) for q in sc.drone(d).channels)
-            users.extend(sc.baseline_users(d))
-        channels.sort()
-        users.sort()
-        return tuple(channels), tuple(users)
-
-    def weight_matrix(self, coalition: frozenset) -> np.ndarray:
-        """Channel x user matrix of inverse linear mean path losses."""
-        if not coalition:
-            raise ValueError("coalition must be non-empty")
-        channels, users = self.coalition_members(coalition)
-        w = np.empty((len(channels), len(users)))
-        for i, (_, d) in enumerate(channels):
-            for j, u in enumerate(users):
-                w[i, j] = 1.0 / propagation.to_linear(self.mean_loss_db(d, u))
-        return w
+            channels = sorted((q, d) for d in coalition
+                              for q in sc.drone(d).channels)
+            users = sorted(u for d in coalition for u in sc.baseline_users(d))
+            rows = [self._row[d] for _, d in channels]
+            cols = [self._col[u] for u in users]
+            pairs = max_weight_matching(self.weights[np.ix_(rows, cols)])
+            links = tuple((channels[r][1], users[c]) for r, c in pairs)
+            slopes = self.slopes[[rows[r] for r, _ in pairs],
+                                 [cols[c] for _, c in pairs]]
+            self._matchings[coalition] = links, slopes
+        return self._matchings[coalition]
 
     def matching(self, coalition: frozenset) -> tuple[tuple[int, int], ...]:
         """The coalition's matched links as (drone id, user id) pairs, in
         channel order."""
-        if coalition not in self._matchings:
-            channels, users = self.coalition_members(coalition)
-            w = self.weight_matrix(coalition)
-            pairs = max_weight_matching(w)
-            self._matchings[coalition] = tuple(
-                (channels[r][1], users[c]) for r, c in pairs)
-        return self._matchings[coalition]
+        return self._matched(coalition)[0]
 
     def evaluate(self, coalition: frozenset, powers) -> dict[int, float]:
         """Each member's rate when the members' assumed powers, one per
@@ -160,12 +143,10 @@ class CoalitionEvaluator:
 
     def _evaluate(self, coalition: frozenset,
                   budget: float) -> dict[int, float]:
-        sc = self.scenario
-        matched = self.matching(coalition)
-        gains = np.array([self.slope(d, u) for d, u in matched])
+        links, gains = self._matched(coalition)
         powers, _ = waterfill(gains, budget)
+        bandwidth = self.scenario.env.bandwidth_hz
         per_drone = {d: 0.0 for d in coalition}
-        for (d, u), p in zip(matched, powers):
-            per_drone[d] += sc.env.bandwidth_hz * math.log2(
-                1.0 + p * self.slope(d, u))
+        for (d, _), p, g in zip(links, powers, gains):
+            per_drone[d] += bandwidth * math.log2(1.0 + p * g)
         return per_drone

@@ -13,7 +13,7 @@ import json
 import math
 import os
 import statistics
-from dataclasses import dataclass, field, asdict
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -74,6 +74,10 @@ class RunManifest:
         for r in self.regimes:
             if r not in REGIMES:
                 raise ValueError(f"unknown regime {r!r}")
+        for name in ("topologies", "repetitions", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.topologies < 1 or self.repetitions < 1:
             raise ValueError("topologies and repetitions must be positive")
 
@@ -89,7 +93,17 @@ class RunManifest:
     @classmethod
     def load(cls, path) -> "RunManifest":
         with open(path) as f:
-            return cls(**json.load(f))
+            entries = json.load(f)
+        reject_unknown_keys(entries, cls, "manifest field")
+        return cls(**entries)
+
+
+def reject_unknown_keys(entries: dict, cls, what: str) -> None:
+    """ValueError naming the keys of ``entries`` that are not fields of
+    the dataclass ``cls``."""
+    unknown = sorted(set(entries) - {f.name for f in fields(cls)})
+    if unknown:
+        raise ValueError(f"unknown {what}(s): {', '.join(unknown)}")
 
 
 def scenario_seed(manifest: RunManifest, setting_index: int,
@@ -152,8 +166,7 @@ def run_regime(scenario, regime: str, manifest: RunManifest,
     if regime == "full_info":
         rng = np.random.default_rng(np.random.SeedSequence(seed))
         final, stats = run_best_reply(
-            singles, engine.truth, scenario, engine, rng,
-            manifest.stability_window)
+            singles, engine.truth, engine, rng, manifest.stability_window)
         rates = structure_rates(final, scenario, evaluator)
         return RegimeResult(
             regime, setting, topology, repetition,

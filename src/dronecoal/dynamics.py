@@ -68,8 +68,7 @@ class BestReplyStats:
 
 
 def run_best_reply(initial: CoalitionStructure, beliefs: BeliefState,
-                   scenario, engine: PayoffEngine,
-                   rng: np.random.Generator,
+                   engine: PayoffEngine, rng: np.random.Generator,
                    stability_window: int = 10,
                    tie_rng: np.random.Generator | None = None
                    ) -> tuple[CoalitionStructure, BestReplyStats]:
@@ -95,8 +94,8 @@ def run_best_reply(initial: CoalitionStructure, beliefs: BeliefState,
         if new == structure:
             quiet += 1
             if quiet >= d * stability_window:
-                stable, _ = is_nash_stable(structure, beliefs, scenario,
-                                           engine)
+                stable, _ = is_nash_stable(structure, beliefs,
+                                           engine.scenario, engine)
                 if stable:
                     return structure, stats
                 quiet = 0
@@ -191,20 +190,25 @@ def run_repeated_game(scenario, config: DynamicsConfig,
 
     log = ObservationLog()
     records: list[RoundRecord] = []
-    grand = CoalitionStructure.grand(ids)
-    round_index = 0
-    for _ in range(config.init_grand_rounds):
-        shared = _share_samples(grand, scenario, log, round_index,
+
+    def play(current: CoalitionStructure, grand_round: bool):
+        """Share samples inside ``current``, re-learn and record the round."""
+        round_index = len(records)
+        shared = _share_samples(current, scenario, log, round_index,
                                 rng_sample)
         beliefs, prediction = update_beliefs(log, scenario)
         norms, mean_norm = frobenius_convergence(prediction, scenario)
         records.append(RoundRecord(
-            round_index, True, grand,
-            {d: engine.expected_payoff(d, frozenset(ids), beliefs)
-             for d in ids},
+            round_index, grand_round, current,
+            {d: engine.expected_payoff(
+                d, frozenset(current.block_of(d)), beliefs) for d in ids},
             shared, beliefs.snapshot_hash(),
             tuple(float(x) for x in norms), mean_norm))
-        round_index += 1
+        return beliefs, prediction
+
+    grand = CoalitionStructure.grand(ids)
+    for _ in range(config.init_grand_rounds):
+        beliefs, prediction = play(grand, True)
 
     structure = CoalitionStructure.singletons(ids)
     last_non_grand: CoalitionStructure | None = None
@@ -219,23 +223,13 @@ def run_repeated_game(scenario, config: DynamicsConfig,
         else:
             try:
                 current, _stats = run_best_reply(
-                    structure, beliefs, scenario, engine, rng_proposer,
+                    structure, beliefs, engine, rng_proposer,
                     config.stability_window, tie_rng=rng_tie)
             except NonConvergenceError as exc:
                 stall = exc
                 break
             structure = current
-        shared = _share_samples(current, scenario, log, round_index,
-                                rng_sample)
-        beliefs, prediction = update_beliefs(log, scenario)
-        norms, mean_norm = frobenius_convergence(prediction, scenario)
-        records.append(RoundRecord(
-            round_index, grand_round, current,
-            {d: engine.expected_payoff(
-                d, frozenset(current.block_of(d)), beliefs) for d in ids},
-            shared, beliefs.snapshot_hash(),
-            tuple(float(x) for x in norms), mean_norm))
-        round_index += 1
+        beliefs, prediction = play(current, grand_round)
 
         stable_streak = stable_streak + 1 \
             if prediction.classified == prev_classified else 1

@@ -136,7 +136,7 @@ def test_criterion_5_stability_cross_check():
             stable = {s for s in model.states
                       if is_nash_stable(s, beliefs, sc, engine)[0]}
             final, _ = run_best_reply(
-                CoalitionStructure.singletons(sc.drone_ids), beliefs, sc,
+                CoalitionStructure.singletons(sc.drone_ids), beliefs,
                 engine, np.random.default_rng(seed))
             if absorbing != stable or final not in stable:
                 failures += 1

@@ -6,10 +6,24 @@ import pytest
 
 from dronecoal.allocation import (CoalitionEvaluator, max_weight_matching,
                                   waterfill)
-from dronecoal.propagation import ENVIRONMENTS, to_linear
+from dronecoal.propagation import (ENVIRONMENTS, path_loss, sinr_slope,
+                                   to_linear)
 from dronecoal.scenario import SETTINGS, baseline_rates, generate
 
 URBAN = ENVIRONMENTS["urban"]
+
+
+def _mean_loss_db(sc, drone_id, user_id):
+    """A pair's mean path loss, straight from the propagation model."""
+    user = next(u for u in sc.users if u.id == user_id)
+    return path_loss(sc.drone(drone_id).position, user.position,
+                     sc.env).mean_loss_db
+
+
+def _table_index(sc, drone_id, user_id):
+    """The pair's (row, column) in the evaluator's link table."""
+    return (sc.drone_ids.index(drone_id),
+            [u.id for u in sc.users].index(user_id))
 
 
 def _brute_force_matching_value(weights):
@@ -148,29 +162,47 @@ class TestWeightMatrix:
     def test_inverse_linear_loss(self):
         sc = generate(SETTINGS["S1"], URBAN, seed=14)
         ev = CoalitionEvaluator(sc)
-        coalition = frozenset([0])
-        w = ev.weight_matrix(coalition)
-        channels, users = ev.coalition_members(coalition)
-        assert w.shape == (3, 3)
-        for j, u in enumerate(users):
-            expected = 1.0 / to_linear(ev.mean_loss_db(0, u))
-            assert np.allclose(w[:, j], expected)
+        assert ev.weights.shape == (3, 9)
+        for u in sc.baseline_users(0):
+            expected = 1.0 / to_linear(_mean_loss_db(sc, 0, u))
+            assert ev.weights[_table_index(sc, 0, u)] == \
+                pytest.approx(expected)
 
     def test_rows_identical_per_drone(self):
+        # a coalition's channel x user matrix repeats its owner's table row
+        # for each of the owner's channels; the matching reads that matrix
         sc = generate(SETTINGS["S1"], URBAN, seed=14)
         ev = CoalitionEvaluator(sc)
         coalition = frozenset([0, 1])
-        w = ev.weight_matrix(coalition)
-        channels, _ = ev.coalition_members(coalition)
+        channels = sorted((q, d) for d in coalition
+                          for q in sc.drone(d).channels)
+        users = sorted(u for d in coalition for u in sc.baseline_users(d))
+        w = np.array([[ev.weights[_table_index(sc, d, u)] for u in users]
+                      for _, d in channels])
         owners = [d for _, d in channels]
         for i in range(1, len(owners)):
             if owners[i] == owners[i - 1]:
                 assert np.array_equal(w[i], w[i - 1])
+        assert ev.matching(coalition) == tuple(
+            (owners[r], users[c]) for r, c in max_weight_matching(w))
 
     def test_empty_coalition_rejected(self):
         sc = generate(SETTINGS["S1"], URBAN, seed=14)
         with pytest.raises(ValueError):
-            CoalitionEvaluator(sc).weight_matrix(frozenset())
+            CoalitionEvaluator(sc).matching(frozenset())
+        with pytest.raises(ValueError):
+            CoalitionEvaluator(sc).evaluate(frozenset(), [])
+
+    def test_table_is_propagation_bit_for_bit(self):
+        sc = generate(SETTINGS["S2"], URBAN, seed=20)
+        ev = CoalitionEvaluator(sc)
+        assert ev.weights.shape == ev.slopes.shape == (4, 12)
+        for d in sc.drone_ids:
+            for u in sc.users:
+                loss = _mean_loss_db(sc, d, u.id)
+                ij = _table_index(sc, d, u.id)
+                assert ev.weights[ij] == 1.0 / to_linear(loss)
+                assert ev.slopes[ij] == sinr_slope(loss, sc.env)
 
 
 class TestEvaluateCoalition:
@@ -201,7 +233,8 @@ class TestEvaluateCoalition:
         assert set(rates) == coalition
         matched = ev.matching(coalition)
         assert len(matched) == 9
-        gains = np.array([ev.slope(d, u) for d, u in matched])
+        gains = np.array([ev.slopes[_table_index(sc, d, u)]
+                          for d, u in matched])
         p, _ = waterfill(gains, math.fsum(powers))
         assert math.fsum(p) <= math.fsum(powers) + 1e-9
         total = sc.env.bandwidth_hz * math.fsum(np.log2(1.0 + p * gains))
@@ -222,6 +255,8 @@ class TestEvaluateCoalition:
         rates_a = a.evaluate(grand, powers)
         # the powers pool into one budget, so their order does not matter
         rates_b = b.evaluate(grand, powers[::-1])
+        assert np.array_equal(a.weights, b.weights)
+        assert np.array_equal(a.slopes, b.slopes)
         assert a.matching(grand) == b.matching(grand)
         assert list(rates_a.items()) == list(rates_b.items())
 
@@ -234,13 +269,16 @@ class TestEvaluateCoalition:
         powers = {0: sc.true_power(0), 2: sc.true_power(2)}
         rates = ev.evaluate(coalition, list(powers.values()))
 
-        channels, users = ev.coalition_members(coalition)
-        w = np.array([[1.0 / to_linear(ev.mean_loss_db(d, u))
+        channels = sorted((q, d) for d in coalition
+                          for q in sc.drone(d).channels)
+        users = sorted(u for d in coalition for u in sc.baseline_users(d))
+        w = np.array([[1.0 / to_linear(_mean_loss_db(sc, d, u))
                        for u in users] for _, d in channels])
         best_val = _brute_force_matching_value(w)
         pairs = max_weight_matching(w)
         assert sum(w[r, c] for r, c in pairs) == pytest.approx(best_val)
-        gains = np.array([ev.slope(channels[r][1], users[c])
+        gains = np.array([sinr_slope(_mean_loss_db(sc, channels[r][1],
+                                                   users[c]), sc.env)
                           for r, c in pairs])
         budget = powers[0] + powers[2]
         p, _ = waterfill(gains, budget)

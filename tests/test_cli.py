@@ -105,6 +105,22 @@ class TestRun:
             json.dump({"settings": ["S9"]}, f)
         assert main(["run", "--manifest", str(path)]) == EXIT_VALIDATION
 
+    def test_unknown_manifest_field(self, tmp_path, capsys):
+        path = tmp_path / "manifest.json"
+        with open(path, "w") as f:
+            json.dump({"settings": ["S1"], "topologie": 2}, f)
+        assert main(["run", "--manifest", str(path)]) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "topologie" in err
+
+    def test_non_integer_manifest_count(self, tmp_path, capsys):
+        path = tmp_path / "manifest.json"
+        with open(path, "w") as f:
+            json.dump({"settings": ["S1"], "topologies": "2"}, f)
+        assert main(["run", "--manifest", str(path)]) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "topologies" in err
+
     def test_strict_non_convergence_exits_3(self, tmp_path, monkeypatch,
                                             capsys):
         manifest_path = tmp_path / "manifest.json"
@@ -183,6 +199,23 @@ class TestReport:
                      "--out", str(report_out)]) == EXIT_OK
         text = (report_out / "summary.csv").read_text()
         assert ",expected," in text
+
+    def test_unknown_result_key(self, tmp_path, capsys):
+        manifest_path = tmp_path / "manifest.json"
+        _write_manifest(manifest_path)
+        run_out = tmp_path / "out"
+        assert main(["run", "--manifest", str(manifest_path),
+                     "--out", str(run_out)]) == EXIT_OK
+        results_path = run_out / "results.json"
+        raw = json.loads(results_path.read_text())
+        raw[0]["extra"] = 1
+        results_path.write_text(json.dumps(raw))
+        capsys.readouterr()
+        assert main(["report", "--results", str(results_path),
+                     "--manifest", str(manifest_path),
+                     "--out", str(tmp_path / "r")]) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "extra" in err
 
     def test_missing_results(self, tmp_path):
         manifest_path = tmp_path / "manifest.json"

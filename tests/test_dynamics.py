@@ -139,7 +139,7 @@ class TestRunBestReply:
             beliefs = BeliefState.point_mass_truth(sc)
             rng = np.random.default_rng(seed)
             final, stats = run_best_reply(
-                CoalitionStructure.singletons(sc.drone_ids), beliefs, sc,
+                CoalitionStructure.singletons(sc.drone_ids), beliefs,
                 engine, rng)
             assert is_nash_stable(final, beliefs, sc, engine)[0]
             assert stats.proposals >= stats.changes
@@ -148,7 +148,7 @@ class TestRunBestReply:
         sc = swap_scenario()
         beliefs = BeliefState.point_mass_truth(sc)
         grand = CoalitionStructure.grand(sc.drone_ids)
-        final, stats = run_best_reply(grand, beliefs, sc, PayoffEngine(sc),
+        final, stats = run_best_reply(grand, beliefs, PayoffEngine(sc),
                                       np.random.default_rng(0))
         assert final == grand
         assert stats.changes == 0
@@ -158,7 +158,7 @@ class TestRunBestReply:
         beliefs = BeliefState.point_mass_truth(sc)
         engine = PayoffEngine(sc)
         singles = CoalitionStructure.singletons(sc.drone_ids)
-        runs = [run_best_reply(singles, beliefs, sc, engine,
+        runs = [run_best_reply(singles, beliefs, engine,
                                np.random.default_rng(7))[0]
                 for _ in range(2)]
         assert runs[0] == runs[1]
@@ -171,7 +171,7 @@ class TestRunBestReply:
             beliefs = BeliefState.point_mass_truth(sc)
             base = baseline_rates(sc, engine.evaluator)
             final, _ = run_best_reply(
-                CoalitionStructure.singletons(sc.drone_ids), beliefs, sc,
+                CoalitionStructure.singletons(sc.drone_ids), beliefs,
                 engine, np.random.default_rng(0))
             for d in sc.drone_ids:
                 q = engine.expected_payoff(
@@ -184,7 +184,7 @@ class TestRunBestReply:
         monkeypatch.setattr(dynamics, "STEP_CAP", 1)
         with pytest.raises(NonConvergenceError):
             run_best_reply(CoalitionStructure.singletons(sc.drone_ids),
-                           beliefs, sc, PayoffEngine(sc),
+                           beliefs, PayoffEngine(sc),
                            np.random.default_rng(0))
 
 
