@@ -13,7 +13,7 @@ import json
 import math
 import os
 import statistics
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import MISSING, asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -74,12 +74,18 @@ class RunManifest:
         for r in self.regimes:
             if r not in REGIMES:
                 raise ValueError(f"unknown regime {r!r}")
+        if self.aggregate_mode not in ("best_stable", "expected"):
+            raise ValueError(
+                f"unknown aggregate_mode {self.aggregate_mode!r}")
         for name in ("topologies", "repetitions", "seed"):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, int):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.topologies < 1 or self.repetitions < 1:
             raise ValueError("topologies and repetitions must be positive")
+        # every run's dynamics settings, checked before any run starts
+        DynamicsConfig(self.epsilon, self.init_grand_rounds,
+                       self.max_rounds, self.stability_window)
 
     def types(self) -> tuple[TypeSpec, ...]:
         return tuple(TypeSpec(t["id"], t["mu"], t["sigma"])
@@ -94,16 +100,22 @@ class RunManifest:
     def load(cls, path) -> "RunManifest":
         with open(path) as f:
             entries = json.load(f)
-        reject_unknown_keys(entries, cls, "manifest field")
+        check_keys(entries, cls, "manifest field")
         return cls(**entries)
 
 
-def reject_unknown_keys(entries: dict, cls, what: str) -> None:
+def check_keys(entries: dict, cls, what: str) -> None:
     """ValueError naming the keys of ``entries`` that are not fields of
-    the dataclass ``cls``."""
+    the dataclass ``cls``, or else the required fields it lacks."""
+    if not isinstance(entries, dict):
+        raise ValueError(f"expected a JSON object of {what}s, got {entries!r}")
     unknown = sorted(set(entries) - {f.name for f in fields(cls)})
     if unknown:
         raise ValueError(f"unknown {what}(s): {', '.join(unknown)}")
+    missing = [f.name for f in fields(cls) if f.name not in entries
+               and f.default is MISSING and f.default_factory is MISSING]
+    if missing:
+        raise ValueError(f"missing {what}(s): {', '.join(missing)}")
 
 
 def scenario_seed(manifest: RunManifest, setting_index: int,

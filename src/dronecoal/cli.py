@@ -9,8 +9,8 @@ import json
 import os
 import sys
 
-from .bench import (RegimeResult, RunManifest, emit_outputs,
-                    reject_unknown_keys, run_manifest)
+from .bench import (RegimeResult, RunManifest, check_keys, emit_outputs,
+                    run_manifest)
 from .game import BeliefState, PayoffEngine
 from .markov import build_chain, formation_probabilities
 from .propagation import ENVIRONMENTS
@@ -77,7 +77,7 @@ def cmd_report(args) -> int:
         raw = json.load(f)
     results = []
     for r in raw:
-        reject_unknown_keys(r, RegimeResult, "result key")
+        check_keys(r, RegimeResult, "result key")
         r["per_drone"] = {int(k): v for k, v in r["per_drone"].items()}
         results.append(RegimeResult(**r))
     manifest = RunManifest.load(args.manifest)

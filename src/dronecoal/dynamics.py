@@ -17,7 +17,7 @@ import numpy as np
 # candidate_groups is not called here, but the benchmark's tracer looks it
 # up in this module and then wraps it wherever dronecoal holds it
 from .game import (BeliefState, CoalitionStructure, PayoffEngine,
-                   best_reply, candidate_groups, is_nash_stable)
+                   best_reply, candidate_groups)
 from .learning import (ObservationLog, TypePrediction, frobenius_convergence,
                        update_beliefs)
 
@@ -39,11 +39,16 @@ class DynamicsConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not 0.0 <= self.epsilon <= 1.0:
-            raise ValueError("epsilon must be a probability")
+        eps = self.epsilon
+        if isinstance(eps, bool) or not isinstance(eps, (int, float)) \
+                or not 0.0 <= eps <= 1.0:
+            raise ValueError(f"epsilon must be a probability, got {eps!r}")
         for name in ("init_grand_rounds", "max_rounds", "stability_window"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be at least 1")
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int) \
+                    or value < 1:
+                raise ValueError(
+                    f"{name} must be an integer >= 1, got {value!r}")
 
 
 def best_reply_step(structure: CoalitionStructure, proposer: int,
@@ -76,34 +81,44 @@ def run_best_reply(initial: CoalitionStructure, beliefs: BeliefState,
 
     Proposers are drawn from ``rng``; tie-breaks inside a step use
     ``tie_rng`` (defaulting to ``rng``) so the two choices can run on
-    independent streams.  After D * stability_window consecutive unchanged
-    proposals the structure is verified with the exhaustive deviation
-    scan; the returned structure always passes it.
+    independent streams.  The walk ends after D * stability_window
+    consecutive unchanged proposals at a structure where no drone has a
+    best reply, so the returned structure is Nash-stable.
+
+    Every draw is the one a proposal-by-proposal walk makes.  At each
+    structure the walk reads ``best_reply`` once per drone (the mover
+    mask; beliefs are fixed, so these are memo lookups).  With no mover
+    the quiet window is drawn in one ``rng.integers(d, size=n)`` call,
+    which gives the values and generator state of n scalar draws.  Else
+    scalar proposers are drawn until a mover comes up, and only its step
+    runs; quiet windows in between would only have run a failing
+    stability scan.  Every draw counts against ``STEP_CAP``.
     """
     tie_rng = tie_rng or rng
     ids = list(initial.members())
     d = len(ids)
     structure = initial
     stats = BestReplyStats()
-    quiet = 0
     trace = [structure]
     while stats.proposals < STEP_CAP:
-        proposer = ids[int(rng.integers(d))]
-        new = best_reply_step(structure, proposer, beliefs, engine, tie_rng)
-        stats.proposals += 1
-        if new == structure:
-            quiet += 1
-            if quiet >= d * stability_window:
-                stable, _ = is_nash_stable(structure, beliefs,
-                                           engine.scenario, engine)
-                if stable:
-                    return structure, stats
-                quiet = 0
-        else:
-            stats.changes += 1
-            quiet = 0
-            structure = new
-            trace.append(structure)
+        movers = [bool(best_reply(structure, p, beliefs, engine)[1])
+                  for p in ids]
+        if not any(movers):
+            n = min(d * stability_window, STEP_CAP - stats.proposals)
+            rng.integers(d, size=n)
+            stats.proposals += n
+            if n == d * stability_window:
+                return structure, stats
+            break
+        while stats.proposals < STEP_CAP:
+            i = int(rng.integers(d))
+            stats.proposals += 1
+            if movers[i]:
+                structure = best_reply_step(structure, ids[i], beliefs,
+                                            engine, tie_rng)
+                stats.changes += 1
+                trace.append(structure)
+                break
     raise NonConvergenceError(
         f"no stable structure within {STEP_CAP} proposals", trace)
 

@@ -23,6 +23,11 @@ against them bit for bit.
   its readers: every payoff level's targets carry their ``admissible``
   flag.  They look ``admissible`` and ``strictly_better`` up on
   ``dronecoal.game`` at call time, so a wrapper there sees their calls.
+- ``run_best_reply`` is the best-reply walk one proposal at a time: every
+  proposal runs ``best_reply_step``, and each quiet window of
+  D * stability_window unchanged proposals runs the ``is_nash_stable``
+  scan.  It looks those two, ``BestReplyStats``, ``NonConvergenceError``
+  and ``STEP_CAP`` up at call time, so a patched cap holds for both walks.
 - ``expected_payoff`` is the payoff sum as it was before it read each
   belief row once: one ``prob`` call per weight and a dict of powers per
   type vector.  ``prob`` reads one belief as a float.
@@ -34,7 +39,7 @@ import itertools
 
 import numpy as np
 
-from dronecoal import game
+from dronecoal import dynamics, game
 from dronecoal.game import (BeliefState, CoalitionStructure,
                             DeviationWitness, PayoffEngine,
                             deviation_candidates, enumerate_structures)
@@ -220,6 +225,42 @@ def best_reply_step(structure: CoalitionStructure, proposer: int,
             target = ok[int(rng.integers(len(ok)))] if len(ok) > 1 else ok[0]
             return structure.move(proposer, target)
     return structure
+
+
+def run_best_reply(initial: CoalitionStructure, beliefs: BeliefState,
+                   engine: PayoffEngine, rng: np.random.Generator,
+                   stability_window: int = 10,
+                   tie_rng: np.random.Generator | None = None):
+    """Iterate uniformly random proposers until the structure is stable,
+    verifying it with the deviation scan after D * stability_window
+    consecutive unchanged proposals."""
+    tie_rng = tie_rng or rng
+    ids = list(initial.members())
+    d = len(ids)
+    structure = initial
+    stats = dynamics.BestReplyStats()
+    quiet = 0
+    trace = [structure]
+    while stats.proposals < dynamics.STEP_CAP:
+        proposer = ids[int(rng.integers(d))]
+        new = dynamics.best_reply_step(structure, proposer, beliefs, engine,
+                                       tie_rng)
+        stats.proposals += 1
+        if new == structure:
+            quiet += 1
+            if quiet >= d * stability_window:
+                stable, _ = game.is_nash_stable(structure, beliefs,
+                                                engine.scenario, engine)
+                if stable:
+                    return structure, stats
+                quiet = 0
+        else:
+            stats.changes += 1
+            quiet = 0
+            structure = new
+            trace.append(structure)
+    raise dynamics.NonConvergenceError(
+        f"no stable structure within {dynamics.STEP_CAP} proposals", trace)
 
 
 def build_chain(scenario, beliefs: BeliefState,

@@ -121,6 +121,38 @@ class TestRun:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "topologies" in err
 
+    def _rejects(self, tmp_path, capsys, entries):
+        # rejected when the manifest loads: nothing runs, nothing is written
+        path = tmp_path / "manifest.json"
+        path.write_text(json.dumps({"settings": ["S1"], "topologies": 1,
+                                    "repetitions": 1, **entries}))
+        out = tmp_path / "out"
+        assert main(["run", "--manifest", str(path),
+                     "--out", str(out)]) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and next(iter(entries)) in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value", ["x", True, None, -0.1, 1.5])
+    def test_epsilon_must_be_a_probability(self, tmp_path, capsys, value):
+        self._rejects(tmp_path, capsys, {"epsilon": value})
+
+    @pytest.mark.parametrize("name", ["init_grand_rounds", "max_rounds",
+                                      "stability_window"])
+    @pytest.mark.parametrize("value", [0, -3, 2.0, "5", True])
+    def test_round_counts_must_be_positive_integers(self, tmp_path, capsys,
+                                                    name, value):
+        self._rejects(tmp_path, capsys, {name: value})
+
+    def test_unknown_aggregate_mode(self, tmp_path, capsys):
+        self._rejects(tmp_path, capsys, {"aggregate_mode": "median"})
+
+    def test_manifest_not_an_object(self, tmp_path, capsys):
+        path = tmp_path / "manifest.json"
+        path.write_text("[]")
+        assert main(["run", "--manifest", str(path)]) == EXIT_VALIDATION
+        assert capsys.readouterr().err.startswith("error:")
+
     def test_strict_non_convergence_exits_3(self, tmp_path, monkeypatch,
                                             capsys):
         manifest_path = tmp_path / "manifest.json"
@@ -216,6 +248,25 @@ class TestReport:
                      "--out", str(tmp_path / "r")]) == EXIT_VALIDATION
         err = capsys.readouterr().err
         assert err.startswith("error:") and "extra" in err
+
+    @pytest.mark.parametrize("entry,message", [
+        ({"per_drone": {}}, "missing result key(s): regime, setting, "
+                            "topology, repetition, total_rate, structure"),
+        ({"regime": "baseline", "setting": "S1", "topology": 0,
+          "repetition": 0, "total_rate": 1.0, "structure": "{0}"},
+         "missing result key(s): per_drone"),
+        (1, "expected a JSON object of result keys, got 1")])
+    def test_malformed_result_entry(self, tmp_path, capsys, entry, message):
+        manifest_path = tmp_path / "manifest.json"
+        _write_manifest(manifest_path)
+        results_path = tmp_path / "results.json"
+        results_path.write_text(json.dumps([entry]))
+        out = tmp_path / "r"
+        assert main(["report", "--results", str(results_path),
+                     "--manifest", str(manifest_path),
+                     "--out", str(out)]) == EXIT_VALIDATION
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
 
     def test_missing_results(self, tmp_path):
         manifest_path = tmp_path / "manifest.json"

@@ -40,6 +40,10 @@ class TestDynamicsConfig:
             DynamicsConfig(epsilon=1.5)
         with pytest.raises(ValueError):
             DynamicsConfig(max_rounds=0)
+        for bad in ({"epsilon": "x"}, {"epsilon": True},
+                    {"stability_window": 2.0}, {"init_grand_rounds": True}):
+            with pytest.raises(ValueError):
+                DynamicsConfig(**bad)
 
 
 class TestCandidateGroups:

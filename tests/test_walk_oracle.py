@@ -1,0 +1,120 @@
+"""Differential tests: ``dynamics.run_best_reply``, which reads a mover
+mask per structure and draws each closing quiet window in one call,
+against the proposal-by-proposal walk in ``oracles.py``.  Both must end
+on the same structure with the same counts and leave both generators in
+the same state, so the rest of a repeated game draws the same values."""
+
+import numpy as np
+import pytest
+
+import oracles
+from dronecoal import dynamics
+from dronecoal.dynamics import NonConvergenceError, run_best_reply
+from dronecoal.game import BeliefState, CoalitionStructure, PayoffEngine
+from dronecoal.propagation import ENVIRONMENTS
+from dronecoal.scenario import SETTINGS, generate
+from test_decision_oracle import learned_beliefs
+
+URBAN = ENVIRONMENTS["urban"]
+
+
+def belief_kinds(sc, seed):
+    return {"truth": BeliefState.point_mass_truth(sc),
+            "uniform": BeliefState.uniform(sc),
+            "learned": learned_beliefs(sc, rounds=3, seed=seed)}
+
+
+def walk(fn, start, beliefs, engine, seed, shared_tie):
+    """Run one walk on fresh generators; the outcome is the final
+    structure and counts, or the raised trace, plus both generators'
+    states afterwards."""
+    rng = np.random.default_rng(seed)
+    tie_rng = rng if shared_tie else np.random.default_rng(seed + 1000)
+    try:
+        final, stats = fn(start, beliefs, engine, rng, 10, tie_rng=tie_rng)
+        result = ("stable", final, stats.proposals, stats.changes)
+    except NonConvergenceError as exc:
+        result = ("stopped", str(exc), exc.trace)
+    return result, rng.bit_generator.state, tie_rng.bit_generator.state
+
+
+def outcomes(settings, seeds):
+    """(case, walk outcome, oracle outcome) over singleton and grand
+    starts, the three belief kinds and both tie-stream layouts."""
+    for name in settings:
+        for seed in seeds:
+            sc = generate(SETTINGS[name], URBAN, seed=seed)
+            engine, ref_engine = PayoffEngine(sc), PayoffEngine(sc)
+            starts = (CoalitionStructure.singletons(sc.drone_ids),
+                      CoalitionStructure.grand(sc.drone_ids))
+            for kind, beliefs in belief_kinds(sc, seed).items():
+                for start in starts:
+                    for shared_tie in (False, True):
+                        case = (name, seed, kind, start.to_string(),
+                                shared_tie)
+                        yield (case,
+                               walk(run_best_reply, start, beliefs, engine,
+                                    seed, shared_tie),
+                               walk(oracles.run_best_reply, start, beliefs,
+                                    ref_engine, seed, shared_tie))
+
+
+@pytest.mark.parametrize("name", ["S1", "S2", "S3", "S4"])
+def test_walk_equals_per_proposal_walk(name):
+    changed = 0
+    for case, got, ref in outcomes([name], range(10)):
+        assert got == ref, case
+        changed += got[0][0] == "stable" and got[0][3] > 0
+    assert changed > 0
+
+
+def test_walk_stops_where_per_proposal_walk_stops(monkeypatch):
+    # caps below a closing quiet window, inside and after the moves
+    kinds = set()
+    for cap in (7, 20, 45, 70):
+        monkeypatch.setattr(dynamics, "STEP_CAP", cap)
+        for case, got, ref in outcomes(["S1", "S3"], range(3)):
+            assert got == ref, (cap,) + case
+            kinds.add(got[0][0])
+    assert kinds == {"stable", "stopped"}
+
+
+class SizeEngine:
+    """Payoffs that read only the coalition's size and peak at pairs: a
+    singleton ties over every partner it could join, so these walks draw
+    from ``tie_rng``, which the scenarios above never do."""
+
+    def __init__(self, scenario):
+        self.scenario = scenario
+        self.decisions = {}
+
+    def expected_payoff(self, observer, coalition, beliefs):
+        return -abs(len(coalition) - 2.0)
+
+
+@pytest.mark.parametrize("name", ["S3", "S4"])
+def test_walk_draws_ties_where_per_proposal_walk_draws_them(name):
+    sc = generate(SETTINGS[name], URBAN, seed=0)
+    beliefs = BeliefState.uniform(sc)
+    singles = CoalitionStructure.singletons(sc.drone_ids)
+    for seed in range(10):
+        for shared_tie in (False, True):
+            got, ref = (walk(fn, singles, beliefs, SizeEngine(sc), seed,
+                             shared_tie)
+                        for fn in (run_best_reply, oracles.run_best_reply))
+            assert got == ref, (seed, shared_tie)
+            assert got[2] != np.random.default_rng(
+                seed + (0 if shared_tie else 1000)).bit_generator.state
+
+
+@pytest.mark.parametrize("d", range(2, 9))
+def test_batch_draw_equals_scalar_draws(d):
+    # the one-call quiet window rests on this property of numpy's bounded
+    # integers; a numpy that breaks it would move every later draw
+    for seed in range(300):
+        n = 1 + seed % 97
+        batch, scalar = (np.random.default_rng(seed) for _ in range(2))
+        values = batch.integers(d, size=n)
+        assert values.tolist() == [int(scalar.integers(d))
+                                   for _ in range(n)], (d, seed)
+        assert batch.bit_generator.state == scalar.bit_generator.state
