@@ -168,11 +168,15 @@ def _share_samples(structure: CoalitionStructure, scenario, log,
                    round_index: int, rng: np.random.Generator
                    ) -> dict[tuple[int, int], float]:
     """Each drone broadcasts one draw of its available power to its
-    coalition mates.  Draws are truncated at zero Watts."""
-    draws = {}
-    for d in structure.members():
-        t = scenario.type_spec(scenario.drone(d).true_type)
-        draws[d] = max(0.0, float(rng.normal(t.mu, t.sigma)))
+    coalition mates.  Draws are truncated at zero Watts.  The round's
+    draws come from one ``rng.normal(mus, sigmas)`` call, which gives the
+    values and generator state of one scalar call per drone in id
+    order."""
+    members = structure.members()
+    specs = [scenario.type_spec(scenario.drone(d).true_type)
+             for d in members]
+    powers = rng.normal([t.mu for t in specs], [t.sigma for t in specs])
+    draws = {d: max(0.0, x) for d, x in zip(members, powers.tolist())}
     shared: dict[tuple[int, int], float] = {}
     for block in structure.blocks:
         for observed in block:

@@ -6,9 +6,11 @@ against the known type set by KL divergence, and maintains per-type
 observation frequencies that become its belief vector.
 
 A sample's classification event depends only on the samples up to it, so
-the observation log keeps running sums and per-type event counts, and each
-update classifies only the samples added since the previous one, batched
-over all pairs.
+the observation log keeps one running (n, sum, sum of squares) per pair
+and queues each new sample's sums.  Each update classifies everything
+queued since the previous one in one batched call, bumps per-pair event
+counts, rewrites only the belief rows that moved, and returns the previous
+belief state when none did.
 """
 
 from __future__ import annotations
@@ -97,66 +99,90 @@ def classify(estimate: tuple[float, float], type_set) -> int:
 
 
 class _ScenarioLearner:
-    """One scenario's learning state over a log: its type set sorted by id,
-    the per-pair type-event counts, the uniform prior, and the drone index
-    and pairs.
+    """One scenario's learning state over a log.
 
-    Row p of ``counts`` belongs to the log's p-th pair; ``done[p]`` is how
-    many of that pair's samples have been classified.
+    It holds the scenario's type set sorted by id, the id-order position
+    of each of the table's type columns, how many of the log's queued
+    samples it has classified, the per-pair type-event counts (id order),
+    the belief table as nested lists (the uniform prior until a pair is
+    observed), the last ``BeliefState`` built from it and the per-pair
+    prediction.
     """
 
     def __init__(self, scenario):
         self.scenario = scenario
         self.types = _TypeColumns(scenario.type_set)
-        self.counts = np.zeros((0, len(self.types.ids)), dtype=np.int64)
-        self.done: list[int] = []
-        self.prior = BeliefState.uniform(scenario)
-        self.index = {d: i for i, d in enumerate(self.prior.drone_ids)}
-        self.pairs = [(i, j) for i in self.prior.drone_ids
-                      for j in self.prior.drone_ids if i != j]
+        self.beliefs = BeliefState.uniform(scenario)
+        self.table = self.beliefs.table.tolist()
+        self.index = {d: i for i, d in enumerate(self.beliefs.drone_ids)}
+        self.order = [self.types.ids.index(t) for t in self.beliefs.type_ids]
+        self.read = 0
+        self.counts: dict[tuple[int, int], list[int]] = {}
+        ids = self.beliefs.drone_ids
+        # unobserved pairs predict by the uniform-prior argmax (lowest id)
+        self.unobserved = {(i, j): self.types.ids[0]
+                           for i in ids for j in ids if i != j}
+        self.classified = dict(self.unobserved)
 
-    def extend(self, sums: list[tuple[list[float], list[float]]]) -> None:
-        """Classify every sample added since the last call, for all pairs
-        in one pass.  Sample n's event is the KL classification of the MLE
-        over samples 1..n, read off the running sums."""
-        m = len(self.types.ids)
-        grow = len(sums) - len(self.done)
-        if grow:
-            self.counts = np.vstack(
-                [self.counts, np.zeros((grow, m), dtype=np.int64)])
-            self.done.extend([0] * grow)
-        pair, rows = [], []
-        for p, (s1, s2) in enumerate(sums):
-            n = len(s1) - 1
-            for idx in range(self.done[p] + 1, n + 1):
-                pair.append(p)
-                rows.append((idx, s1[idx], s2[idx]))
-            self.done[p] = n
-        if not pair:
+    def update(self, log: "ObservationLog") -> None:
+        """Classify the log's samples queued since the last call in one
+        batch, bump their pairs' counts, and rewrite those pairs'
+        predictions and the table rows whose values moved.  ``beliefs``
+        is rebuilt only if some row moved."""
+        pairs = log._queue_pairs[self.read:]
+        if not pairs:
             return
-        cnt, sum1, sum2 = np.array(rows).T
+        cnt, sum1, sum2 = np.array(log._queue_sums[self.read:]).T
+        self.read = len(log._queue_pairs)
         mean = sum1 / cnt
-        var = sum2 / cnt - mean ** 2
-        events = _classify(mean, var, self.types)
-        self.counts += np.bincount(
-            np.array(pair) * m + events,
-            minlength=self.counts.size).reshape(self.counts.shape)
+        events = _classify(mean, sum2 / cnt - mean ** 2, self.types)
+        touched, first_seen = {}, False
+        for pair, k in zip(pairs, events.tolist()):
+            counts = self.counts.get(pair)
+            if counts is None:
+                counts = self.counts[pair] = [0] * len(self.types.ids)
+                first_seen = True
+            counts[k] += 1
+            touched[pair] = counts
+        moved = False
+        for (i, j), counts in touched.items():
+            total = sum(counts)
+            row = [counts[k] / total for k in self.order]
+            table_rows = self.table[self.index[i]]
+            if row != table_rows[self.index[j]]:
+                table_rows[self.index[j]] = row
+                moved = True
+            self.classified[(i, j)] = \
+                self.types.ids[counts.index(max(counts))]
+        if first_seen:
+            # observed pairs in first-observation order, then the others
+            self.classified = {
+                **{pair: self.classified[pair] for pair in self.counts},
+                **{pair: t for pair, t in self.unobserved.items()
+                   if pair not in self.counts}}
+        if moved:
+            self.beliefs = BeliefState(self.table, self.beliefs.drone_ids,
+                                       self.beliefs.type_ids)
 
 
 class ObservationLog:
-    """Power samples per (observer, observed) pair with round indices.
+    """Power samples per (observer, observed) pair, in strictly increasing
+    round order per pair.
 
-    ``add`` also extends each pair's running sums of x and x * x
-    (sequential float64 additions from 0.0, as ``np.cumsum`` makes them).
-    ``update_beliefs`` reads them and keeps the learning state of the last
-    scenario it was given here, so samples must enter the log through
-    ``add``, not by appending to ``samples``.
+    ``add`` keeps one running (n, sum of x, sum of x * x) per pair, by
+    sequential float64 additions from 0.0 as ``np.cumsum`` makes them,
+    and queues the pair and its new sums for the learner.
+    ``update_beliefs`` classifies the queued entries and keeps the
+    learning state of the last scenario it was given here, so samples
+    must enter the log through ``add``, not by appending to ``samples``.
     """
 
     def __init__(self):
         self.samples: dict[tuple[int, int], list[float]] = {}
-        self.rounds: dict[tuple[int, int], list[int]] = {}
-        self._sums: dict[tuple[int, int], tuple[list[float], list[float]]] = {}
+        # pair -> (last round index, n, sum of x, sum of x * x)
+        self._running: dict[tuple[int, int], tuple] = {}
+        self._queue_pairs: list[tuple[int, int]] = []
+        self._queue_sums: list[tuple[int, float, float]] = []
         self._learner: _ScenarioLearner | None = None
 
     def add(self, observer: int, observed: int, sample: float,
@@ -164,15 +190,15 @@ class ObservationLog:
         if observer == observed:
             raise ValueError("a drone does not observe itself")
         key = (observer, observed)
-        prev = self.rounds.setdefault(key, [])
-        if prev and round_index <= prev[-1]:
+        last, n, s1, s2 = self._running.get(key, (None, 0, 0.0, 0.0))
+        if last is not None and round_index <= last:
             raise ValueError("round indices must be strictly increasing")
-        prev.append(round_index)
         x = float(sample)
+        sums = n + 1, s1 + x, s2 + x * x
+        self._running[key] = (round_index, *sums)
         self.samples.setdefault(key, []).append(x)
-        s1, s2 = self._sums.setdefault(key, ([0.0], [0.0]))
-        s1.append(s1[-1] + x)
-        s2.append(s2[-1] + x * x)
+        self._queue_pairs.append(key)
+        self._queue_sums.append(sums)
 
 
 @dataclass
@@ -189,35 +215,20 @@ def update_beliefs(log: ObservationLog, scenario
     event (MLE over the history up to that sample, then KL
     classification); the belief vector is the per-type frequency of those
     events.  Pairs with no observations keep the uniform prior.  An event
-    never changes once its sample is logged, so a call classifies only the
-    samples logged since the previous call with the same scenario (another
-    scenario starts the log's learning state afresh); the beliefs equal a
-    from-scratch recomputation bit for bit.
+    never changes once its sample is logged, so a call classifies the
+    samples queued since the previous call with the same scenario in one
+    batch and rewrites only the rows of their pairs (another scenario
+    starts the log's learning state afresh from the first sample).  When
+    no row value moved, the previous ``BeliefState`` is returned again.
+    The beliefs equal a from-scratch recomputation bit for bit, and the
+    prediction is a fresh dict: observed pairs in first-observation
+    order, then the unobserved ones.
     """
     learner = log._learner
     if learner is None or learner.scenario is not scenario:
         learner = log._learner = _ScenarioLearner(scenario)
-    learner.extend(list(log._sums.values()))
-
-    ids, prior = learner.types.ids, learner.prior
-    pairs = list(log._sums)
-    counts = learner.counts.astype(float)
-    freq = counts / counts.sum(axis=1, keepdims=True)
-    # freq columns follow type ids; the table's type axis follows the
-    # scenario's type set
-    rows = np.zeros((len(pairs), len(prior.type_ids)))
-    rows[:, [prior.type_ids.index(t) for t in ids]] = freq
-    table = prior.table.copy()
-    table[[learner.index[i] for i, _ in pairs],
-          [learner.index[j] for _, j in pairs]] = rows
-    beliefs = BeliefState(table, prior.drone_ids, prior.type_ids)
-
-    classified = {pair: ids[k]
-                  for pair, k in zip(pairs, freq.argmax(axis=1).tolist())}
-    # unobserved pairs predict by the uniform-prior argmax (lowest id)
-    for pair in learner.pairs:
-        classified.setdefault(pair, ids[0])
-    return beliefs, TypePrediction(classified)
+    learner.update(log)
+    return learner.beliefs, TypePrediction(dict(learner.classified))
 
 
 def frobenius_convergence(prediction: TypePrediction, scenario
@@ -228,15 +239,17 @@ def frobenius_convergence(prediction: TypePrediction, scenario
     For type m, entry (i, j) of the prediction matrix is 1 iff drone i
     currently predicts type m for drone j; diagonals use the true type
     (each drone knows its own).  Zero norm for every type means all
-    cross-predictions are correct.  The matrices are 0/1, so each norm is
-    the square root of a mismatch count.
+    cross-predictions are correct.  The matrices are 0/1, and a wrong
+    prediction of type p for a drone of type q flips one entry of type
+    p's matrix and one of type q's, so each norm is the square root of
+    its type's count of such flips.
     """
-    ids = scenario.drone_ids
-    truth = [scenario.drone(j).true_type for j in ids]
-    classified = prediction.classified
-    pred = np.array([[t if i == j else classified[(i, j)]
-                      for j, t in zip(ids, truth)] for i in ids])
-    type_ids = np.array(sorted(t.id for t in scenario.type_set))[:, None, None]
-    mismatch = (pred == type_ids) != (np.array(truth) == type_ids)
-    norms = np.sqrt(np.count_nonzero(mismatch, axis=(1, 2)).astype(float))
+    truth = {d.id: d.true_type for d in scenario.drones}
+    col = {t: k for k, t in enumerate(sorted(t.id for t in scenario.type_set))}
+    flips = [0] * len(col)
+    for (_, j), predicted in prediction.classified.items():
+        if predicted != truth[j]:
+            flips[col[predicted]] += 1
+            flips[col[truth[j]]] += 1
+    norms = np.sqrt(np.array(flips, dtype=float))
     return norms, float(norms.mean())

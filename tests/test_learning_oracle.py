@@ -28,7 +28,7 @@ def type_sets(draw, m):
 @st.composite
 def learning_cases(draw):
     m = draw(st.integers(2, 4))
-    setting = SETTINGS[draw(st.sampled_from(["S1", "S2"]))]
+    setting = SETTINGS[draw(st.sampled_from(["S1", "S2", "S3", "S4"]))]
     sc = generate(setting, URBAN, type_set=draw(type_sets(m)),
                   seed=draw(st.integers(0, 10_000)))
     # one scenario, or two of the same setting with other type sets,
@@ -40,15 +40,27 @@ def learning_cases(draw):
     pairs = [(i, j) for i in sc.drone_ids for j in sc.drone_ids if i != j]
     # some pairs are never observed; the others share in most rounds
     observed = [pair for pair in pairs if draw(st.integers(0, 3))]
+    # a constant pair shares one value every time, so every event of it is
+    # the same classification and its row stays one point mass
+    constant = {pair: draw(SAMPLES) for pair in observed
+                if not draw(st.integers(0, 2))}
+    seen: set = set()
     rounds = []
     for _ in range(draw(st.integers(1, 16))):
-        active = [pair for pair in observed if draw(st.integers(0, 3))]
-        values = draw(st.lists(SAMPLES, min_size=len(active),
-                               max_size=len(active)))
+        # a quiet round shares only constant pairs seen before, or nothing
+        quiet = draw(st.integers(0, 2)) == 0
+        if quiet:
+            active = [pair for pair in constant
+                      if pair in seen and draw(st.booleans())]
+        else:
+            active = [pair for pair in observed if draw(st.integers(0, 3))]
+        values = [constant[pair] if pair in constant else draw(SAMPLES)
+                  for pair in active]
+        seen.update(active)
         # which scenarios update after this round
         calls = draw(st.lists(st.booleans(), min_size=len(scenarios),
                               max_size=len(scenarios)))
-        rounds.append((list(zip(active, values)), calls))
+        rounds.append((list(zip(active, values)), calls, quiet))
     return scenarios, rounds
 
 
@@ -62,9 +74,16 @@ def assert_same_prediction(got: TypePrediction, ref: TypePrediction):
 def test_incremental_beliefs_equal_from_scratch(case):
     scenarios, rounds = case
     log = ObservationLog()
-    for r, (shared, calls) in enumerate(rounds):
+    # per scenario: its last answer and the oracle's, and whether samples
+    # that may move the table were logged since
+    last: dict = {}
+    moved_since = {id(sc): True for sc in scenarios}
+    last_caller = None
+    for r, (shared, calls, quiet) in enumerate(rounds):
         for (i, j), x in shared:
             log.add(i, j, x, r)
+        if not quiet:
+            moved_since = dict.fromkeys(moved_since, True)
         for sc, call in zip(scenarios, calls):
             if not call:
                 continue
@@ -78,6 +97,36 @@ def test_incremental_beliefs_equal_from_scratch(case):
                 ref_prediction, sc)
             assert norms.tobytes() == ref_norms.tobytes()
             assert mean == ref_mean
+            if id(sc) in last and not moved_since[id(sc)]:
+                # only unanimous pairs shared, or none: the table is the
+                # previous call's, and the same learner returns that state
+                before, ref_before = last[id(sc)]
+                assert ref_beliefs.content_key == ref_before.content_key
+                assert beliefs.content_key == before.content_key
+                assert beliefs.content_key == ref_beliefs.content_key
+                if last_caller is sc:
+                    assert beliefs is before
+            last[id(sc)] = beliefs, ref_beliefs
+            moved_since[id(sc)] = False
+            last_caller = sc
+
+
+def test_no_new_samples_returns_the_same_state():
+    sc = generate(SETTINGS["S4"], URBAN, seed=3)
+    log = ObservationLog()
+    empty, _ = update_beliefs(log, sc)
+    assert update_beliefs(log, sc)[0] is empty
+    assert empty.content_key == oracles.update_beliefs(log, sc)[0].content_key
+    for r in range(3):
+        log.add(0, 1, 12.0, r)
+        log.add(2, 3, 30.0 + r, r)
+    beliefs, prediction = update_beliefs(log, sc)
+    again, again_prediction = update_beliefs(log, sc)
+    assert again is beliefs
+    assert again.content_key == oracles.update_beliefs(log, sc)[0].content_key
+    assert_same_prediction(again_prediction, prediction)
+    # each call hands out its own prediction dict
+    assert again_prediction.classified is not prediction.classified
 
 
 @st.composite

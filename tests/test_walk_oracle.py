@@ -2,7 +2,9 @@
 mask per structure and draws each closing quiet window in one call,
 against the proposal-by-proposal walk in ``oracles.py``.  Both must end
 on the same structure with the same counts and leave both generators in
-the same state, so the rest of a repeated game draws the same values."""
+the same state, so the rest of a repeated game draws the same values.  The
+one-call draws the walk and a round's power sharing rest on are pinned
+against scalar draws."""
 
 import numpy as np
 import pytest
@@ -11,8 +13,9 @@ import oracles
 from dronecoal import dynamics
 from dronecoal.dynamics import NonConvergenceError, run_best_reply
 from dronecoal.game import BeliefState, CoalitionStructure, PayoffEngine
+from dronecoal.learning import ObservationLog
 from dronecoal.propagation import ENVIRONMENTS
-from dronecoal.scenario import SETTINGS, generate
+from dronecoal.scenario import SETTINGS, TypeSpec, generate
 from test_decision_oracle import learned_beliefs
 
 URBAN = ENVIRONMENTS["urban"]
@@ -118,3 +121,45 @@ def test_batch_draw_equals_scalar_draws(d):
         assert values.tolist() == [int(scalar.integers(d))
                                    for _ in range(n)], (d, seed)
         assert batch.bit_generator.state == scalar.bit_generator.state
+
+
+@pytest.mark.parametrize("d", range(1, 9))
+def test_vector_normal_draw_equals_scalar_draws(d):
+    # a repeated-game round draws its D powers in one rng.normal(mus,
+    # sigmas) call; a numpy that broke this would move every shared sample
+    for seed in range(300):
+        spec = np.random.default_rng(1_000 + seed)
+        mus = spec.choice([1.0, 12.0, 18.0, 24.0, 30.0], size=d).tolist()
+        sigmas = spec.choice([0.5, 3.0, 5.0, 8.0], size=d).tolist()
+        batch, scalar = (np.random.default_rng(seed) for _ in range(2))
+        values = batch.normal(mus, sigmas).tolist()
+        assert values == [float(scalar.normal(mu, sigma))
+                          for mu, sigma in zip(mus, sigmas)], (d, seed)
+        assert batch.bit_generator.state == scalar.bit_generator.state
+
+
+def test_shared_samples_are_scalar_draws_truncated_at_zero():
+    # type 0 sits near zero Watts, so many raw draws are negative
+    types = (TypeSpec(0, 1.0, 3.0), TypeSpec(1, 18.0, 3.0))
+    negatives = 0
+    for seed in range(30):
+        sc = generate(SETTINGS["S4"], URBAN, type_set=types, seed=seed)
+        ids = sc.drone_ids
+        for structure in (CoalitionStructure.grand(ids),
+                          CoalitionStructure.singletons(ids),
+                          CoalitionStructure.from_string("{0,1,2}{3,4}{5}")):
+            rng, ref_rng = (np.random.default_rng(seed) for _ in range(2))
+            log = ObservationLog()
+            shared = dynamics._share_samples(structure, sc, log, 0, rng)
+            specs = {d: sc.type_spec(sc.drone(d).true_type)
+                     for d in structure.members()}
+            raw = {d: float(ref_rng.normal(t.mu, t.sigma))
+                   for d, t in specs.items()}
+            negatives += sum(x < 0.0 for x in raw.values())
+            expected = {(i, j): max(0.0, raw[j])
+                        for block in structure.blocks
+                        for j in block for i in block if i != j}
+            assert shared == expected
+            assert log.samples == {pair: [x] for pair, x in expected.items()}
+            assert rng.bit_generator.state == ref_rng.bit_generator.state
+    assert negatives > 0
