@@ -20,7 +20,8 @@ import numpy as np
 from .allocation import CoalitionEvaluator
 from .dynamics import DynamicsConfig, run_best_reply, run_repeated_game
 from .game import (BeliefState, CoalitionStructure, PayoffEngine,
-                   enumerate_structures, weakly_better, PARTITION_CAP)
+                   check_type_space, enumerate_structures, weakly_better,
+                   PARTITION_CAP)
 from .markov import MarkovModel, build_chain, formation_probabilities
 from .propagation import ENVIRONMENTS
 from .scenario import (DEFAULT_TYPE_SET, SETTINGS, Scenario, TypeSpec,
@@ -86,6 +87,10 @@ class RunManifest:
         # every run's dynamics settings, checked before any run starts
         DynamicsConfig(self.epsilon, self.init_grand_rounds,
                        self.max_rounds, self.stability_window)
+        if {"full_info", "proposed"} & set(self.regimes):
+            # the largest grand coalition's payoff sums m^(D-1) vectors
+            check_type_space(len(self.types()), max(
+                (SETTINGS[s].d for s in self.settings), default=1) - 1)
 
     def types(self) -> tuple[TypeSpec, ...]:
         return tuple(TypeSpec(t["id"], t["mu"], t["sigma"])

@@ -109,7 +109,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="output directory (overrides the manifest; the "
                         "DRONECOAL_OUT environment variable wins)")
     p.add_argument("--strict", action="store_true",
-                   help="exit 3 if any run fails to converge")
+                   help="also exit 3 if a repeated-game run ends "
+                        "non-converged (a run that raises exits 3 either "
+                        "way)")
     p.set_defaults(func=cmd_run)
 
     p = sub.add_parser("markov", help="chain audit for one scenario")

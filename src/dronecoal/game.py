@@ -198,7 +198,8 @@ class PayoffEngine:
     beliefs content key), which spares hits the row gather, and on a miss
     there per (observer, coalition, the observer's rows about the other
     members in the scenario's type order), which states that differ only
-    in rows the payoff does not read share."""
+    in rows the payoff does not read share.  Under both, every state reuses
+    one rate per (observer, coalition, type-count multiset)."""
 
     def __init__(self, scenario):
         self.scenario = scenario
@@ -206,6 +207,7 @@ class PayoffEngine:
         self._type_ids = [t.id for t in scenario.type_set]
         self._cache: dict[tuple, float] = {}
         self._by_rows: dict[tuple, float] = {}
+        self._rates: dict[tuple, list[float]] = {}
         self.decisions: dict[tuple, tuple] = {}
 
     @functools.cached_property
@@ -241,25 +243,47 @@ class PayoffEngine:
 
     def _compute(self, observer: int, coalition: frozenset,
                  rows: list[list[float]]) -> float:
+        """The plain loop's sum, bit for bit: over the m^k type vectors in
+        product order, ``(((1.0 * r0) * r1) * ...) * rate`` added left to
+        right (the ufuncs' ``accumulate`` is sequential, while ``.sum()``,
+        ``@`` and ``fsum`` reassociate; a zero weight adds +0.0).  A rate
+        depends only on the type-count multiset: ``evaluate`` fsums."""
         sc = self.scenario
         m = len(sc.type_set)
-        if m ** len(rows) > TYPE_SPACE_CAP:
-            raise ValueError(
-                f"type space {m}^{len(rows)} exceeds cap "
-                f"{TYPE_SPACE_CAP}")
-        own_power = sc.true_power(observer)
-        mus = [t.mu for t in sc.type_set]
-        total = 0.0
-        for combo in itertools.product(range(m), repeat=len(rows)):
-            weight = 1.0
-            for row, k in zip(rows, combo):
-                weight *= row[k]
-            if weight == 0.0:
-                continue
-            rates = self.evaluator.evaluate(
-                coalition, [own_power, *[mus[k] for k in combo]])
-            total += weight * rates[observer]
-        return total
+        check_type_space(m, len(rows))
+        pick, multisets = _type_vectors(m, len(rows))
+        rates = self._rates.get((observer, coalition))
+        if rates is None:
+            power, mus = sc.true_power(observer), [t.mu for t in sc.type_set]
+            rates = self._rates[observer, coalition] = [
+                self.evaluator.evaluate(
+                    coalition, [power, *[mus[k] for k in ks]])[observer]
+                for ks in multisets]
+        factors = np.array([1.0, *itertools.chain(*rows), *rates])
+        terms = np.multiply.accumulate(factors[pick])[-1]
+        return float(np.add.accumulate(terms)[-1])
+
+
+def check_type_space(m: int, k: int) -> None:
+    """Refuse a payoff sum over more than TYPE_SPACE_CAP type vectors."""
+    if m ** k > TYPE_SPACE_CAP:
+        raise ValueError(f"type space {m}^{k} exceeds cap {TYPE_SPACE_CAP}")
+
+
+@functools.lru_cache(maxsize=None)
+def _type_vectors(m: int, k: int) -> tuple[np.ndarray, tuple]:
+    """Per type vector of k members over m types, in product order, the
+    positions in ``[1.0, *rows, *rates]`` of its k + 2 factors; and the
+    type-count multisets that index ``rates``, as sorted type indices."""
+    combos = list(itertools.product(range(m), repeat=k))
+    found: dict[tuple[int, ...], int] = {}
+    pick = np.array(
+        [[0] * len(combos)]
+        + [[1 + j * m + c[j] for c in combos] for j in range(k)]
+        + [[1 + k * m + found.setdefault(tuple(sorted(c)), len(found))
+            for c in combos]], dtype=np.intp)
+    pick.setflags(write=False)
+    return pick, tuple(found)
 
 
 @dataclass(frozen=True)

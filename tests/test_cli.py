@@ -147,6 +147,27 @@ class TestRun:
     def test_unknown_aggregate_mode(self, tmp_path, capsys):
         self._rejects(tmp_path, capsys, {"aggregate_mode": "median"})
 
+    def test_over_cap_type_space_rejected_on_load(self, tmp_path,
+                                                  monkeypatch, capsys):
+        # 11 types on S4: 11^5 = 161 051 type vectors in a grand-coalition
+        # payoff, over the cap, refused before any topology runs
+        types = [{"id": i, "mu": 10.0 + i, "sigma": 2.0} for i in range(11)]
+        path = tmp_path / "manifest.json"
+        path.write_text(json.dumps({"settings": ["S1", "S4"],
+                                    "topologies": 1, "repetitions": 1,
+                                    "type_set": types}))
+        monkeypatch.setattr(cli, "run_manifest", lambda *a, **k: pytest.fail(
+            "the batch started"))
+        out = tmp_path / "out"
+        assert main(["run", "--manifest", str(path),
+                     "--out", str(out)]) == EXIT_VALIDATION
+        assert capsys.readouterr().err == \
+            "error: type space 11^5 exceeds cap 100000\n"
+        assert not out.exists()
+        # regimes that take no expected payoff are not capped
+        RunManifest(settings=["S4"], type_set=types,
+                    regimes=["baseline", "social_optimal"])
+
     def test_manifest_not_an_object(self, tmp_path, capsys):
         path = tmp_path / "manifest.json"
         path.write_text("[]")

@@ -1,11 +1,13 @@
 """Differential test: ``PayoffEngine.expected_payoff``, which reads the
-observer's belief rows once, against the reference in ``oracles.py``,
-which looks every weight up in the table with ``oracles.prob``, compared
-bit for bit."""
+observer's belief rows once and its rates from one table per (observer,
+coalition), against the reference in ``oracles.py``, which looks every
+weight up in the table with ``oracles.prob`` and evaluates every type
+vector, compared bit for bit."""
 
 import itertools
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -17,6 +19,10 @@ from dronecoal.propagation import ENVIRONMENTS
 from dronecoal.scenario import SETTINGS, TypeSpec, generate
 
 URBAN = ENVIRONMENTS["urban"]
+# the chain audit's four types: 4^5 = 1024 type vectors per grand-coalition
+# payoff on S4
+AUDIT_TYPES = tuple(TypeSpec(i, mu, 3.0)
+                    for i, mu in enumerate((12.0, 18.0, 24.0, 30.0)))
 
 
 def learned(sc, rounds: int, seed: int) -> BeliefState:
@@ -33,24 +39,45 @@ def learned(sc, rounds: int, seed: int) -> BeliefState:
     return beliefs
 
 
+def beliefs_of(sc, kind: str, seed: int, rounds: int = 3) -> BeliefState:
+    if kind == "point_mass":
+        return BeliefState.point_mass_truth(sc)
+    if kind == "uniform":
+        return BeliefState.uniform(sc)
+    return learned(sc, rounds, seed)
+
+
+def assert_all_payoffs_equal_reference(sc, beliefs):
+    engine = PayoffEngine(sc)
+    evaluator = CoalitionEvaluator(sc)
+    ids = sorted(sc.drone_ids)
+    for k in range(1, len(ids) + 1):
+        for members in itertools.combinations(ids, k):
+            coalition = frozenset(members)
+            for d in members:
+                got = engine.expected_payoff(d, coalition, beliefs)
+                ref = oracles.expected_payoff(sc, evaluator, d, coalition,
+                                              beliefs)
+                assert got.hex() == ref.hex(), (d, members)
+
+
 @st.composite
 def payoff_cases(draw):
-    m = draw(st.integers(2, 4))
-    mus = draw(st.lists(st.floats(1.0, 40.0), min_size=m, max_size=m))
-    sigmas = draw(st.lists(st.floats(0.5, 8.0), min_size=m, max_size=m))
+    if draw(st.booleans()):
+        m = draw(st.integers(2, 4))
+        mus = draw(st.lists(st.floats(1.0, 40.0), min_size=m, max_size=m))
+        sigmas = draw(st.lists(st.floats(0.5, 8.0), min_size=m,
+                               max_size=m))
+        base = [TypeSpec(k, mus[k], sigmas[k]) for k in range(m)]
+    else:
+        base, m = list(AUDIT_TYPES), len(AUDIT_TYPES)
     # the scenario lists its types in a drawn order
-    order = draw(st.permutations(range(m)))
-    types = tuple(TypeSpec(k, mus[k], sigmas[k]) for k in order)
-    sc = generate(SETTINGS[draw(st.sampled_from(["S1", "S2", "S3"]))],
+    types = tuple(base[k] for k in draw(st.permutations(range(m))))
+    sc = generate(SETTINGS[draw(st.sampled_from(["S1", "S2", "S3", "S4"]))],
                   URBAN, type_set=types, seed=draw(st.integers(0, 10_000)))
     kind = draw(st.sampled_from(["point_mass", "uniform", "learned"]))
-    if kind == "point_mass":
-        beliefs = BeliefState.point_mass_truth(sc)
-    elif kind == "uniform":
-        beliefs = BeliefState.uniform(sc)
-    else:
-        beliefs = learned(sc, draw(st.integers(1, 6)),
-                          draw(st.integers(0, 10_000)))
+    beliefs = beliefs_of(sc, kind, draw(st.integers(0, 10_000)),
+                         draw(st.integers(1, 6)))
     if draw(st.booleans()):
         # the same beliefs with the drone and type axes in other orders
         dperm = draw(st.permutations(range(len(beliefs.drone_ids))))
@@ -64,15 +91,35 @@ def payoff_cases(draw):
 @settings(deadline=None, max_examples=60)
 @given(payoff_cases())
 def test_payoffs_equal_per_entry_reference(case):
-    sc, beliefs = case
+    assert_all_payoffs_equal_reference(*case)
+
+
+@pytest.mark.parametrize("kind", ["point_mass", "uniform", "learned"])
+def test_audit_shape_payoffs_equal_reference(kind):
+    # the chain audit's scenario shape, whose grand-coalition payoffs sum
+    # 1024 terms
+    sc = generate(SETTINGS["S4"], URBAN, type_set=AUDIT_TYPES, seed=0)
+    assert_all_payoffs_equal_reference(sc, beliefs_of(sc, kind, seed=1))
+
+
+def test_second_belief_state_reads_the_filled_rate_table():
+    sc = generate(SETTINGS["S4"], URBAN, type_set=AUDIT_TYPES, seed=3)
     engine = PayoffEngine(sc)
     evaluator = CoalitionEvaluator(sc)
-    ids = sorted(sc.drone_ids)
-    for k in range(1, len(ids) + 1):
-        for members in itertools.combinations(ids, k):
-            coalition = frozenset(members)
-            for d in members:
-                got = engine.expected_payoff(d, coalition, beliefs)
-                ref = oracles.expected_payoff(sc, evaluator, d, coalition,
-                                              beliefs)
-                assert got.hex() == ref.hex(), (d, members)
+    grand = frozenset(sc.drone_ids)
+    observer = min(sc.drone_ids)
+    calls = []
+    evaluate = engine.evaluator.evaluate
+    engine.evaluator.evaluate = lambda *args: calls.append(args) or \
+        evaluate(*args)
+    payoffs = []
+    for beliefs in (BeliefState.uniform(sc), learned(sc, 2, seed=5)):
+        payoffs.append(engine.expected_payoff(observer, grand, beliefs))
+        ref = oracles.expected_payoff(sc, evaluator, observer, grand,
+                                      beliefs)
+        assert payoffs[-1].hex() == ref.hex()
+        # one evaluation per type-count multiset of the five others over
+        # four types, C(8, 5) = 56, made for the first state only
+        assert len(calls) == 56
+    # the second state's rows differ, so its payoff was summed anew
+    assert payoffs[0] != payoffs[1]

@@ -2,15 +2,30 @@
 of ``paper_batch`` (with its CSV hashes pinned) and ``repeated_game_s4``
 and a small slice of ``chain_audit_4type`` must pass those checks, or fail
 only as the one known non-converged run, before the whole benchmark is
-run."""
+run.
 
+``workload_pins.json`` pins, per unit, what a faster program must not
+move: the ``repeated_game_s4`` outcomes on seeds 0 and 7 and the first
+ten ``chain_audit_4type`` audits on seed 0.  Float values are pinned by
+``float.hex``, so they depend on numpy and scipy arithmetic; the file
+records the versions it was made with.  After a change that moves them
+on purpose, rewrite it with ``PYTHONPATH=src python
+tests/test_workload_checks.py`` and say which values moved and why.
+"""
+
+import hashlib
 import importlib.util
+import json
+import platform
 import sys
 from pathlib import Path
 
+import numpy
 import pytest
+import scipy
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+PINS = Path(__file__).resolve().parent / "workload_pins.json"
 
 
 def _load(name: str, module_name: str):
@@ -29,9 +44,9 @@ def workloads():
     return _load("workloads", "perfbench_workloads"), harness
 
 
-def _units(workloads, name, tmp_path):
+def _units(workloads, name, tmp_path, seed=0):
     workload = workloads.WORKLOADS[name]
-    inputs = workload.setup(0, str(tmp_path))
+    inputs = workload.setup(seed, str(tmp_path))
     return list(workload.units(inputs))
 
 
@@ -65,22 +80,91 @@ def test_paper_batch_units(workloads, tmp_path):
                      for fname, digest in PAPER_BATCH_SHA256.items()]
 
 
-def test_repeated_game_units(workloads, tmp_path):
-    # all 150 units in the workload's order, sharing each topology's
-    # engine: a faster program must not change which runs converge
-    wl, harness = workloads
-    outcomes = {u.name: _check(u)
-                for u in _units(wl, "repeated_game_s4", tmp_path)}
-    assert len(outcomes) == 150
-    assert outcomes["S4/t0/r0"] is None
-    failed = {name: out for name, out in outcomes.items() if out is not None}
-    assert list(failed) == ["S4/t2/r23"]
-    # the known best-reply cycle is reported as non-converged, not as a
-    # wrong output
-    assert failed["S4/t2/r23"][0] == harness.NON_CONVERGED
+def repeated_pin(wl, seed, tmp_path) -> dict:
+    """All 150 ``repeated_game_s4`` units in the workload's order, sharing
+    each topology's engine: a sha256 over every unit's final structure,
+    note and total rate, and the failed units with their failure kind."""
+    digest, failed = hashlib.sha256(), {}
+    units = _units(wl, "repeated_game_s4", tmp_path, seed)
+    for unit in units:
+        result = unit.run()
+        digest.update(f"{unit.name} {result.structure} {result.note!r} "
+                      f"{result.total_rate.hex()}\n".encode())
+        outcome = unit.check(result)
+        if outcome is not None:
+            failed[unit.name] = outcome[0]
+    return {"units": len(units), "units_sha256": digest.hexdigest(),
+            "failed": failed}
+
+
+def audit_pin(wl, tmp_path) -> dict:
+    """The first ten seed-0 ``chain_audit_4type`` audits: absorbing
+    states, Nash-stable state indices and formation probabilities."""
+    out = {}
+    for unit in _units(wl, "chain_audit_4type", tmp_path)[:10]:
+        absorbing, probs, stable = result = unit.run()
+        out[unit.name] = {
+            "absorbing": list(absorbing), "stable": list(stable),
+            "formation": {str(i): p.hex() for i, p in probs.items()},
+            "failed": unit.check(result) is not None}
+    return out
+
+
+def versions() -> dict:
+    return {"python": platform.python_version(),
+            "numpy": numpy.__version__, "scipy": scipy.__version__}
+
+
+@pytest.fixture(scope="module")
+def pins():
+    with open(PINS) as f:
+        return json.load(f)
+
+
+@pytest.fixture(scope="module")
+def repeated_seed0(workloads, tmp_path_factory):
+    return repeated_pin(workloads[0], 0, tmp_path_factory.mktemp("rep"))
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+def test_repeated_game_units_pinned(workloads, pins, repeated_seed0, seed,
+                                    tmp_path):
+    got = repeated_seed0 if seed == 0 \
+        else repeated_pin(workloads[0], seed, tmp_path)
+    assert got == pins["repeated_game_s4"][str(seed)], \
+        f"made with {pins['versions']}, running {versions()}"
+
+
+def test_chain_audit_first_audits_pinned(workloads, pins, tmp_path):
+    assert audit_pin(workloads[0], tmp_path) == \
+        pins["chain_audit_4type"]["0"], \
+        f"made with {pins['versions']}, running {versions()}"
+
+
+def test_repeated_game_units(workloads, repeated_seed0):
+    # a faster program must not change which runs converge; the known
+    # best-reply cycle is reported as non-converged, not as a wrong output
+    _, harness = workloads
+    assert repeated_seed0["units"] == 150
+    assert repeated_seed0["failed"] == {"S4/t2/r23": harness.NON_CONVERGED}
 
 
 def test_chain_audit_first_audits(workloads, tmp_path):
     wl, _ = workloads
     for unit in _units(wl, "chain_audit_4type", tmp_path)[:2]:
         assert _check(unit) is None, unit.name
+
+
+if __name__ == "__main__":
+    import tempfile
+    _load("harness", "harness")
+    wl = _load("workloads", "perfbench_workloads")
+    with tempfile.TemporaryDirectory() as scratch:
+        data = {"versions": versions(),
+                "repeated_game_s4": {str(seed): repeated_pin(
+                    wl, seed, Path(scratch)) for seed in (0, 7)},
+                "chain_audit_4type": {"0": audit_pin(wl, Path(scratch))}}
+    with open(PINS, "w") as f:
+        json.dump(data, f, indent=1, sort_keys=True)
+        f.write("\n")
+    print(f"wrote {PINS}")
