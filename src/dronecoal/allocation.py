@@ -44,37 +44,43 @@ def max_weight_matching(weights: np.ndarray) -> list[tuple[int, int]]:
     return pairs
 
 
-def waterfill(gains: np.ndarray, budget: float) -> tuple[np.ndarray, float]:
+def waterfill(gains: np.ndarray,
+              budget) -> tuple[np.ndarray, float | np.ndarray]:
     """Exact water-filling: maximize sum log2(1 + p_i * g_i) s.t. sum p <= budget.
 
-    Returns (powers, water_level).  Zero-gain entries get zero power; the
-    budget is fully spent whenever any gain is positive.
+    ``budget`` is one budget or a 1-D array of them.  Returns (powers,
+    water_level): a power per gain and a float for one budget, or one row
+    of powers and one level per budget for an array, each row the same
+    bits as that budget's own fill.  Zero-gain entries get zero power; a
+    non-zero budget is fully spent whenever any gain is positive.
     """
     gains = np.asarray(gains, dtype=float)
-    if np.any(gains < 0):
+    budgets = np.asarray(budget, dtype=float)
+    if (gains < 0).any():
         raise ValueError("gains must be non-negative")
-    if budget < 0:
+    if (budgets < 0).any():
         raise ValueError("budget must be non-negative")
-    p = np.zeros_like(gains)
-    active = np.flatnonzero(gains > 0)
-    if len(active) == 0 or budget == 0:
-        return p, 0.0
-    inv = 1.0 / gains[active]
-    order = np.argsort(inv, kind="stable")
-    inv_sorted = inv[order]
-    # try the k best channels; water level mu = (budget + sum inv) / k must
-    # clear the worst active channel's noise floor
-    csum = np.cumsum(inv_sorted)
-    k = len(inv_sorted)
-    while k > 1:
-        mu = (budget + csum[k - 1]) / k
-        if mu > inv_sorted[k - 1]:
-            break
-        k -= 1
-    mu = (budget + csum[k - 1]) / k
-    idx = active[order[:k]]
-    p[idx] = mu - inv[order[:k]]
-    return p, mu
+    rows = budgets.reshape(-1, 1)
+    p = np.zeros((len(rows), len(gains)))
+    level = np.zeros(len(rows))
+    active = gains.nonzero()[0]
+    if len(active):
+        inv = 1.0 / gains[active]
+        order = inv.argsort(kind="stable")
+        inv_sorted = inv[order]
+        # active count: the largest k >= 2 whose level (budget + sum inv) / k
+        # clears the k-th noise floor inv, else 1; 0 for a zero budget
+        count = np.arange(1, len(inv) + 1)
+        levels = (rows + inv_sorted.cumsum()) / count
+        clears = levels > inv_sorted
+        clears[:, 0] = True
+        k = (len(inv) - clears[:, ::-1].argmax(axis=1)) * (rows[:, 0] != 0)
+        take = count <= k[:, None]
+        level = np.where(k > 0, levels[np.arange(len(rows)), k - 1], 0.0)
+        p[:, active[order]] = np.where(take, level[:, None] - inv_sorted, 0.0)
+    if budgets.ndim == 0:
+        return p[0], float(level[0])
+    return p, level
 
 
 class CoalitionEvaluator:
@@ -86,7 +92,8 @@ class CoalitionEvaluator:
     ``scenario.drones`` and ``scenario.users``.  A coalition's matching
     reads only the weights, so it is cached per coalition together with
     its links' slopes; rates additionally depend only on the pooled power
-    budget, so they are cached per (coalition, budget).
+    budget, so they are cached per (coalition, budget), and the budgets
+    missing from that cache are water-filled in one batched call.
     """
 
     def __init__(self, scenario):
@@ -136,17 +143,27 @@ class CoalitionEvaluator:
                              f"got {len(powers)}")
         # fsum is correctly rounded, so the budget, and with it the cache
         # key, does not depend on the order of the powers
-        key = (coalition, math.fsum(powers))
-        if key not in self._results:
-            self._results[key] = self._evaluate(*key)
-        return self._results[key]
+        budget = math.fsum(powers)
+        return self.evaluate_budgets(coalition, [budget])[budget]
 
-    def _evaluate(self, coalition: frozenset,
-                  budget: float) -> dict[int, float]:
+    def evaluate_budgets(self, coalition: frozenset,
+                         budgets) -> dict[float, dict[int, float]]:
+        """``evaluate``'s rates for each of the given pooled budgets, keyed
+        by budget, from the same cache."""
+        missing = [b for b in dict.fromkeys(budgets)
+                   if (coalition, b) not in self._results]
+        if missing:
+            self._evaluate(coalition, missing)
+        return {b: self._results[coalition, b] for b in budgets}
+
+    def _evaluate(self, coalition: frozenset, budgets: list[float]) -> None:
+        """Cache each member's rate at each budget, from one water-fill
+        over all of them: each link's ``bandwidth * math.log2(1.0 + p * g)``,
+        summed per drone from 0.0 in link order."""
         links, gains = self._matched(coalition)
-        powers, _ = waterfill(gains, budget)
+        powers, _ = waterfill(gains, np.array(budgets))
         bandwidth = self.scenario.env.bandwidth_hz
-        per_drone = {d: 0.0 for d in coalition}
-        for (d, _), p, g in zip(links, powers, gains):
-            per_drone[d] += bandwidth * math.log2(1.0 + p * g)
-        return per_drone
+        for b, row in zip(budgets, (1.0 + powers * gains).tolist()):
+            rates = self._results[coalition, b] = dict.fromkeys(coalition, 0.0)
+            for (d, _), x in zip(links, row):
+                rates[d] += bandwidth * math.log2(x)

@@ -67,14 +67,24 @@ class RunManifest:
     aggregate_mode: str = "best_stable"
 
     def __post_init__(self):
-        for s in self.settings:
-            if s not in SETTINGS:
-                raise ValueError(f"unknown setting {s!r}")
+        for name, known in (("settings", SETTINGS), ("regimes", REGIMES)):
+            value = getattr(self, name)
+            if not isinstance(value, (list, tuple)):
+                raise ValueError(f"{name} must be a list, got {value!r}")
+            for v in value:
+                if not isinstance(v, str) or v not in known:
+                    raise ValueError(f"unknown {name[:-1]} {v!r}")
+        if not isinstance(self.type_set, (list, tuple)):
+            raise ValueError(f"type_set must be a list, got {self.type_set!r}")
+        for t in self.type_set:
+            if not isinstance(t, dict) or not all(
+                    isinstance(t.get(k), (int, float))
+                    and not isinstance(t.get(k), bool)
+                    for k in ("id", "mu", "sigma")):
+                raise ValueError("type_set entries need numeric id, mu and "
+                                 f"sigma, got {t!r}")
         if self.environment not in ENVIRONMENTS:
             raise ValueError(f"unknown environment {self.environment!r}")
-        for r in self.regimes:
-            if r not in REGIMES:
-                raise ValueError(f"unknown regime {r!r}")
         if self.aggregate_mode not in ("best_stable", "expected"):
             raise ValueError(
                 f"unknown aggregate_mode {self.aggregate_mode!r}")

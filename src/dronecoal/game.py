@@ -6,6 +6,7 @@ from __future__ import annotations
 import functools
 import hashlib
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -199,7 +200,8 @@ class PayoffEngine:
     there per (observer, coalition, the observer's rows about the other
     members in the scenario's type order), which states that differ only
     in rows the payoff does not read share.  Under both, every state reuses
-    one rate per (observer, coalition, type-count multiset)."""
+    one rate per (observer, coalition, type-count multiset), filled for
+    every member of a coalition by one batched water-fill."""
 
     def __init__(self, scenario):
         self.scenario = scenario
@@ -247,19 +249,27 @@ class PayoffEngine:
         product order, ``(((1.0 * r0) * r1) * ...) * rate`` added left to
         right (the ufuncs' ``accumulate`` is sequential, while ``.sum()``,
         ``@`` and ``fsum`` reassociate; a zero weight adds +0.0).  A rate
-        depends only on the type-count multiset: ``evaluate`` fsums."""
+        depends only on the type-count multiset of the other members, whose
+        budget is ``fsum([power, *mus])`` as ``evaluate`` keys it.  The first
+        miss for a coalition fills every member's rates: one
+        ``evaluate_budgets`` call water-fills the coalition's distinct
+        budgets at once."""
         sc = self.scenario
         m = len(sc.type_set)
         check_type_space(m, len(rows))
         pick, multisets = _type_vectors(m, len(rows))
-        rates = self._rates.get((observer, coalition))
-        if rates is None:
-            power, mus = sc.true_power(observer), [t.mu for t in sc.type_set]
-            rates = self._rates[observer, coalition] = [
-                self.evaluator.evaluate(
-                    coalition, [power, *[mus[k] for k in ks]])[observer]
-                for ks in multisets]
-        factors = np.array([1.0, *itertools.chain(*rows), *rates])
+        if (observer, coalition) not in self._rates:
+            mus = [t.mu for t in sc.type_set]
+            others = [[mus[k] for k in ks] for ks in multisets]
+            power = {d: sc.true_power(d) for d in coalition}
+            budgets = {d: [math.fsum([power[d], *o]) for o in others]
+                       for d in coalition}
+            filled = self.evaluator.evaluate_budgets(
+                coalition, dict.fromkeys(itertools.chain(*budgets.values())))
+            for d, row in budgets.items():
+                self._rates[d, coalition] = [filled[b][d] for b in row]
+        factors = np.array([1.0, *itertools.chain(*rows),
+                            *self._rates[observer, coalition]])
         terms = np.multiply.accumulate(factors[pick])[-1]
         return float(np.add.accumulate(terms)[-1])
 

@@ -24,17 +24,6 @@ from .game import BeliefState
 SIGMA_FLOOR_FACTOR = 1e-6   # degenerate-MLE floor relative to the mean
 
 
-def mle_gaussian(samples) -> tuple[float, float]:
-    """Maximum-likelihood Gaussian fit: sample mean and biased (1/N)
-    variance."""
-    samples = np.asarray(samples, dtype=float)
-    if samples.size == 0:
-        raise ValueError("at least one sample is required")
-    mu = float(samples.mean())
-    sigma2 = float(np.mean((samples - mu) ** 2))
-    return mu, sigma2
-
-
 def _kl(mu1, sigma1, mu2, sigma2, two_var2):
     """KL divergence (nats) from N(mu1, sigma1) to N(mu2, sigma2),
     elementwise over broadcast numpy arrays; ``two_var2`` is
@@ -42,17 +31,6 @@ def _kl(mu1, sigma1, mu2, sigma2, two_var2):
     return (np.log(sigma2 / sigma1)
             + (sigma1 ** 2 + (mu1 - mu2) ** 2) / two_var2
             - 0.5)
-
-
-def kl_gaussian(p: tuple[float, float], q: tuple[float, float]) -> float:
-    """KL divergence (nats) between Gaussians given as (mean, std)."""
-    mu1, sigma1 = p
-    mu2, sigma2 = q
-    if sigma2 <= 0:
-        raise ValueError("reference std must be positive")
-    if sigma1 <= 0:
-        raise ValueError("std of the first argument must be positive")
-    return float(_kl(mu1, sigma1, mu2, sigma2, 2.0 * sigma2 ** 2))
 
 
 class _TypeColumns:
@@ -82,20 +60,6 @@ def _classify(mean: np.ndarray, var: np.ndarray,
     sigma = np.maximum(sigma, floor)
     kls = _kl(mean, sigma, types.mu, types.sigma, types.two_var)
     return kls.argmin(axis=0)
-
-
-def classify(estimate: tuple[float, float], type_set) -> int:
-    """Type id minimizing KL(estimate -> type); ties go to the lowest id.
-
-    ``estimate`` is (mu_hat, sigma2_hat) as produced by mle_gaussian.  A
-    degenerate zero variance is floored so the comparison reduces to
-    nearest-mean.
-    """
-    types = _TypeColumns(type_set)
-    mu_hat, sigma2_hat = estimate
-    k = _classify(np.array([mu_hat], dtype=float),
-                  np.array([sigma2_hat], dtype=float), types)
-    return types.ids[int(k[0])]
 
 
 class _ScenarioLearner:

@@ -31,11 +31,20 @@ against them bit for bit.
 - ``expected_payoff`` is the payoff sum as it was before it read each
   belief row once: one ``prob`` call per weight and a dict of powers per
   type vector.  ``prob`` reads one belief as a float.
+- ``waterfill`` is the water-fill of one budget by a loop that lowers the
+  active count from all positive-gain links until the level clears the
+  worst active link's noise floor; ``rates`` turns its powers into each
+  drone's rate link by link.  The library fills many budgets at once.
+- ``mle_gaussian``, ``kl_gaussian`` and ``classify`` are the learner's
+  closed forms for one estimate at a time: the MLE fit of a sample list,
+  the KL divergence of two Gaussians, and the KL classification of one
+  (mean, variance) estimate through the library's batched kernel.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 
 import numpy as np
 
@@ -44,7 +53,8 @@ from dronecoal.game import (BeliefState, CoalitionStructure,
                             DeviationWitness, PayoffEngine,
                             deviation_candidates, enumerate_structures)
 from dronecoal.learning import (SIGMA_FLOOR_FACTOR, ObservationLog,
-                                TypePrediction)
+                                TypePrediction, _classify, _kl,
+                                _TypeColumns)
 from dronecoal.markov import MarkovModel
 
 
@@ -374,3 +384,77 @@ def expected_payoff(scenario, evaluator, observer: int, coalition: frozenset,
             coalition, [powers[d] for d in sorted(coalition)])
         total += weight * rates[observer]
     return total
+
+
+# -- water-filling, one budget at a time ------------------------------------
+
+def waterfill(gains: np.ndarray, budget: float) -> tuple[np.ndarray, float]:
+    """Powers and water level of one budget over the gains."""
+    gains = np.asarray(gains, dtype=float)
+    p = np.zeros_like(gains)
+    active = np.flatnonzero(gains > 0)
+    if len(active) == 0 or budget == 0:
+        return p, 0.0
+    inv = 1.0 / gains[active]
+    order = np.argsort(inv, kind="stable")
+    inv_sorted = inv[order]
+    csum = np.cumsum(inv_sorted)
+    k = len(inv_sorted)
+    while k > 1:
+        mu = (budget + csum[k - 1]) / k
+        if mu > inv_sorted[k - 1]:
+            break
+        k -= 1
+    mu = (budget + csum[k - 1]) / k
+    idx = active[order[:k]]
+    p[idx] = mu - inv[order[:k]]
+    return p, float(mu)
+
+
+def rates(coalition, links, gains, budget: float,
+          bandwidth: float) -> dict[int, float]:
+    """Each member's rate at one budget: its links' rates in link order,
+    added to 0.0."""
+    powers, _ = waterfill(gains, budget)
+    per_drone = {d: 0.0 for d in coalition}
+    for (d, _), p, g in zip(links, powers, gains):
+        per_drone[d] += bandwidth * math.log2(1.0 + p * g)
+    return per_drone
+
+
+# -- the learner's closed forms, one estimate at a time ---------------------
+
+def mle_gaussian(samples) -> tuple[float, float]:
+    """Maximum-likelihood Gaussian fit: sample mean and biased (1/N)
+    variance."""
+    samples = np.asarray(samples, dtype=float)
+    if samples.size == 0:
+        raise ValueError("at least one sample is required")
+    mu = float(samples.mean())
+    sigma2 = float(np.mean((samples - mu) ** 2))
+    return mu, sigma2
+
+
+def kl_gaussian(p: tuple[float, float], q: tuple[float, float]) -> float:
+    """KL divergence (nats) between Gaussians given as (mean, std)."""
+    mu1, sigma1 = p
+    mu2, sigma2 = q
+    if sigma2 <= 0:
+        raise ValueError("reference std must be positive")
+    if sigma1 <= 0:
+        raise ValueError("std of the first argument must be positive")
+    return float(_kl(mu1, sigma1, mu2, sigma2, 2.0 * sigma2 ** 2))
+
+
+def classify(estimate: tuple[float, float], type_set) -> int:
+    """Type id minimizing KL(estimate -> type); ties go to the lowest id.
+
+    ``estimate`` is (mu_hat, sigma2_hat) as produced by mle_gaussian.  A
+    degenerate zero variance is floored so the comparison reduces to
+    nearest-mean.
+    """
+    types = _TypeColumns(type_set)
+    mu_hat, sigma2_hat = estimate
+    k = _classify(np.array([mu_hat], dtype=float),
+                  np.array([sigma2_hat], dtype=float), types)
+    return types.ids[int(k[0])]

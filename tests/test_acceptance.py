@@ -18,11 +18,11 @@ from dronecoal.dynamics import (DynamicsConfig, best_reply_step,
                                 run_best_reply, run_repeated_game)
 from dronecoal.game import (BeliefState, CoalitionStructure, PayoffEngine,
                             enumerate_structures, is_nash_stable)
-from dronecoal.learning import kl_gaussian, mle_gaussian
 from dronecoal.markov import (absorbing_states, build_chain,
                               formation_probabilities)
 from dronecoal.propagation import ENVIRONMENTS
 from dronecoal.scenario import SETTINGS, TypeSpec, generate
+from oracles import kl_gaussian, mle_gaussian
 
 URBAN = ENVIRONMENTS["urban"]
 

@@ -174,6 +174,31 @@ class TestRun:
         assert main(["run", "--manifest", str(path)]) == EXIT_VALIDATION
         assert capsys.readouterr().err.startswith("error:")
 
+    @pytest.mark.parametrize("entries, field", [
+        ({"type_set": 5}, "type_set"),
+        ({"settings": 5}, "settings"),
+        ({"settings": "S1"}, "settings"),
+        ({"settings": ["S1", 4]}, "setting"),
+        ({"regimes": "proposed"}, "regimes"),
+        ({"type_set": [{"id": 0, "mu": "x", "sigma": 3.0}]}, "type_set"),
+        ({"type_set": [{"id": 0, "sigma": 3.0}]}, "type_set"),
+        ({"type_set": [{"id": True, "mu": 12.0, "sigma": 3.0}]}, "type_set"),
+        ({"type_set": [[0, 12.0, 3.0]]}, "type_set"),
+    ])
+    def test_malformed_field_rejected_on_load(self, tmp_path, monkeypatch,
+                                              capsys, entries, field):
+        path = tmp_path / "manifest.json"
+        path.write_text(json.dumps({"topologies": 1, "repetitions": 1,
+                                    **entries}))
+        monkeypatch.setattr(cli, "run_manifest", lambda *a, **k: pytest.fail(
+            "the batch started"))
+        assert main(["run", "--manifest", str(path),
+                     "--out", str(tmp_path / "out")]) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {field}") or \
+            err.startswith(f"error: unknown {field} ")
+        assert err.count("\n") == 1
+
     def test_strict_non_convergence_exits_3(self, tmp_path, monkeypatch,
                                             capsys):
         manifest_path = tmp_path / "manifest.json"

@@ -3,12 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from dronecoal.learning import (ObservationLog, classify,
-                                frobenius_convergence, kl_gaussian,
-                                mle_gaussian, update_beliefs)
+from dronecoal.learning import (ObservationLog, frobenius_convergence,
+                                update_beliefs)
 from dronecoal.propagation import ENVIRONMENTS
 from dronecoal.scenario import SETTINGS, TypeSpec, generate
-from oracles import prob
+from oracles import classify, kl_gaussian, mle_gaussian, prob
 
 URBAN = ENVIRONMENTS["urban"]
 TYPES = (TypeSpec(0, 12.0, 3.0), TypeSpec(1, 18.0, 3.0))

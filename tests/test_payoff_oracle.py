@@ -5,6 +5,7 @@ weight up in the table with ``oracles.prob`` and evaluates every type
 vector, compared bit for bit."""
 
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from dronecoal import allocation
 from dronecoal.allocation import CoalitionEvaluator
 from dronecoal.game import BeliefState, PayoffEngine
 from dronecoal.learning import ObservationLog, update_beliefs
@@ -102,24 +104,35 @@ def test_audit_shape_payoffs_equal_reference(kind):
     assert_all_payoffs_equal_reference(sc, beliefs_of(sc, kind, seed=1))
 
 
-def test_second_belief_state_reads_the_filled_rate_table():
+def test_second_belief_state_reads_the_filled_rate_table(monkeypatch):
     sc = generate(SETTINGS["S4"], URBAN, type_set=AUDIT_TYPES, seed=3)
-    engine = PayoffEngine(sc)
-    evaluator = CoalitionEvaluator(sc)
     grand = frozenset(sc.drone_ids)
     observer = min(sc.drone_ids)
-    calls = []
-    evaluate = engine.evaluator.evaluate
-    engine.evaluator.evaluate = lambda *args: calls.append(args) or \
-        evaluate(*args)
+    states = (BeliefState.uniform(sc), learned(sc, 2, seed=5))
+    evaluator = CoalitionEvaluator(sc)
+    refs = [oracles.expected_payoff(sc, evaluator, observer, grand, beliefs)
+            for beliefs in states]
+    engine = PayoffEngine(sc)
+    fills = []
+    waterfill = allocation.waterfill
+    monkeypatch.setattr(allocation, "waterfill", lambda gains, budgets:
+                        fills.append(budgets) or waterfill(gains, budgets))
     payoffs = []
-    for beliefs in (BeliefState.uniform(sc), learned(sc, 2, seed=5)):
+    for beliefs, ref in zip(states, refs):
         payoffs.append(engine.expected_payoff(observer, grand, beliefs))
-        ref = oracles.expected_payoff(sc, evaluator, observer, grand,
-                                      beliefs)
         assert payoffs[-1].hex() == ref.hex()
-        # one evaluation per type-count multiset of the five others over
-        # four types, C(8, 5) = 56, made for the first state only
-        assert len(calls) == 56
+        # one batched fill, made for the first state only
+        assert len(fills) == 1
+    # its rows are the coalition's distinct budgets: each member's power
+    # plus the powers of a type-count multiset of the five others
+    budgets = {math.fsum([sc.true_power(d), *others])
+               for d in grand
+               for others in itertools.combinations_with_replacement(
+                   [t.mu for t in AUDIT_TYPES], len(grand) - 1)}
+    assert sorted(fills[0]) == sorted(budgets)
     # the second state's rows differ, so its payoff was summed anew
     assert payoffs[0] != payoffs[1]
+    # the fill also holds every other member's rates
+    for d in grand - {observer}:
+        engine.expected_payoff(d, grand, states[0])
+    assert len(fills) == 1

@@ -6,7 +6,8 @@ run.
 
 ``workload_pins.json`` pins, per unit, what a faster program must not
 move: the ``repeated_game_s4`` outcomes on seeds 0 and 7 and the first
-ten ``chain_audit_4type`` audits on seed 0.  Float values are pinned by
+ten ``chain_audit_4type`` audits on seed 0, with one digest of every rate
+list and second-level payoff those audits compute.  Float values are pinned by
 ``float.hex``, so they depend on numpy and scipy arithmetic; the file
 records the versions it was made with.  After a change that moves them
 on purpose, rewrite it with ``PYTHONPATH=src python
@@ -97,17 +98,42 @@ def repeated_pin(wl, seed, tmp_path) -> dict:
             "failed": failed}
 
 
-def audit_pin(wl, tmp_path) -> dict:
+def audit_pin(wl, tmp_path) -> tuple[dict, dict]:
     """The first ten seed-0 ``chain_audit_4type`` audits: absorbing
-    states, Nash-stable state indices and formation probabilities."""
-    out = {}
-    for unit in _units(wl, "chain_audit_4type", tmp_path)[:10]:
-        absorbing, probs, stable = result = unit.run()
+    states, Nash-stable state indices and formation probabilities per
+    audit; and, over all ten, a sha256 of the ``.hex()`` of every rate list
+    and every second-level payoff that the audits' payoff engines hold,
+    in key order."""
+    out, engines = {}, []
+    make = wl.game.PayoffEngine
+    wl.game.PayoffEngine = lambda sc: engines.append(make(sc)) or engines[-1]
+    try:
+        units = _units(wl, "chain_audit_4type", tmp_path)[:10]
+        results = [unit.run() for unit in units]
+    finally:
+        wl.game.PayoffEngine = make
+    digest = hashlib.sha256()
+    rate_lists = payoffs = 0
+    for unit, result, engine in zip(units, results, engines):
+        absorbing, probs, stable = result
         out[unit.name] = {
             "absorbing": list(absorbing), "stable": list(stable),
             "formation": {str(i): p.hex() for i, p in probs.items()},
             "failed": unit.check(result) is not None}
-    return out
+        for (d, coalition), rates in sorted(
+                engine._rates.items(),
+                key=lambda e: (e[0][0], sorted(e[0][1]))):
+            digest.update(f"{unit.name} {d} {sorted(coalition)} "
+                          f"{[r.hex() for r in rates]}\n".encode())
+            rate_lists += 1
+        for (d, coalition, rows), q in sorted(
+                engine._by_rows.items(),
+                key=lambda e: (e[0][0], sorted(e[0][1]), e[0][2])):
+            digest.update(f"{unit.name} {d} {sorted(coalition)} {rows} "
+                          f"{q.hex()}\n".encode())
+            payoffs += 1
+    return out, {"audits": len(units), "rate_lists": rate_lists,
+                 "payoffs": payoffs, "sha256": digest.hexdigest()}
 
 
 def versions() -> dict:
@@ -136,9 +162,10 @@ def test_repeated_game_units_pinned(workloads, pins, repeated_seed0, seed,
 
 
 def test_chain_audit_first_audits_pinned(workloads, pins, tmp_path):
-    assert audit_pin(workloads[0], tmp_path) == \
-        pins["chain_audit_4type"]["0"], \
-        f"made with {pins['versions']}, running {versions()}"
+    audits, payoffs = audit_pin(workloads[0], tmp_path)
+    made = f"made with {pins['versions']}, running {versions()}"
+    assert audits == pins["chain_audit_4type"]["0"], made
+    assert payoffs == pins["chain_audit_4type_payoffs"]["0"], made
 
 
 def test_repeated_game_units(workloads, repeated_seed0):
@@ -163,7 +190,10 @@ if __name__ == "__main__":
         data = {"versions": versions(),
                 "repeated_game_s4": {str(seed): repeated_pin(
                     wl, seed, Path(scratch)) for seed in (0, 7)},
-                "chain_audit_4type": {"0": audit_pin(wl, Path(scratch))}}
+                "chain_audit_4type": {}, "chain_audit_4type_payoffs": {}}
+        (data["chain_audit_4type"]["0"],
+         data["chain_audit_4type_payoffs"]["0"]) = audit_pin(
+            wl, Path(scratch))
     with open(PINS, "w") as f:
         json.dump(data, f, indent=1, sort_keys=True)
         f.write("\n")
