@@ -25,7 +25,7 @@ from .game import (BeliefState, CoalitionStructure, PayoffEngine,
 from .markov import MarkovModel, build_chain, formation_probabilities
 from .propagation import ENVIRONMENTS
 from .scenario import (DEFAULT_TYPE_SET, SETTINGS, Scenario, TypeSpec,
-                       baseline_rates, generate)
+                       baseline_rates, generate, is_number)
 
 REGIMES = ("baseline", "full_info", "proposed", "social_optimal")
 
@@ -78,12 +78,11 @@ class RunManifest:
             raise ValueError(f"type_set must be a list, got {self.type_set!r}")
         for t in self.type_set:
             if not isinstance(t, dict) or not all(
-                    isinstance(t.get(k), (int, float))
-                    and not isinstance(t.get(k), bool)
-                    for k in ("id", "mu", "sigma")):
+                    is_number(t.get(k)) for k in ("id", "mu", "sigma")):
                 raise ValueError("type_set entries need numeric id, mu and "
                                  f"sigma, got {t!r}")
-        if self.environment not in ENVIRONMENTS:
+        if not isinstance(self.environment, str) \
+                or self.environment not in ENVIRONMENTS:
             raise ValueError(f"unknown environment {self.environment!r}")
         if self.aggregate_mode not in ("best_stable", "expected"):
             raise ValueError(

@@ -14,7 +14,8 @@ from .bench import (RegimeResult, RunManifest, check_keys, emit_outputs,
 from .game import BeliefState, PayoffEngine
 from .markov import build_chain, formation_probabilities
 from .propagation import ENVIRONMENTS
-from .scenario import DEFAULT_TYPE_SET, SETTINGS, Scenario, TypeSpec, generate
+from .scenario import (DEFAULT_TYPE_SET, SETTINGS, Scenario, TypeSpec,
+                       generate, is_number)
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -78,6 +79,13 @@ def cmd_report(args) -> int:
     results = []
     for r in raw:
         check_keys(r, RegimeResult, "result key")
+        if not is_number(r["total_rate"]):
+            raise ValueError(
+                f"total_rate must be a number, got {r['total_rate']!r}")
+        if not isinstance(r["per_drone"], dict) \
+                or not all(map(is_number, r["per_drone"].values())):
+            raise ValueError("per_drone must map drone ids to rates, "
+                             f"got {r['per_drone']!r}")
         r["per_drone"] = {int(k): v for k, v in r["per_drone"].items()}
         results.append(RegimeResult(**r))
     manifest = RunManifest.load(args.manifest)

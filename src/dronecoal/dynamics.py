@@ -207,7 +207,7 @@ def run_repeated_game(scenario, config: DynamicsConfig,
     rng_proposer, rng_tie, rng_sample, rng_bernoulli = [
         np.random.default_rng(s) for s in root.spawn(4)]
 
-    log = ObservationLog()
+    log = ObservationLog(scenario)
     records: list[RoundRecord] = []
 
     def play(current: CoalitionStructure, grand_round: bool):
@@ -215,7 +215,7 @@ def run_repeated_game(scenario, config: DynamicsConfig,
         round_index = len(records)
         shared = _share_samples(current, scenario, log, round_index,
                                 rng_sample)
-        beliefs, prediction = update_beliefs(log, scenario)
+        beliefs, prediction = update_beliefs(log)
         norms, mean_norm = frobenius_convergence(prediction, scenario)
         records.append(RoundRecord(
             round_index, grand_round, current,

@@ -6,11 +6,11 @@ against the known type set by KL divergence, and maintains per-type
 observation frequencies that become its belief vector.
 
 A sample's classification event depends only on the samples up to it, so
-the observation log keeps one running (n, sum, sum of squares) per pair
-and queues each new sample's sums.  Each update classifies everything
-queued since the previous one in one batched call, bumps per-pair event
-counts, rewrites only the belief rows that moved, and returns the previous
-belief state when none did.
+the observation log, bound to one scenario, keeps one running (n, sum,
+sum of squares) per pair and queues each new sample's sums.  Each update
+classifies everything queued since the previous one in one batched call,
+adds the events to one per-pair count array, rebuilds the observed belief
+rows from it, and returns the previous belief state when none moved.
 """
 
 from __future__ import annotations
@@ -62,92 +62,37 @@ def _classify(mean: np.ndarray, var: np.ndarray,
     return kls.argmin(axis=0)
 
 
-class _ScenarioLearner:
-    """One scenario's learning state over a log.
+class ObservationLog:
+    """Power samples per (observer, observed) pair of one scenario's
+    drones, in strictly increasing round order per pair, and the learning
+    state built from them.
 
-    It holds the scenario's type set sorted by id, the id-order position
-    of each of the table's type columns, how many of the log's queued
-    samples it has classified, the per-pair type-event counts (id order),
-    the belief table as nested lists (the uniform prior until a pair is
-    observed), the last ``BeliefState`` built from it and the per-pair
-    prediction.
+    ``add`` keeps one running (n, sum of x, sum of x * x) per pair, by
+    sequential float64 additions from 0.0 as ``np.cumsum`` makes them,
+    and queues the pair's flat cell with its new sums.  The state is
+    ``counts``, the (D, D, m) type-event counts (drones in the scenario's
+    order, types in id order), the ``beliefs`` built from them and the
+    per-pair prediction ``classified``.  Samples must enter the log
+    through ``add``, not by appending to ``samples``.
     """
 
     def __init__(self, scenario):
         self.scenario = scenario
         self.types = _TypeColumns(scenario.type_set)
         self.beliefs = BeliefState.uniform(scenario)
-        self.table = self.beliefs.table.tolist()
-        self.index = {d: i for i, d in enumerate(self.beliefs.drone_ids)}
-        self.order = [self.types.ids.index(t) for t in self.beliefs.type_ids]
-        self.read = 0
-        self.counts: dict[tuple[int, int], list[int]] = {}
         ids = self.beliefs.drone_ids
+        # the id-order position of each of the table's type columns
+        self.order = [self.types.ids.index(t) for t in self.beliefs.type_ids]
+        self.counts = np.zeros((len(ids), len(ids), len(self.types.ids)),
+                               dtype=np.int64)
+        self._cell = {(i, j): a * len(ids) + b for a, i in enumerate(ids)
+                      for b, j in enumerate(ids) if i != j}
         # unobserved pairs predict by the uniform-prior argmax (lowest id)
-        self.unobserved = {(i, j): self.types.ids[0]
-                           for i in ids for j in ids if i != j}
-        self.classified = dict(self.unobserved)
-
-    def update(self, log: "ObservationLog") -> None:
-        """Classify the log's samples queued since the last call in one
-        batch, bump their pairs' counts, and rewrite those pairs'
-        predictions and the table rows whose values moved.  ``beliefs``
-        is rebuilt only if some row moved."""
-        pairs = log._queue_pairs[self.read:]
-        if not pairs:
-            return
-        cnt, sum1, sum2 = np.array(log._queue_sums[self.read:]).T
-        self.read = len(log._queue_pairs)
-        mean = sum1 / cnt
-        events = _classify(mean, sum2 / cnt - mean ** 2, self.types)
-        touched, first_seen = {}, False
-        for pair, k in zip(pairs, events.tolist()):
-            counts = self.counts.get(pair)
-            if counts is None:
-                counts = self.counts[pair] = [0] * len(self.types.ids)
-                first_seen = True
-            counts[k] += 1
-            touched[pair] = counts
-        moved = False
-        for (i, j), counts in touched.items():
-            total = sum(counts)
-            row = [counts[k] / total for k in self.order]
-            table_rows = self.table[self.index[i]]
-            if row != table_rows[self.index[j]]:
-                table_rows[self.index[j]] = row
-                moved = True
-            self.classified[(i, j)] = \
-                self.types.ids[counts.index(max(counts))]
-        if first_seen:
-            # observed pairs in first-observation order, then the others
-            self.classified = {
-                **{pair: self.classified[pair] for pair in self.counts},
-                **{pair: t for pair, t in self.unobserved.items()
-                   if pair not in self.counts}}
-        if moved:
-            self.beliefs = BeliefState(self.table, self.beliefs.drone_ids,
-                                       self.beliefs.type_ids)
-
-
-class ObservationLog:
-    """Power samples per (observer, observed) pair, in strictly increasing
-    round order per pair.
-
-    ``add`` keeps one running (n, sum of x, sum of x * x) per pair, by
-    sequential float64 additions from 0.0 as ``np.cumsum`` makes them,
-    and queues the pair and its new sums for the learner.
-    ``update_beliefs`` classifies the queued entries and keeps the
-    learning state of the last scenario it was given here, so samples
-    must enter the log through ``add``, not by appending to ``samples``.
-    """
-
-    def __init__(self):
+        self.classified = dict.fromkeys(self._cell, self.types.ids[0])
         self.samples: dict[tuple[int, int], list[float]] = {}
         # pair -> (last round index, n, sum of x, sum of x * x)
         self._running: dict[tuple[int, int], tuple] = {}
-        self._queue_pairs: list[tuple[int, int]] = []
-        self._queue_sums: list[tuple[int, float, float]] = []
-        self._learner: _ScenarioLearner | None = None
+        self._queue: list[tuple[int, int, float, float]] = []
 
     def add(self, observer: int, observed: int, sample: float,
             round_index: int) -> None:
@@ -161,8 +106,7 @@ class ObservationLog:
         sums = n + 1, s1 + x, s2 + x * x
         self._running[key] = (round_index, *sums)
         self.samples.setdefault(key, []).append(x)
-        self._queue_pairs.append(key)
-        self._queue_sums.append(sums)
+        self._queue.append((self._cell[key], *sums))
 
 
 @dataclass
@@ -171,28 +115,42 @@ class TypePrediction:
     classified: dict[tuple[int, int], int]
 
 
-def update_beliefs(log: ObservationLog, scenario
-                   ) -> tuple[BeliefState, TypePrediction]:
-    """Beliefs from the observation log over the scenario's type set.
+def update_beliefs(log: ObservationLog) -> tuple[BeliefState, TypePrediction]:
+    """Beliefs from the observation log over its scenario's type set.
 
     For every pair, each logged sample contributes one classification
     event (MLE over the history up to that sample, then KL
     classification); the belief vector is the per-type frequency of those
-    events.  Pairs with no observations keep the uniform prior.  An event
-    never changes once its sample is logged, so a call classifies the
-    samples queued since the previous call with the same scenario in one
-    batch and rewrites only the rows of their pairs (another scenario
-    starts the log's learning state afresh from the first sample).  When
-    no row value moved, the previous ``BeliefState`` is returned again.
-    The beliefs equal a from-scratch recomputation bit for bit, and the
-    prediction is a fresh dict: observed pairs in first-observation
-    order, then the unobserved ones.
+    events.  Pairs with no observations keep the uniform prior, and self
+    rows their point mass.  An event never changes once its sample is
+    logged, so a call classifies the samples queued since the previous
+    call in one batch, adds their events to ``log.counts`` and rebuilds
+    the observed rows from it; when no row value moved, the previous
+    ``BeliefState`` is returned again.  The beliefs equal a from-scratch
+    recomputation bit for bit.  The prediction, a fresh dict over every
+    pair in the scenario's drone order, is each pair's most frequent type,
+    the lowest id on ties (so the lowest id for unobserved pairs).
     """
-    learner = log._learner
-    if learner is None or learner.scenario is not scenario:
-        learner = log._learner = _ScenarioLearner(scenario)
-    learner.update(log)
-    return learner.beliefs, TypePrediction(dict(learner.classified))
+    if log._queue:
+        cells, cnt, sum1, sum2 = np.array(log._queue).T
+        log._queue = []
+        mean = sum1 / cnt
+        events = _classify(mean, sum2 / cnt - mean ** 2, log.types)
+        counts = log.counts
+        flat = cells.astype(np.int64) * counts.shape[2] + events
+        counts += np.bincount(flat, minlength=counts.size).reshape(
+            counts.shape)
+        total = counts.sum(axis=2, keepdims=True)
+        table = np.divide(counts[..., log.order], total, where=total > 0,
+                          out=log.beliefs.table.copy())
+        if not np.array_equal(table, log.beliefs.table):
+            log.beliefs = BeliefState(table, log.beliefs.drone_ids,
+                                      log.beliefs.type_ids)
+        best = counts.argmax(axis=2).ravel().tolist()
+        ids = log.types.ids
+        log.classified = {pair: ids[best[c]]
+                          for pair, c in log._cell.items()}
+    return log.beliefs, TypePrediction(dict(log.classified))
 
 
 def frobenius_convergence(prediction: TypePrediction, scenario

@@ -4,12 +4,18 @@ ownership, type sets, and the non-cooperative baseline."""
 from __future__ import annotations
 
 import json
+import numbers
 from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 
 from .propagation import ENVIRONMENTS, Environment, Position3D
+
+
+def is_number(value) -> bool:
+    """A real number that is not a bool."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -20,10 +26,10 @@ class TypeSpec:
     sigma: float
 
     def __post_init__(self):
-        if self.mu <= 0:
-            raise ValueError("mu must be positive")
-        if self.sigma <= 0:
-            raise ValueError("sigma must be positive")
+        for name in ("mu", "sigma"):
+            value = getattr(self, name)
+            if not is_number(value) or not value > 0:
+                raise ValueError(f"{name} must be positive, got {value!r}")
 
 
 DEFAULT_TYPE_SET = (TypeSpec(0, 12.0, 3.0), TypeSpec(1, 18.0, 3.0))
@@ -139,6 +145,13 @@ class Scenario:
 
     @classmethod
     def from_dict(cls, d: dict) -> "Scenario":
+        if not isinstance(d, dict):
+            raise ValueError("a scenario must be a JSON object, got "
+                             f"{type(d).__name__}")
+        for e in d["drones"]:
+            if not isinstance(e["channels"], list):
+                raise ValueError(f"channels of drone {e['id']} must be a "
+                                 f"list, got {e['channels']!r}")
         return cls(
             drones=tuple(
                 DroneSpec(e["id"], Position3D(*e["position"]),

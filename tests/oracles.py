@@ -87,21 +87,22 @@ def with_rows(beliefs: BeliefState, rows: dict) -> BeliefState:
     return BeliefState(table, beliefs.drone_ids, beliefs.type_ids)
 
 
-def update_beliefs(log: ObservationLog, scenario
-                   ) -> tuple[BeliefState, TypePrediction]:
-    """Recompute beliefs from the observation log over the scenario's
+def update_beliefs(log: ObservationLog) -> tuple[BeliefState, TypePrediction]:
+    """Recompute beliefs from the observation log over its scenario's
     type set.
 
     For every pair, each logged round contributes one classification event
     (MLE over the history up to that round, then KL classification); the
     belief vector is the per-type frequency of those events.  Pairs with
-    no observations keep the uniform prior.
+    no observations keep the uniform prior.  The prediction lists every
+    pair in the scenario's drone order.
     """
+    scenario = log.scenario
     uniform = BeliefState.uniform(scenario)
     table = uniform.table.copy()
     types = sorted(scenario.type_set, key=lambda t: t.id)
     m = len(types)
-    classified: dict[tuple[int, int], int] = {}
+    observed_types: dict[tuple[int, int], int] = {}
     for (observer, observed), samples in log.samples.items():
         events = _prefix_classifications(np.asarray(samples, dtype=float),
                                          types)
@@ -113,14 +114,12 @@ def update_beliefs(log: ObservationLog, scenario
                     uniform.drone_ids.index(observed)]
         for k, t in enumerate(types):
             row[uniform.type_ids.index(t.id)] = freq[k]
-        classified[(observer, observed)] = types[int(freq.argmax())].id
+        observed_types[(observer, observed)] = types[int(freq.argmax())].id
     beliefs = BeliefState(table, uniform.drone_ids, uniform.type_ids)
     # unobserved pairs predict by the uniform-prior argmax (lowest id)
     ids = scenario.drone_ids
-    for i in ids:
-        for j in ids:
-            if i != j and (i, j) not in classified:
-                classified[(i, j)] = types[0].id
+    classified = {(i, j): observed_types.get((i, j), types[0].id)
+                  for i in ids for j in ids if i != j}
     return beliefs, TypePrediction(classified)
 
 

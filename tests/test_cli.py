@@ -184,6 +184,7 @@ class TestRun:
         ({"type_set": [{"id": 0, "sigma": 3.0}]}, "type_set"),
         ({"type_set": [{"id": True, "mu": 12.0, "sigma": 3.0}]}, "type_set"),
         ({"type_set": [[0, 12.0, 3.0]]}, "type_set"),
+        ({"environment": ["urban"]}, "environment"),
     ])
     def test_malformed_field_rejected_on_load(self, tmp_path, monkeypatch,
                                               capsys, entries, field):
@@ -258,9 +259,33 @@ class TestMarkov:
                      "--veto-self-loop", "--out", str(b)]) == EXIT_OK
         assert a.read_text() != b.read_text()
 
+    @pytest.mark.parametrize("edit, message", [
+        (lambda d: d["type_set"][0].update(mu="x"),
+         "mu must be positive, got 'x'"),
+        (lambda d: d["drones"][0].update(channels=5),
+         "channels of drone 0 must be a list, got 5"),
+        (lambda d: [d], "a scenario must be a JSON object, got list"),
+    ], ids=["mu", "channels", "array"])
+    def test_malformed_scenario(self, tmp_path, capsys, edit, message):
+        scenario_path = tmp_path / "scenario.json"
+        main(["generate", "--setting", "S1", "--out", str(scenario_path)])
+        data = json.loads(scenario_path.read_text())
+        scenario_path.write_text(json.dumps(edit(data) or data))
+        capsys.readouterr()
+        out = tmp_path / "chain.txt"
+        assert main(["markov", "--scenario", str(scenario_path),
+                     "--out", str(out)]) == EXIT_VALIDATION
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
     def test_missing_scenario(self, tmp_path):
         assert main(["markov", "--scenario", str(tmp_path / "nope.json"),
                      "--out", str(tmp_path / "x.txt")]) == EXIT_VALIDATION
+
+
+ENTRY = {"regime": "baseline", "setting": "S1", "topology": 0,
+         "repetition": 0, "total_rate": 1.0, "per_drone": {"0": 1.0},
+         "structure": "{0}"}
 
 
 class TestReport:
@@ -301,7 +326,11 @@ class TestReport:
         ({"regime": "baseline", "setting": "S1", "topology": 0,
           "repetition": 0, "total_rate": 1.0, "structure": "{0}"},
          "missing result key(s): per_drone"),
-        (1, "expected a JSON object of result keys, got 1")])
+        (1, "expected a JSON object of result keys, got 1"),
+        ({**ENTRY, "per_drone": 5},
+         "per_drone must map drone ids to rates, got 5"),
+        ({**ENTRY, "total_rate": "x"}, "total_rate must be a number, got 'x'"),
+    ])
     def test_malformed_result_entry(self, tmp_path, capsys, entry, message):
         manifest_path = tmp_path / "manifest.json"
         _write_manifest(manifest_path)

@@ -28,7 +28,7 @@ def learned_beliefs(sc, rounds: int, seed: int) -> BeliefState:
     """Beliefs after ``rounds`` grand-coalition rounds in which every
     drone shares one draw of its power with every other drone."""
     rng = np.random.default_rng(seed)
-    log = ObservationLog()
+    log = ObservationLog(sc)
     for r in range(rounds):
         for j in sc.drone_ids:
             t = sc.type_spec(sc.drone(j).true_type)
@@ -36,7 +36,7 @@ def learned_beliefs(sc, rounds: int, seed: int) -> BeliefState:
             for i in sc.drone_ids:
                 if i != j:
                     log.add(i, j, x, r)
-    beliefs, _ = update_beliefs(log, sc)
+    beliefs, _ = update_beliefs(log)
     return beliefs
 
 

@@ -97,21 +97,24 @@ class TestClassify:
         assert wrong / trials < 0.05
 
 
+S1 = generate(SETTINGS["S1"], URBAN, type_set=TYPES, seed=30)
+
+
 class TestObservationLog:
     def test_self_observation_rejected(self):
-        log = ObservationLog()
+        log = ObservationLog(S1)
         with pytest.raises(ValueError):
             log.add(0, 0, 12.0, 0)
 
     def test_rounds_strictly_increasing(self):
-        log = ObservationLog()
+        log = ObservationLog(S1)
         log.add(0, 1, 12.0, 0)
         log.add(0, 1, 13.0, 1)
         with pytest.raises(ValueError):
             log.add(0, 1, 14.0, 1)
 
     def test_pairs_independent(self):
-        log = ObservationLog()
+        log = ObservationLog(S1)
         log.add(0, 1, 12.0, 3)
         log.add(1, 0, 18.0, 3)
         assert log.samples[(0, 1)] == [12.0]
@@ -124,8 +127,8 @@ class TestUpdateBeliefs:
 
     def test_empty_log_keeps_uniform(self):
         sc = self._scenario()
-        log = ObservationLog()
-        beliefs, prediction = update_beliefs(log, sc)
+        log = ObservationLog(sc)
+        beliefs, prediction = update_beliefs(log)
         for i in sc.drone_ids:
             for j in sc.drone_ids:
                 if i != j:
@@ -138,10 +141,10 @@ class TestUpdateBeliefs:
         #  after 2 samples: mean 12 -> type 0
         #  after 3 samples: mean 18, var 72 -> KL favors type 1
         sc = self._scenario()
-        log = ObservationLog()
+        log = ObservationLog(sc)
         for r, v in enumerate([12.0, 12.0, 30.0]):
             log.add(0, 1, v, r)
-        beliefs, prediction = update_beliefs(log, sc)
+        beliefs, prediction = update_beliefs(log)
         assert prob(beliefs, 0, 1, 0) == pytest.approx(2.0 / 3.0)
         assert prob(beliefs, 0, 1, 1) == pytest.approx(1.0 / 3.0)
         assert prediction.classified[(0, 1)] == 0
@@ -149,23 +152,23 @@ class TestUpdateBeliefs:
 
     def test_unanimous_observations(self):
         sc = self._scenario()
-        log = ObservationLog()
+        log = ObservationLog(sc)
         for r in range(5):
             log.add(0, 1, 18.0 + 0.1 * r, r)
-        beliefs, prediction = update_beliefs(log, sc)
+        beliefs, prediction = update_beliefs(log)
         assert prob(beliefs, 0, 1, 1) == pytest.approx(1.0)
         assert prediction.classified[(0, 1)] == 1
 
     def test_simplex_invariant(self):
         sc = self._scenario()
         rng = np.random.default_rng(23)
-        log = ObservationLog()
+        log = ObservationLog(sc)
         for r in range(20):
             for i in sc.drone_ids:
                 for j in sc.drone_ids:
                     if i != j:
                         log.add(i, j, float(rng.normal(15, 5)), r)
-        beliefs, _ = update_beliefs(log, sc)
+        beliefs, _ = update_beliefs(log)
         assert np.allclose(beliefs.table.sum(axis=2), 1.0)
         assert np.all(beliefs.table >= 0.0)
 
@@ -174,10 +177,10 @@ class TestUpdateBeliefs:
         # follows the list, the learned classification follows the ids
         types = (TypeSpec(1, 18.0, 3.0), TypeSpec(0, 12.0, 3.0))
         sc = generate(SETTINGS["S1"], URBAN, type_set=types, seed=30)
-        log = ObservationLog()
+        log = ObservationLog(sc)
         for r in range(5):
             log.add(0, 1, 12.0, r)
-        beliefs, prediction = update_beliefs(log, sc)
+        beliefs, prediction = update_beliefs(log)
         assert prediction.classified[(0, 1)] == 0
         assert prob(beliefs, 0, 1, 0) == 1.0
         assert prob(beliefs, 0, 1, 1) == 0.0
@@ -185,7 +188,7 @@ class TestUpdateBeliefs:
     def test_true_types_learned_from_sampled_powers(self):
         sc = self._scenario(seed=31)
         rng = np.random.default_rng(24)
-        log = ObservationLog()
+        log = ObservationLog(sc)
         for r in range(40):
             for j in sc.drone_ids:
                 t = sc.type_spec(sc.drone(j).true_type)
@@ -193,7 +196,7 @@ class TestUpdateBeliefs:
                 for i in sc.drone_ids:
                     if i != j:
                         log.add(i, j, draw, r)
-        _, prediction = update_beliefs(log, sc)
+        _, prediction = update_beliefs(log)
         for i in sc.drone_ids:
             for j in sc.drone_ids:
                 if i != j:
@@ -206,8 +209,8 @@ class TestFrobeniusConvergence:
         return generate(SETTINGS["S1"], URBAN, type_set=TYPES, seed=32)
 
     def _prediction(self, sc, overrides=None):
-        log = ObservationLog()
-        _, prediction = update_beliefs(log, sc)
+        log = ObservationLog(sc)
+        _, prediction = update_beliefs(log)
         truth = {(i, j): sc.drone(j).true_type
                  for i in sc.drone_ids for j in sc.drone_ids if i != j}
         prediction.classified.update(truth)

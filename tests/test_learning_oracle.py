@@ -2,10 +2,12 @@
 Frobenius norms against the from-scratch reference in ``oracles.py``,
 compared bit for bit."""
 
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from dronecoal.game import BeliefState
 from dronecoal.learning import (ObservationLog, TypePrediction,
                                 frobenius_convergence, update_beliefs)
 from dronecoal.propagation import ENVIRONMENTS
@@ -31,12 +33,6 @@ def learning_cases(draw):
     setting = SETTINGS[draw(st.sampled_from(["S1", "S2", "S3", "S4"]))]
     sc = generate(setting, URBAN, type_set=draw(type_sets(m)),
                   seed=draw(st.integers(0, 10_000)))
-    # one scenario, or two of the same setting with other type sets,
-    # learning from the same log in turn
-    scenarios = [sc]
-    if draw(st.booleans()):
-        scenarios.append(generate(setting, URBAN, type_set=draw(type_sets(m)),
-                                  seed=draw(st.integers(0, 10_000))))
     pairs = [(i, j) for i in sc.drone_ids for j in sc.drone_ids if i != j]
     # some pairs are never observed; the others share in most rounds
     observed = [pair for pair in pairs if draw(st.integers(0, 3))]
@@ -57,76 +53,115 @@ def learning_cases(draw):
         values = [constant[pair] if pair in constant else draw(SAMPLES)
                   for pair in active]
         seen.update(active)
-        # which scenarios update after this round
-        calls = draw(st.lists(st.booleans(), min_size=len(scenarios),
-                              max_size=len(scenarios)))
-        rounds.append((list(zip(active, values)), calls, quiet))
-    return scenarios, rounds
+        # whether the learner updates after this round
+        rounds.append((list(zip(active, values)), draw(st.booleans()), quiet))
+    return sc, rounds
 
 
-def assert_same_prediction(got: TypePrediction, ref: TypePrediction):
+def assert_same_prediction(got: TypePrediction, ref: TypePrediction, sc):
     assert got.classified == ref.classified
-    assert list(got.classified) == list(ref.classified)
+    # every pair, in the scenario's drone order
+    ids = sc.drone_ids
+    assert list(got.classified) == [(i, j) for i in ids for j in ids
+                                    if i != j]
 
 
 @settings(deadline=None, max_examples=60)
 @given(learning_cases())
 def test_incremental_beliefs_equal_from_scratch(case):
-    scenarios, rounds = case
-    log = ObservationLog()
-    # per scenario: its last answer and the oracle's, and whether samples
-    # that may move the table were logged since
-    last: dict = {}
-    moved_since = {id(sc): True for sc in scenarios}
-    last_caller = None
-    for r, (shared, calls, quiet) in enumerate(rounds):
+    sc, rounds = case
+    log = ObservationLog(sc)
+    # the last answer and the oracle's, and whether samples that may move
+    # the table were logged since
+    last = None
+    moved_since = True
+    for r, (shared, call, quiet) in enumerate(rounds):
         for (i, j), x in shared:
             log.add(i, j, x, r)
-        if not quiet:
-            moved_since = dict.fromkeys(moved_since, True)
-        for sc, call in zip(scenarios, calls):
-            if not call:
-                continue
-            beliefs, prediction = update_beliefs(log, sc)
-            ref_beliefs, ref_prediction = oracles.update_beliefs(log, sc)
-            assert beliefs.table.tobytes() == ref_beliefs.table.tobytes()
-            assert beliefs.snapshot_hash() == ref_beliefs.snapshot_hash()
-            assert_same_prediction(prediction, ref_prediction)
-            norms, mean = frobenius_convergence(prediction, sc)
-            ref_norms, ref_mean = oracles.frobenius_convergence(
-                ref_prediction, sc)
-            assert norms.tobytes() == ref_norms.tobytes()
-            assert mean == ref_mean
-            if id(sc) in last and not moved_since[id(sc)]:
-                # only unanimous pairs shared, or none: the table is the
-                # previous call's, and the same learner returns that state
-                before, ref_before = last[id(sc)]
-                assert ref_beliefs.content_key == ref_before.content_key
-                assert beliefs.content_key == before.content_key
-                assert beliefs.content_key == ref_beliefs.content_key
-                if last_caller is sc:
-                    assert beliefs is before
-            last[id(sc)] = beliefs, ref_beliefs
-            moved_since[id(sc)] = False
-            last_caller = sc
+        moved_since = moved_since or not quiet
+        if not call:
+            continue
+        beliefs, prediction = update_beliefs(log)
+        ref_beliefs, ref_prediction = oracles.update_beliefs(log)
+        assert beliefs.table.tobytes() == ref_beliefs.table.tobytes()
+        assert beliefs.snapshot_hash() == ref_beliefs.snapshot_hash()
+        assert_same_prediction(prediction, ref_prediction, sc)
+        norms, mean = frobenius_convergence(prediction, sc)
+        ref_norms, ref_mean = oracles.frobenius_convergence(
+            ref_prediction, sc)
+        assert norms.tobytes() == ref_norms.tobytes()
+        assert mean == ref_mean
+        if last is not None and not moved_since:
+            # only unanimous pairs shared, or none: the table is the
+            # previous call's, and the log returns that state
+            before, ref_before = last
+            assert ref_beliefs.content_key == ref_before.content_key
+            assert beliefs is before
+        last = beliefs, ref_beliefs
+        moved_since = False
 
 
 def test_no_new_samples_returns_the_same_state():
     sc = generate(SETTINGS["S4"], URBAN, seed=3)
-    log = ObservationLog()
-    empty, _ = update_beliefs(log, sc)
-    assert update_beliefs(log, sc)[0] is empty
-    assert empty.content_key == oracles.update_beliefs(log, sc)[0].content_key
+    log = ObservationLog(sc)
+    empty, _ = update_beliefs(log)
+    assert update_beliefs(log)[0] is empty
+    assert empty.content_key == oracles.update_beliefs(log)[0].content_key
     for r in range(3):
         log.add(0, 1, 12.0, r)
         log.add(2, 3, 30.0 + r, r)
-    beliefs, prediction = update_beliefs(log, sc)
-    again, again_prediction = update_beliefs(log, sc)
+    beliefs, prediction = update_beliefs(log)
+    again, again_prediction = update_beliefs(log)
     assert again is beliefs
-    assert again.content_key == oracles.update_beliefs(log, sc)[0].content_key
-    assert_same_prediction(again_prediction, prediction)
+    assert again.content_key == oracles.update_beliefs(log)[0].content_key
+    assert_same_prediction(again_prediction, prediction, sc)
     # each call hands out its own prediction dict
     assert again_prediction.classified is not prediction.classified
+
+
+# two types 6 apart, listed out of id order: a first sample of 12 reads as
+# type 0, and the prefix (12, 30) as type 1
+TWO_TYPES = (TypeSpec(1, 18.0, 3.0), TypeSpec(0, 12.0, 3.0))
+
+
+def test_unmoved_rows_return_the_same_state():
+    # new samples whose events leave every row where it was
+    sc = generate(SETTINGS["S1"], URBAN, type_set=TWO_TYPES, seed=30)
+    log = ObservationLog(sc)
+    log.add(0, 1, 12.0, 0)
+    beliefs, _ = update_beliefs(log)
+    for r in range(1, 4):
+        log.add(0, 1, 12.0, r)
+        assert update_beliefs(log)[0] is beliefs
+    log.add(0, 1, 30.0, 4)
+    assert update_beliefs(log)[0] is not beliefs
+
+
+def test_tied_events_predict_the_lowest_id():
+    sc = generate(SETTINGS["S1"], URBAN, type_set=TWO_TYPES, seed=30)
+    log = ObservationLog(sc)
+    log.add(0, 1, 12.0, 0)
+    log.add(0, 1, 30.0, 1)
+    beliefs, prediction = update_beliefs(log)
+    assert beliefs.rows(0, [1], [0, 1]) == [[0.5, 0.5]]
+    assert prediction.classified[(0, 1)] == 0
+    assert prediction == oracles.update_beliefs(log)[1]
+
+
+def test_unobserved_rows_keep_the_prior():
+    # uniform rows about unobserved drones, point masses on the diagonal
+    sc = generate(SETTINGS["S4"], URBAN, seed=3)
+    log = ObservationLog(sc)
+    for r in range(4):
+        log.add(0, 1, 10.0 + 5 * r, r)
+    update_beliefs(log)
+    log.add(2, 3, 30.0, 4)
+    beliefs, _ = update_beliefs(log)
+    uniform = BeliefState.uniform(sc).table
+    kept = np.ones(uniform.shape[:2], dtype=bool)
+    kept[0, 1] = kept[2, 3] = False
+    assert beliefs.table[kept].tobytes() == uniform[kept].tobytes()
+    assert not np.array_equal(beliefs.table[0, 1], uniform[0, 1])
 
 
 @st.composite

@@ -69,12 +69,12 @@ def make_beliefs(sc, kind: str, samples: dict, relabel=None):
     if kind == "uniform":
         return BeliefState.uniform(sc)
     relabel = relabel or {d: d for d in sc.drone_ids}
-    log = ObservationLog()
+    log = ObservationLog(sc)
     for (r, j), x in samples.items():
         for i in sc.drone_ids:
             if i != relabel[j]:
                 log.add(i, relabel[j], x, r)
-    beliefs, _ = update_beliefs(log, sc)
+    beliefs, _ = update_beliefs(log)
     return beliefs
 
 

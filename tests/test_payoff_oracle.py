@@ -31,13 +31,13 @@ def learned(sc, rounds: int, seed: int) -> BeliefState:
     """Beliefs learned from power draws that each pair sees in about three
     rounds of four, so some rows stay uniform."""
     rng = np.random.default_rng(seed)
-    log = ObservationLog()
+    log = ObservationLog(sc)
     for r in range(rounds):
         for i, j in itertools.permutations(sc.drone_ids, 2):
             if rng.random() < 0.75:
                 t = sc.type_spec(sc.drone(j).true_type)
                 log.add(i, j, max(0.0, float(rng.normal(t.mu, t.sigma))), r)
-    beliefs, _ = update_beliefs(log, sc)
+    beliefs, _ = update_beliefs(log)
     return beliefs
 
 

@@ -149,7 +149,7 @@ def test_shared_samples_are_scalar_draws_truncated_at_zero():
                           CoalitionStructure.singletons(ids),
                           CoalitionStructure.from_string("{0,1,2}{3,4}{5}")):
             rng, ref_rng = (np.random.default_rng(seed) for _ in range(2))
-            log = ObservationLog()
+            log = ObservationLog(sc)
             shared = dynamics._share_samples(structure, sc, log, 0, rng)
             specs = {d: sc.type_spec(sc.drone(d).true_type)
                      for d in structure.members()}

@@ -5,9 +5,10 @@ only as the one known non-converged run, before the whole benchmark is
 run.
 
 ``workload_pins.json`` pins, per unit, what a faster program must not
-move: the ``repeated_game_s4`` outcomes on seeds 0 and 7 and the first
-ten ``chain_audit_4type`` audits on seed 0, with one digest of every rate
-list and second-level payoff those audits compute.  Float values are pinned by
+move: the ``repeated_game_s4`` outcomes and round streams on seeds 0 and
+7 and the first ten ``chain_audit_4type`` audits on seed 0, with one
+digest of every rate list and second-level payoff those audits compute.
+Float values are pinned by
 ``float.hex``, so they depend on numpy and scipy arithmetic; the file
 records the versions it was made with.  After a change that moves them
 on purpose, rewrite it with ``PYTHONPATH=src python
@@ -84,18 +85,42 @@ def test_paper_batch_units(workloads, tmp_path):
 def repeated_pin(wl, seed, tmp_path) -> dict:
     """All 150 ``repeated_game_s4`` units in the workload's order, sharing
     each topology's engine: a sha256 over every unit's final structure,
-    note and total rate, and the failed units with their failure kind."""
-    digest, failed = hashlib.sha256(), {}
-    units = _units(wl, "repeated_game_s4", tmp_path, seed)
-    for unit in units:
-        result = unit.run()
-        digest.update(f"{unit.name} {result.structure} {result.note!r} "
-                      f"{result.total_rate.hex()}\n".encode())
-        outcome = unit.check(result)
-        if outcome is not None:
-            failed[unit.name] = outcome[0]
+    note and total rate, and the failed units with their failure kind;
+    and a sha256 over each repeated game's round stream (every
+    ``RoundRecord.to_json()`` line, the stall trace's structures and the
+    final per-pair prediction in pair order)."""
+    digest, rounds, failed = hashlib.sha256(), hashlib.sha256(), {}
+    records = 0
+    play = wl.bench.run_repeated_game
+
+    def traced(*args):
+        nonlocal records
+        outcome = play(*args)
+        for record in outcome.rounds:
+            rounds.update(f"{record.to_json()}\n".encode())
+        records += len(outcome.rounds)
+        stall = [] if outcome.stall is None \
+            else [s.to_string() for s in outcome.stall.trace]
+        rounds.update(f"stall {stall}\n".encode())
+        rounds.update(f"{sorted(outcome.prediction.classified.items())}\n"
+                      .encode())
+        return outcome
+
+    wl.bench.run_repeated_game = traced
+    try:
+        units = _units(wl, "repeated_game_s4", tmp_path, seed)
+        for unit in units:
+            result = unit.run()
+            digest.update(f"{unit.name} {result.structure} {result.note!r} "
+                          f"{result.total_rate.hex()}\n".encode())
+            outcome = unit.check(result)
+            if outcome is not None:
+                failed[unit.name] = outcome[0]
+    finally:
+        wl.bench.run_repeated_game = play
     return {"units": len(units), "units_sha256": digest.hexdigest(),
-            "failed": failed}
+            "failed": failed, "rounds": records,
+            "rounds_sha256": rounds.hexdigest()}
 
 
 def audit_pin(wl, tmp_path) -> tuple[dict, dict]:
