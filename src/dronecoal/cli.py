@@ -79,11 +79,16 @@ def cmd_report(args) -> int:
     results = []
     for r in raw:
         check_keys(r, RegimeResult, "result key")
+        for name in ("topology", "repetition"):
+            if not isinstance(r[name], int) or isinstance(r[name], bool):
+                raise ValueError(
+                    f"{name} must be an integer, got {r[name]!r}")
         if not is_number(r["total_rate"]):
             raise ValueError(
                 f"total_rate must be a number, got {r['total_rate']!r}")
         if not isinstance(r["per_drone"], dict) \
-                or not all(map(is_number, r["per_drone"].values())):
+                or not all(map(is_number, r["per_drone"].values())) \
+                or not all(k.isdigit() for k in r["per_drone"]):
             raise ValueError("per_drone must map drone ids to rates, "
                              f"got {r['per_drone']!r}")
         r["per_drone"] = {int(k): v for k, v in r["per_drone"].items()}

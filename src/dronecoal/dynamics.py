@@ -86,23 +86,23 @@ def run_best_reply(initial: CoalitionStructure, beliefs: BeliefState,
     best reply, so the returned structure is Nash-stable.
 
     Every draw is the one a proposal-by-proposal walk makes.  At each
-    structure the walk reads ``best_reply`` once per drone (the mover
-    mask; beliefs are fixed, so these are memo lookups).  With no mover
-    the quiet window is drawn in one ``rng.integers(d, size=n)`` call,
-    which gives the values and generator state of n scalar draws.  Else
-    scalar proposers are drawn until a mover comes up, and only its step
-    runs; quiet windows in between would only have run a failing
+    structure the walk reads the beliefs' ``DecisionTable.decisions`` (the
+    mover mask; beliefs are fixed, so these are memo lookups).  With no
+    mover the quiet window is drawn in one ``rng.integers(d, size=n)``
+    call, which gives the values and generator state of n scalar draws.
+    Else scalar proposers are drawn until a mover comes up, and only its
+    step runs; quiet windows in between would only have run a failing
     stability scan.  Every draw counts against ``STEP_CAP``.
     """
     tie_rng = tie_rng or rng
     ids = list(initial.members())
     d = len(ids)
+    table = engine.table(beliefs)
     structure = initial
     stats = BestReplyStats()
     trace = [structure]
     while stats.proposals < STEP_CAP:
-        movers = [bool(best_reply(structure, p, beliefs, engine)[1])
-                  for p in ids]
+        movers = [bool(entry[1]) for entry in table.decisions(structure)]
         if not any(movers):
             n = min(d * stability_window, STEP_CAP - stats.proposals)
             rng.integers(d, size=n)
@@ -217,10 +217,13 @@ def run_repeated_game(scenario, config: DynamicsConfig,
                                 rng_sample)
         beliefs, prediction = update_beliefs(log)
         norms, mean_norm = frobenius_convergence(prediction, scenario)
+        # each drone's payoff in its own block, read by (position, mask)
+        table = engine.table(beliefs)
+        own = {d: (i, m) for m in current.masks
+               for i, d in enumerate(current.ids) if m >> i & 1}
         records.append(RoundRecord(
             round_index, grand_round, current,
-            {d: engine.expected_payoff(
-                d, frozenset(current.block_of(d)), beliefs) for d in ids},
+            {d: table.payoff(*own[d]) for d in ids},
             shared, beliefs.snapshot_hash(),
             tuple(float(x) for x in norms), mean_norm))
         return beliefs, prediction

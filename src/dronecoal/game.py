@@ -7,6 +7,7 @@ import functools
 import hashlib
 import itertools
 import math
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,22 +19,31 @@ TYPE_SPACE_CAP = 100_000   # refuse expected-payoff sums larger than this
 
 
 class CoalitionStructure:
-    """A partition of the drone set into disjoint coalitions.
+    """A partition of the drone set into disjoint coalitions: ``blocks``,
+    and their ``masks``, where bit i is ``ids[i]``, the i-th smallest
+    member.  Canonical form: blocks in lowest-bit order (by smallest
+    member), members sorted inside each, so equality is structural."""
 
-    Canonical form: members sorted inside each block, blocks sorted by
-    smallest member, so equality is structural.
-    """
-
-    __slots__ = ("blocks", "_hash")
+    __slots__ = ("ids", "masks", "blocks")
 
     def __init__(self, blocks):
-        cleaned = sorted((tuple(sorted(b)) for b in blocks if len(b)),
-                         key=lambda b: b[0])
-        seen = [d for b in cleaned for d in b]
-        if len(seen) != len(set(seen)):
+        blocks = [b for b in blocks if len(b)]
+        ids = tuple(sorted(d for b in blocks for d in b))
+        if len(ids) != len(set(ids)):
             raise ValueError("blocks must be disjoint")
-        self.blocks = tuple(cleaned)
-        self._hash = hash(self.blocks)
+        self._set(ids, sorted((sum(1 << ids.index(d) for d in b)
+                               for b in blocks), key=lambda m: m & -m))
+
+    def _set(self, ids: tuple, masks) -> "CoalitionStructure":
+        self.ids, self.masks = ids, tuple(masks)
+        self.blocks = tuple(tuple(d for i, d in enumerate(ids) if m >> i & 1)
+                            for m in self.masks)
+        return self
+
+    @classmethod
+    def from_masks(cls, ids: tuple, masks) -> "CoalitionStructure":
+        """The structure over sorted ``ids`` with these block masks."""
+        return cls.__new__(cls)._set(ids, masks)
 
     @classmethod
     def singletons(cls, drone_ids) -> "CoalitionStructure":
@@ -53,26 +63,19 @@ class CoalitionStructure:
              target: tuple[int, ...] | None) -> "CoalitionStructure":
         """Structure after drone_id leaves its block and joins target
         (None means going singleton)."""
-        source = self.block_of(drone_id)
-        blocks = [b for b in self.blocks if b not in (source, target)]
-        rest = tuple(d for d in source if d != drone_id)
-        if rest:
-            blocks.append(rest)
-        if target is None:
-            blocks.append((drone_id,))
-        else:
-            blocks.append(tuple(sorted(target + (drone_id,))))
-        return CoalitionStructure(blocks)
+        mask = 0 if target is None else self.masks[self.blocks.index(target)]
+        return CoalitionStructure.from_masks(self.ids, moved(
+            self.masks, 1 << self.ids.index(drone_id), mask))
 
     def members(self) -> tuple[int, ...]:
-        return tuple(sorted(d for b in self.blocks for d in b))
+        return self.ids
 
     def __eq__(self, other):
         return isinstance(other, CoalitionStructure) \
-            and self.blocks == other.blocks
+            and self.masks == other.masks and self.ids == other.ids
 
     def __hash__(self):
-        return self._hash
+        return hash(self.masks)
 
     def __repr__(self):
         return f"CoalitionStructure({self.to_string()!r})"
@@ -94,6 +97,14 @@ class CoalitionStructure:
         return cls(blocks)
 
 
+def moved(masks: tuple, bit: int, target: int) -> tuple:
+    """Block masks, in lowest-bit order, after the drone at ``bit`` leaves
+    its block and joins the block ``target`` (0: goes singleton)."""
+    out = [m & ~bit for m in masks if m != target and m != bit]
+    out.append(target | bit)
+    return tuple(sorted(out, key=lambda m: m & -m))
+
+
 def strictly_better(new: float, old: float) -> bool:
     """The one payoff and rate comparison: ``new`` beats ``old`` by more
     than 1e-12 relative to ``old`` (absolute below 1), so rounding noise
@@ -108,24 +119,24 @@ def weakly_better(new: float, old: float) -> bool:
 
 def enumerate_structures(drone_ids) -> list[CoalitionStructure]:
     """All set partitions of the drone ids, in deterministic order."""
-    drone_ids = sorted(drone_ids)
-    if not 1 <= len(drone_ids) <= PARTITION_CAP:
+    ids = tuple(sorted(drone_ids))
+    if not 1 <= len(ids) <= PARTITION_CAP:
         raise ValueError(
-            f"{len(drone_ids)} drones exceeds the enumeration cap "
+            f"{len(ids)} drones exceeds the enumeration cap "
             f"{PARTITION_CAP}; raise PARTITION_CAP to enumerate larger "
             "partitions")
     out: list[CoalitionStructure] = []
 
-    def recurse(i, blocks):
-        if i == len(drone_ids):
-            out.append(CoalitionStructure(blocks))
+    def recurse(i, masks):
+        if i == len(ids):
+            out.append(CoalitionStructure.from_masks(ids, masks))
             return
-        d = drone_ids[i]
-        for b in blocks:
-            recurse(i + 1, [blk + [d] if blk is b else blk for blk in blocks])
-        recurse(i + 1, blocks + [[d]])
+        bit = 1 << i
+        for k in range(len(masks)):
+            recurse(i + 1, masks[:k] + (masks[k] | bit,) + masks[k + 1:])
+        recurse(i + 1, masks + (bit,))
 
-    recurse(0, [])
+    recurse(0, ())
     return out
 
 
@@ -193,55 +204,58 @@ class BeliefState:
 
 
 class PayoffEngine:
-    """Expected payoffs under belief uncertainty, and the ``best_reply``
-    memo ``decisions`` keyed by (structure, proposer, beliefs content key),
-    for one scenario.  A payoff is memoized per (observer, coalition,
-    beliefs content key), which spares hits the row gather, and on a miss
-    there per (observer, coalition, the observer's rows about the other
-    members in the scenario's type order), which states that differ only
-    in rows the payoff does not read share.  Under both, every state reuses
-    one rate per (observer, coalition, type-count multiset), filled for
-    every member of a coalition by one batched water-fill."""
+    """Expected payoffs under belief uncertainty for one scenario, and the
+    best-reply decisions read from them, in one ``DecisionTable`` per
+    beliefs content key (``tables``).  A payoff a table misses is memoized
+    per (observer, coalition, the observer's rows about the other members
+    in the scenario's type order), which states that differ only in rows
+    the payoff does not read share.  Every state reuses one rate per
+    (observer, coalition, type-count multiset), filled for every member of
+    a coalition by one batched water-fill."""
 
     def __init__(self, scenario):
         self.scenario = scenario
+        self.ids = tuple(sorted(scenario.drone_ids))
         self.evaluator = CoalitionEvaluator(scenario)
         self._type_ids = [t.id for t in scenario.type_set]
-        self._cache: dict[tuple, float] = {}
         self._by_rows: dict[tuple, float] = {}
         self._rates: dict[tuple, list[float]] = {}
-        self.decisions: dict[tuple, tuple] = {}
+        self.tables: dict[tuple, DecisionTable] = {}
 
     @functools.cached_property
     def truth(self) -> BeliefState:
         """Full-information beliefs, made once per engine so that every
-        full-information query shares one payoff-cache key."""
+        full-information query shares one table."""
         return BeliefState.point_mass_truth(self.scenario)
+
+    def table(self, beliefs: BeliefState) -> "DecisionTable":
+        """The decision table of the beliefs' content, made on first use."""
+        key = beliefs.content_key
+        if key not in self.tables:
+            self.tables[key] = DecisionTable(self, beliefs)
+        return self.tables[key]
 
     def expected_payoff(self, observer: int, coalition,
                         beliefs: BeliefState) -> float:
         """Observer's expected rate in the coalition: the belief-weighted
         average of its allocated rate over all hypothesized type vectors
         of the other members."""
-        return self.expected_payoff_of(observer, coalition, beliefs)
-
-    # split from expected_payoff only because the benchmark's tracer wraps
-    # this method by name; callers use expected_payoff
-    def expected_payoff_of(self, observer: int, coalition,
-                           beliefs: BeliefState) -> float:
         coalition = frozenset(coalition)
         if observer not in coalition:
             raise ValueError("observer must belong to the coalition")
-        key = (observer, coalition, beliefs.content_key)
-        q = self._cache.get(key)
-        if q is None:
-            rows = beliefs.rows(observer, sorted(coalition - {observer}),
-                                self._type_ids)
-            rkey = (observer, coalition, tuple(map(tuple, rows)))
-            if rkey not in self._by_rows:
-                self._by_rows[rkey] = self._compute(observer, coalition, rows)
-            q = self._cache[key] = self._by_rows[rkey]
-        return q
+        table = self.table(beliefs)
+        return table.payoff(self.ids.index(observer),
+                            sum(map(table.bit.__getitem__, coalition)))
+
+    def expected_payoff_of(self, observer: int, coalition: frozenset,
+                           beliefs: BeliefState) -> float:
+        """The payoff a table fills on a miss."""
+        rows = beliefs.rows(observer, sorted(coalition - {observer}),
+                            self._type_ids)
+        rkey = (observer, coalition, tuple(map(tuple, rows)))
+        if rkey not in self._by_rows:
+            self._by_rows[rkey] = self._compute(observer, coalition, rows)
+        return self._by_rows[rkey]
 
     def _compute(self, observer: int, coalition: frozenset,
                  rows: list[list[float]]) -> float:
@@ -296,6 +310,85 @@ def _type_vectors(m: int, k: int) -> tuple[np.ndarray, tuple]:
     return pick, tuple(found)
 
 
+class DecisionTable:
+    """One belief content's payoffs, vetoes and best-reply decisions over
+    bitmasks of the engine's sorted ``ids`` (a target of 0 is going
+    singleton), filled on first read and shared by every reader."""
+
+    def __init__(self, engine: PayoffEngine, beliefs: BeliefState):
+        # a proxy: an engine and its tables form no reference cycle
+        self.engine, self.beliefs = weakref.proxy(engine), beliefs
+        self.ids = engine.ids
+        self.bit = {d: 1 << i for i, d in enumerate(self.ids)}
+        self._payoffs: list[dict[int, float]] = [{} for _ in self.ids]
+        self._accepts: dict[int, bool] = {}
+        self._decisions: dict[CoalitionStructure, tuple] = {}
+
+    def payoff(self, pos: int, mask: int) -> float:
+        """Expected payoff of the drone at ``pos`` in coalition ``mask``."""
+        q = self._payoffs[pos].get(mask)
+        if q is None:
+            q = self._payoffs[pos][mask] = self.engine.expected_payoff_of(
+                self.ids[pos], frozenset([d for d, b in self.bit.items()
+                                          if mask & b]), self.beliefs)
+        return q
+
+    def accepts(self, pos: int, target: int) -> bool:
+        """Every member of ``target`` accepts the drone at ``pos``: its
+        expected payoff without the drone is not strictly better."""
+        key = target * len(self.ids) + pos
+        if key not in self._accepts:
+            self._accepts[key] = not any(
+                strictly_better(self.payoff(j, target),
+                                self.payoff(j, target | 1 << pos))
+                for j in range(len(self.ids)) if target >> j & 1)
+        return self._accepts[key]
+
+    def levels(self, structure: CoalitionStructure, pos: int) -> list:
+        """The strictly improving targets of the drone at ``pos`` (in block
+        order, then going singleton) by payoff level, descending, as
+        (payoff, [target, ...]); a target joins the last level unless that
+        level's payoff is strictly better than its own."""
+        if structure.ids != self.ids:
+            raise ValueError(f"{structure} does not partition {self.ids}")
+        masks, bit, qs = structure.masks, 1 << pos, self._payoffs[pos]
+        current = next(m for m in masks if m & bit)
+        # a miss (or a payoff of 0.0) reads through payoff()
+        q_current = qs.get(current) or self.payoff(pos, current)
+        scored = [(q, m) for m in masks + ((0,) if current != bit else ())
+                  if m != current
+                  for q in (qs.get(m | bit) or self.payoff(pos, m | bit),)
+                  if strictly_better(q, q_current)]
+        scored.sort(key=lambda e: -e[0])
+        levels: list = []
+        for q, m in scored:
+            if levels and not strictly_better(levels[-1][0], q):
+                levels[-1][1].append(m)
+            else:
+                levels.append((q, [m]))
+        return levels
+
+    def decisions(self, structure: CoalitionStructure) -> tuple:
+        """Per drone position, (payoff, targets, top): the accepted
+        targets of the best level not wholly vetoed, with its payoff, or
+        (None, ()); and the top level's targets, vetoed ones as None."""
+        out = self._decisions.get(structure)
+        if out is None:
+            out = self._decisions[structure] = tuple(
+                self._decide(structure, pos) for pos in range(len(self.ids)))
+        return out
+
+    def _decide(self, structure: CoalitionStructure, pos: int) -> tuple:
+        levels = self.levels(structure, pos)
+        top = tuple(m if self.accepts(pos, m) else None
+                    for m in levels[0][1]) if levels else ()
+        for q, level in levels:
+            targets = tuple(m for m in level if self.accepts(pos, m))
+            if targets:
+                return q, targets, top
+        return None, (), top
+
+
 @dataclass(frozen=True)
 class DeviationWitness:
     drone: int
@@ -303,90 +396,49 @@ class DeviationWitness:
     payoff_gain: float
 
 
-def deviation_candidates(structure: CoalitionStructure, proposer: int):
-    """Blocks the proposer could join, plus the singleton option (None)."""
-    current = structure.block_of(proposer)
-    targets: list[tuple[int, ...] | None] = [
-        b for b in structure.blocks if b != current]
-    if len(current) > 1:
-        targets.append(None)
-    return current, targets
+def _blocks(structure: CoalitionStructure) -> dict:
+    """Target mask -> block; going singleton (0) reads None."""
+    return dict(zip(structure.masks, structure.blocks))
 
 
 def admissible(proposer: int, target: tuple[int, ...] | None,
                engine: PayoffEngine, beliefs: BeliefState) -> bool:
-    """All members of the target accept: under each member's own beliefs,
-    its expected payoff without the proposer is not strictly better."""
-    if target is None:
-        return True
-    joined = frozenset(target) | {proposer}
-    for j in target:
-        before = engine.expected_payoff(j, frozenset(target), beliefs)
-        after = engine.expected_payoff(j, joined, beliefs)
-        if strictly_better(before, after):
-            return False
-    return True
+    """All members of the target accept (``DecisionTable.accepts``)."""
+    table = engine.table(beliefs)
+    return target is None or table.accepts(
+        engine.ids.index(proposer), sum(map(table.bit.__getitem__, target)))
 
 
 def candidate_groups(structure: CoalitionStructure, proposer: int,
                      beliefs: BeliefState, engine: PayoffEngine):
-    """Strictly improving move targets for the proposer, grouped by
-    expected payoff (descending) as (payoff, [target_block_or_None, ...]);
-    a target joins the last group unless that group's payoff is strictly
-    better than its own.  Vetoes are left to the decision that reads
-    them."""
-    current, targets = deviation_candidates(structure, proposer)
-    q_current = engine.expected_payoff(proposer, frozenset(current), beliefs)
-    scored = []
-    for target in targets:
-        joined = frozenset(target) | {proposer} if target \
-            else frozenset([proposer])
-        q = engine.expected_payoff(proposer, joined, beliefs)
-        if strictly_better(q, q_current):
-            scored.append((q, target))
-    scored.sort(key=lambda e: -e[0])
-    groups = []
-    for q, target in scored:
-        if groups and not strictly_better(groups[-1][0], q):
-            groups[-1][1].append(target)
-        else:
-            groups.append((q, [target]))
-    return groups
+    """``DecisionTable.levels`` of the proposer as (payoff,
+    [target_block_or_None, ...]); vetoes are left to the decision."""
+    table, blocks = engine.table(beliefs), _blocks(structure)
+    levels = table.levels(structure, engine.ids.index(proposer))
+    return [(q, [blocks.get(m) for m in level]) for q, level in levels]
 
 
 def best_reply(structure: CoalitionStructure, proposer: int,
                beliefs: BeliefState, engine: PayoffEngine
                ) -> tuple[float | None, list]:
-    """The admissible targets of the best payoff level of candidate_groups
-    that is not wholly vetoed, with that level's payoff, or ``(None, [])``.
-    The simulated step, the Markov chain and the stability scan all decide
-    through this one function.  Decisions are memoized in
-    ``engine.decisions``; each call returns a fresh target list."""
-    key = (structure, proposer, beliefs.content_key)
-    decision = engine.decisions.get(key)
-    if decision is None:
-        decision = None, ()
-        for q, level in candidate_groups(structure, proposer, beliefs, engine):
-            targets = tuple(target for target in level
-                            if admissible(proposer, target, engine, beliefs))
-            if targets:
-                decision = q, targets
-                break
-        engine.decisions[key] = decision
-    return decision[0], list(decision[1])
+    """The admissible targets of the best level of candidate_groups not
+    wholly vetoed, and its payoff, or ``(None, [])``, as a fresh list."""
+    decisions = engine.table(beliefs).decisions(structure)
+    q, targets, _ = decisions[engine.ids.index(proposer)]
+    return q, [_blocks(structure).get(m) for m in targets]
 
 
 def is_nash_stable(structure: CoalitionStructure, beliefs: BeliefState,
                    scenario, engine: PayoffEngine
                    ) -> tuple[bool, DeviationWitness | None]:
-    """Stable iff no drone has a best reply: a strictly profitable move
-    that every member of the target accepts (Bogomolnaia & Jackson 2002).
-    The witness is the first such drone, its first best-reply target and
-    the gain.  ``scenario`` is unread; callers pass it positionally."""
-    for d in structure.members():
-        q, targets = best_reply(structure, d, beliefs, engine)
+    """Stable iff no drone has a best reply (Bogomolnaia & Jackson 2002);
+    the witness is the first such drone, its first target and the gain.
+    ``scenario`` is unread; callers pass it positionally."""
+    table = engine.table(beliefs)
+    for pos, (q, targets, _) in enumerate(table.decisions(structure)):
         if targets:
-            q_current = engine.expected_payoff(
-                d, frozenset(structure.block_of(d)), beliefs)
-            return False, DeviationWitness(d, targets[0], q - q_current)
+            current = next(m for m in structure.masks if m >> pos & 1)
+            return False, DeviationWitness(
+                structure.ids[pos], _blocks(structure).get(targets[0]),
+                q - table.payoff(pos, current))
     return True, None

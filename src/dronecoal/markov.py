@@ -1,9 +1,6 @@
-"""Markov chain over coalition structures induced by best-reply dynamics.
-
-The chain is built from the same decision as the simulated dynamics,
-``game.best_reply``: per proposer, the proposal mass is split uniformly
-over the proposer's best-reply targets.
-"""
+"""Markov chain over coalition structures induced by best-reply dynamics,
+built from the walk's decisions (``DecisionTable.decisions``): a
+proposer's mass is split uniformly over its best-reply targets."""
 
 from __future__ import annotations
 
@@ -11,9 +8,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+# candidate_groups is unused here; the benchmark's tracer looks it up here
 from .game import (BeliefState, CoalitionStructure, PayoffEngine,
-                   admissible, best_reply, candidate_groups,
-                   enumerate_structures)
+                   candidate_groups, enumerate_structures, moved)
 
 ABSORBING_TOL = 1e-12
 
@@ -46,35 +43,25 @@ class MarkovModel:
 def build_chain(scenario, beliefs: BeliefState,
                 engine: PayoffEngine,
                 veto_self_loop: bool = False) -> MarkovModel:
-    """Analytic transition matrix of the best-reply process.
-
-    With ``veto_self_loop`` the alternative reading is used: only the top
-    payoff group counts, and a vetoed maximizer sends its whole share to
-    the self-loop instead of falling through to the next-best group.
-    """
+    """Analytic transition matrix of the best-reply process.  With
+    ``veto_self_loop`` only the top payoff level counts: a vetoed
+    maximizer's share stays put instead of falling through."""
     ids = scenario.drone_ids
     states = enumerate_structures(ids)
-    index = {s: i for i, s in enumerate(states)}
+    index = {s.masks: i for i, s in enumerate(states)}
+    table = engine.table(beliefs)
     share = 1.0 / len(ids)
     t = np.zeros((len(states), len(states)))
     for i, w in enumerate(states):
-        for proposer in ids:
-            if veto_self_loop:
-                # every maximizer in the top group gets 1/k; vetoed
-                # picks stay put
-                groups = candidate_groups(w, proposer, beliefs, engine)
-                dests = [index[w.move(proposer, target)]
-                         if admissible(proposer, target, engine, beliefs)
-                         else i for target in groups[0][1]] \
-                    if groups else []
-            else:
-                _, targets = best_reply(w, proposer, beliefs, engine)
-                dests = [index[w.move(proposer, target)]
-                         for target in targets]
-            if not dests:
+        decisions = table.decisions(w)
+        # in proposer order: two proposers can reach the same structure
+        for pos in map(engine.ids.index, ids):
+            chosen = decisions[pos][2 if veto_self_loop else 1]
+            if not chosen:
                 t[i, i] += share
-            for j in dests:
-                t[i, j] += share / len(dests)
+            for m in chosen:
+                j = i if m is None else index[moved(w.masks, 1 << pos, m)]
+                t[i, j] += share / len(chosen)
     return MarkovModel(states=states, transition=t)
 
 

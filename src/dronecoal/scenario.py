@@ -149,9 +149,17 @@ class Scenario:
             raise ValueError("a scenario must be a JSON object, got "
                              f"{type(d).__name__}")
         for e in d["drones"]:
-            if not isinstance(e["channels"], list):
-                raise ValueError(f"channels of drone {e['id']} must be a "
-                                 f"list, got {e['channels']!r}")
+            p = e["position"]
+            for name, ok, what in (
+                    ("channels", isinstance(e["channels"], list), "a list"),
+                    ("position", isinstance(p, list) and 2 <= len(p) <= 3
+                     and all(map(is_number, p)), "a list of 2 or 3 numbers"),
+                    ("true_type", type(e["true_type"]) is int, "an integer")):
+                if not ok:
+                    raise ValueError(f"{name} of drone {e['id']} must be "
+                                     f"{what}, got {e[name]!r}")
+        if not is_number(d["area_m"]) or not d["area_m"] > 0:
+            raise ValueError(f"area_m must be positive, got {d['area_m']!r}")
         return cls(
             drones=tuple(
                 DroneSpec(e["id"], Position3D(*e["position"]),

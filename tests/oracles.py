@@ -51,7 +51,7 @@ import numpy as np
 from dronecoal import dynamics, game
 from dronecoal.game import (BeliefState, CoalitionStructure,
                             DeviationWitness, PayoffEngine,
-                            deviation_candidates, enumerate_structures)
+                            enumerate_structures)
 from dronecoal.learning import (SIGMA_FLOOR_FACTOR, ObservationLog,
                                 TypePrediction, _classify, _kl,
                                 _TypeColumns)
@@ -152,6 +152,16 @@ def frobenius_convergence(prediction: TypePrediction, scenario
 
 
 # -- the best-reply decision, as each caller made it on its own -------------
+
+def deviation_candidates(structure: CoalitionStructure, proposer: int):
+    """Blocks the proposer could join, plus the singleton option (None)."""
+    current = structure.block_of(proposer)
+    targets: list[tuple[int, ...] | None] = [
+        b for b in structure.blocks if b != current]
+    if len(current) > 1:
+        targets.append(None)
+    return current, targets
+
 
 def admissible(proposer: int, target: tuple[int, ...] | None,
                engine: PayoffEngine, beliefs: BeliefState) -> bool:

@@ -265,7 +265,12 @@ class TestMarkov:
         (lambda d: d["drones"][0].update(channels=5),
          "channels of drone 0 must be a list, got 5"),
         (lambda d: [d], "a scenario must be a JSON object, got list"),
-    ], ids=["mu", "channels", "array"])
+        (lambda d: d["drones"][0].update(position=5),
+         "position of drone 0 must be a list of 2 or 3 numbers, got 5"),
+        (lambda d: d["drones"][1].update(true_type=[0]),
+         "true_type of drone 1 must be an integer, got [0]"),
+        (lambda d: d.update(area_m="x"), "area_m must be positive, got 'x'"),
+    ], ids=["mu", "channels", "array", "position", "true_type", "area_m"])
     def test_malformed_scenario(self, tmp_path, capsys, edit, message):
         scenario_path = tmp_path / "scenario.json"
         main(["generate", "--setting", "S1", "--out", str(scenario_path)])
@@ -330,6 +335,11 @@ class TestReport:
         ({**ENTRY, "per_drone": 5},
          "per_drone must map drone ids to rates, got 5"),
         ({**ENTRY, "total_rate": "x"}, "total_rate must be a number, got 'x'"),
+        ({**ENTRY, "topology": "x"}, "topology must be an integer, got 'x'"),
+        ({**ENTRY, "repetition": 1.0},
+         "repetition must be an integer, got 1.0"),
+        ({**ENTRY, "per_drone": {"x": 1.0}},
+         "per_drone must map drone ids to rates, got {'x': 1.0}"),
     ])
     def test_malformed_result_entry(self, tmp_path, capsys, entry, message):
         manifest_path = tmp_path / "manifest.json"

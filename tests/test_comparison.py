@@ -8,7 +8,7 @@ import pytest
 from dronecoal import bench
 from dronecoal.bench import RunManifest, run_regime
 from dronecoal.game import (CoalitionStructure, DeviationWitness,
-                            admissible, best_reply,
+                            PayoffEngine, admissible, best_reply,
                             candidate_groups, is_nash_stable,
                             strictly_better, weakly_better)
 
@@ -47,18 +47,25 @@ def test_equal_values():
         assert weakly_better(base, base)
 
 
-class StubEngine:
-    """Expected payoffs from a table keyed by (observer, coalition), and
-    the decision memo that ``best_reply`` fills."""
+class StubEngine(PayoffEngine):
+    """Expected payoffs from a table keyed by (observer, coalition), which
+    the engine's per-content decision tables fill from, over the drones
+    the table names."""
 
     evaluator = None
 
     def __init__(self, payoffs):
         self.payoffs = {(d, frozenset(s)): q for (d, s), q in payoffs.items()}
-        self.decisions = {}
+        self.ids = tuple(sorted({d for _, s in payoffs for d in s}))
+        self.tables = {}
 
-    def expected_payoff(self, observer, coalition, beliefs):
+    def expected_payoff_of(self, observer, coalition, beliefs):
         return self.payoffs[(observer, frozenset(coalition))]
+
+
+# the stub payoffs ignore beliefs; the engine keys its tables by their
+# content
+BELIEFS = SimpleNamespace(content_key="stub")
 
 
 @pytest.mark.parametrize("base", (1.0, 1e6))
@@ -67,21 +74,19 @@ def test_admissible_accepts_a_loss_inside_the_band(base, rel, accepted):
     # drone 1 loses rel of its payoff when drone 0 joins it
     engine = StubEngine({(1, (1,)): base,
                          (1, (0, 1)): base - gap(base, rel)})
-    assert admissible(0, (1,), engine, beliefs=None) is accepted
-    assert admissible(0, None, engine, beliefs=None)
-
-
-# the stub payoffs ignore beliefs; best_reply keys its memo by their content
-BELIEFS = SimpleNamespace(content_key="stub")
+    assert admissible(0, (1,), engine, BELIEFS) is accepted
+    assert admissible(0, None, engine, BELIEFS)
 
 
 @pytest.mark.parametrize("rel,tied", ((0.5e-12, True), (2e-12, False)))
 def test_payoff_levels_tie_inside_the_band(rel, tied):
     # drone 0 gains by joining 1 or 2; joining 2 pays rel less
     q = 2.0 - gap(2.0, rel)
+    # a table decides every drone of a structure at once, so drones 1 and
+    # 2 read their payoffs together too
     engine = StubEngine({(0, (0,)): 1.0, (0, (0, 1)): 2.0, (0, (0, 2)): q,
-                         (1, (1,)): 1.0, (1, (0, 1)): 1.0,
-                         (2, (2,)): 1.0, (2, (0, 2)): 1.0})
+                         (1, (1,)): 1.0, (1, (0, 1)): 1.0, (1, (1, 2)): 1.0,
+                         (2, (2,)): 1.0, (2, (0, 2)): 1.0, (2, (1, 2)): 1.0})
     singles = CoalitionStructure.singletons([0, 1, 2])
     groups = candidate_groups(singles, 0, BELIEFS, engine)
     if tied:

@@ -1,8 +1,9 @@
 """Differential tests: the one best-reply decision (``game.best_reply``
-behind ``strictly_better`` / ``weakly_better``) against the per-caller
-decisions in ``oracles.py``, under point-mass, uniform and learned
-beliefs.  The decision checks only the vetoes it reads, so it never
-calls ``admissible`` more often than the references."""
+and the chain, both read from a ``DecisionTable`` behind
+``strictly_better`` / ``weakly_better``) against the per-caller decisions
+in ``oracles.py``, under point-mass, uniform and learned beliefs.  The
+table decides from its own veto memo, so the library never calls
+``admissible`` more often than the references."""
 
 import itertools
 
@@ -12,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from dronecoal import game, markov
+from dronecoal import game
 from dronecoal.allocation import CoalitionEvaluator
 from dronecoal.dynamics import best_reply_step
 from dronecoal.game import BeliefState, PayoffEngine, enumerate_structures
@@ -85,7 +86,7 @@ def count_admissible(mp) -> list[int]:
             return fn(*args, **kwargs)
         return counted
 
-    for module in (game, markov, oracles):
+    for module in (game, oracles):
         mp.setattr(module, "admissible", counting(module.admissible))
     return calls
 
@@ -159,6 +160,61 @@ def test_one_decision_equals_the_per_caller_decisions(case):
         assert witness.payoff_gain > 0
     assert absorbing_states(build_chain(sc, beliefs, engine)) == \
         tuple(stable)
+
+
+AUDIT_TYPES = tuple(TypeSpec(k, mu, 3.0)
+                    for k, mu in enumerate((12.0, 18.0, 24.0, 30.0)))
+
+
+def reference_reply(s, d, beliefs, engine):
+    """The first payoff level of ``oracles.candidate_groups`` with an
+    admitted target, and those targets in level order."""
+    for q, entries in oracles.candidate_groups(s, d, beliefs, engine):
+        targets = [target for target, admitted in entries if admitted]
+        if targets:
+            return q, targets
+    return None, []
+
+
+class TieEngine(PayoffEngine):
+    """Payoffs that peak at coalitions of three, so a drone ties over
+    every block of one size, and that drop by 2 for drones 0 and 1 in a
+    coalition with 4 or 5, who are therefore vetoed: tied and vetoed
+    targets, which the scenarios' own payoffs never give."""
+
+    def expected_payoff_of(self, observer, coalition, beliefs):
+        return -abs(len(coalition) - 3.0) \
+            - 2.0 * (observer < 2 and not coalition.isdisjoint({4, 5}))
+
+
+@pytest.mark.parametrize("kind", ["uniform", "learned", "ties"])
+@pytest.mark.parametrize("seed", range(3))
+def test_six_drone_chain_and_scan_equal_the_references(seed, kind):
+    # the audit's setting: six drones, four types, 203 structures; the
+    # references decide on an engine of their own
+    sc = generate(SETTINGS["S4"], URBAN, type_set=AUDIT_TYPES, seed=seed)
+    beliefs = learned_beliefs(sc, rounds=2, seed=seed) \
+        if kind == "learned" else BeliefState.uniform(sc)
+    make = TieEngine if kind == "ties" else PayoffEngine
+    engine, ref_engine = make(sc), make(sc)
+    for veto in (False, True):
+        got = build_chain(sc, beliefs, engine, veto_self_loop=veto)
+        ref = oracles.build_chain(sc, beliefs, ref_engine,
+                                  veto_self_loop=veto)
+        assert got.states == ref.states
+        assert got.transition.tobytes() == ref.transition.tobytes(), veto
+    for s in got.states:
+        ok, witness = game.is_nash_stable(s, beliefs, sc, engine)
+        ref_ok, ref_witness = oracles.is_nash_stable(s, beliefs, sc,
+                                                     ref_engine)
+        assert ok == ref_ok, s
+        replies = {d: game.best_reply(s, d, beliefs, engine)
+                   for d in sc.drone_ids}
+        for d, reply in replies.items():
+            assert reply == reference_reply(s, d, beliefs, ref_engine), (s, d)
+        if not ok:
+            assert witness.drone == ref_witness.drone
+            assert witness.target == replies[witness.drone][1][0]
 
 
 @st.composite

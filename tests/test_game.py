@@ -6,12 +6,11 @@ import pytest
 
 from dronecoal import game
 from dronecoal.game import (BeliefState, CoalitionStructure, PayoffEngine,
-                            admissible, deviation_candidates,
-                            enumerate_structures, is_nash_stable)
+                            admissible, enumerate_structures, is_nash_stable)
 from dronecoal.allocation import CoalitionEvaluator
 from dronecoal.propagation import ENVIRONMENTS
 from dronecoal.scenario import SETTINGS, baseline_rates, generate
-from oracles import prob, with_rows
+from oracles import deviation_candidates, prob, with_rows
 
 URBAN = ENVIRONMENTS["urban"]
 
@@ -72,6 +71,17 @@ class TestCoalitionStructure:
     def test_malformed_string(self):
         with pytest.raises(ValueError):
             CoalitionStructure.from_string("0,1")
+
+    def test_masks_follow_sorted_ids(self):
+        s = CoalitionStructure([(9, 2), (5,)])
+        assert s.ids == (2, 5, 9)
+        assert s.masks == (0b101, 0b010)
+        assert s.blocks == ((2, 9), (5,))
+        joined = s.move(5, (2, 9))
+        assert (joined.masks, joined.blocks) == ((0b111,), ((2, 5, 9),))
+        # equal masks over other drones are another structure
+        assert CoalitionStructure.singletons([0, 1]) != \
+            CoalitionStructure.singletons([1, 2])
 
 
 class TestEnumeration:
@@ -206,6 +216,15 @@ class TestPayoffEngine:
         b = BeliefState.uniform(s1)
         with pytest.raises(ValueError):
             s1_engine.expected_payoff(0, frozenset([1, 2]), b)
+
+    def test_structure_over_other_drones_refused(self, s1, s1_engine):
+        # an engine's bitmasks are over its scenario's drones
+        b = BeliefState.uniform(s1)
+        other = CoalitionStructure.singletons([d + 1 for d in s1.drone_ids])
+        with pytest.raises(ValueError):
+            game.best_reply(other, 1, b, s1_engine)
+        with pytest.raises(ValueError):
+            is_nash_stable(other, b, s1, s1_engine)
 
     def test_type_space_cap(self, s1, monkeypatch):
         monkeypatch.setattr(game, "TYPE_SPACE_CAP", 1)

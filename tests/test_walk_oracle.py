@@ -82,16 +82,13 @@ def test_walk_stops_where_per_proposal_walk_stops(monkeypatch):
     assert kinds == {"stable", "stopped"}
 
 
-class SizeEngine:
+class SizeEngine(PayoffEngine):
     """Payoffs that read only the coalition's size and peak at pairs: a
     singleton ties over every partner it could join, so these walks draw
-    from ``tie_rng``, which the scenarios above never do."""
+    from ``tie_rng``, which the scenarios above never do.  The engine's
+    decision tables fill from them."""
 
-    def __init__(self, scenario):
-        self.scenario = scenario
-        self.decisions = {}
-
-    def expected_payoff(self, observer, coalition, beliefs):
+    def expected_payoff_of(self, observer, coalition, beliefs):
         return -abs(len(coalition) - 2.0)
 
 

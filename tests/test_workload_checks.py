@@ -6,17 +6,20 @@ run.
 
 ``workload_pins.json`` pins, per unit, what a faster program must not
 move: the ``repeated_game_s4`` outcomes and round streams on seeds 0 and
-7 and the first ten ``chain_audit_4type`` audits on seed 0, with one
-digest of every rate list and second-level payoff those audits compute.
-Float values are pinned by
-``float.hex``, so they depend on numpy and scipy arithmetic; the file
+7; the first ten ``chain_audit_4type`` audits on seed 0, with each
+audit's transition matrix bytes and one digest of every rate list and
+second-level payoff those audits compute; and the bytes of 32
+``dronecoal markov`` outputs.  Float values are pinned by ``float.hex``
+or by their bytes, so they depend on numpy and scipy arithmetic; the file
 records the versions it was made with.  After a change that moves them
-on purpose, rewrite it with ``PYTHONPATH=src python
+on purpose, rewrite every pin with ``PYTHONPATH=src python
 tests/test_workload_checks.py`` and say which values moved and why.
 """
 
+import contextlib
 import hashlib
 import importlib.util
+import io
 import json
 import platform
 import sys
@@ -25,6 +28,8 @@ from pathlib import Path
 import numpy
 import pytest
 import scipy
+
+from dronecoal import cli
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 PINS = Path(__file__).resolve().parent / "workload_pins.json"
@@ -128,23 +133,28 @@ def audit_pin(wl, tmp_path) -> tuple[dict, dict]:
     states, Nash-stable state indices and formation probabilities per
     audit; and, over all ten, a sha256 of the ``.hex()`` of every rate list
     and every second-level payoff that the audits' payoff engines hold,
-    in key order."""
-    out, engines = {}, []
-    make = wl.game.PayoffEngine
+    in key order.  Each audit also pins a sha256 of its transition
+    matrix's bytes."""
+    out, engines, chains = {}, [], []
+    make, build = wl.game.PayoffEngine, wl.markov.build_chain
     wl.game.PayoffEngine = lambda sc: engines.append(make(sc)) or engines[-1]
+    wl.markov.build_chain = \
+        lambda *args: chains.append(build(*args)) or chains[-1]
     try:
         units = _units(wl, "chain_audit_4type", tmp_path)[:10]
         results = [unit.run() for unit in units]
     finally:
-        wl.game.PayoffEngine = make
+        wl.game.PayoffEngine, wl.markov.build_chain = make, build
     digest = hashlib.sha256()
     rate_lists = payoffs = 0
-    for unit, result, engine in zip(units, results, engines):
+    for unit, result, engine, chain in zip(units, results, engines, chains):
         absorbing, probs, stable = result
         out[unit.name] = {
             "absorbing": list(absorbing), "stable": list(stable),
             "formation": {str(i): p.hex() for i, p in probs.items()},
-            "failed": unit.check(result) is not None}
+            "failed": unit.check(result) is not None,
+            "transition": hashlib.sha256(
+                chain.transition.tobytes()).hexdigest()}
         for (d, coalition), rates in sorted(
                 engine._rates.items(),
                 key=lambda e: (e[0][0], sorted(e[0][1]))):
@@ -159,6 +169,35 @@ def audit_pin(wl, tmp_path) -> tuple[dict, dict]:
             payoffs += 1
     return out, {"audits": len(units), "rate_lists": rate_lists,
                  "payoffs": payoffs, "sha256": digest.hexdigest()}
+
+
+MARKOV_SCENARIOS = (("S1", 3, None), ("S4", 0, None), ("S4", 7, None),
+                    ("S3", 9, None)) + tuple(
+    ("S4", seed, "12:3,18:3,24:3,30:3") for seed in range(4))
+
+
+def markov_pin(tmp_path) -> dict:
+    """sha256 of every ``dronecoal markov`` output over the scenarios
+    above, under both ``--beliefs`` and both transition rules, each run
+    in-process through ``cli.main``."""
+    out = {}
+    with contextlib.redirect_stdout(io.StringIO()):
+        for setting, seed, types in MARKOV_SCENARIOS:
+            name = f"{setting}/seed{seed}" + ("/4types" if types else "")
+            path = tmp_path / "scenario.json"
+            argv = ["generate", "--setting", setting, "--seed", str(seed),
+                    "--out", str(path)]
+            assert cli.main(argv + (["--types", types] if types else [])) == 0
+            for beliefs in ("truth", "uniform"):
+                for veto in (False, True):
+                    chain = tmp_path / "chain.txt"
+                    assert cli.main(
+                        ["markov", "--scenario", str(path), "--beliefs",
+                         beliefs, "--out", str(chain)]
+                        + (["--veto-self-loop"] if veto else [])) == 0
+                    key = f"{name}/{beliefs}" + ("/veto" if veto else "")
+                    out[key] = hashlib.sha256(chain.read_bytes()).hexdigest()
+    return out
 
 
 def versions() -> dict:
@@ -193,6 +232,13 @@ def test_chain_audit_first_audits_pinned(workloads, pins, tmp_path):
     assert payoffs == pins["chain_audit_4type_payoffs"]["0"], made
 
 
+def test_markov_outputs_pinned(pins, tmp_path):
+    got = markov_pin(tmp_path)
+    assert len(got) == 32
+    assert got == pins["markov"], \
+        f"made with {pins['versions']}, running {versions()}"
+
+
 def test_repeated_game_units(workloads, repeated_seed0):
     # a faster program must not change which runs converge; the known
     # best-reply cycle is reported as non-converged, not as a wrong output
@@ -219,6 +265,7 @@ if __name__ == "__main__":
         (data["chain_audit_4type"]["0"],
          data["chain_audit_4type_payoffs"]["0"]) = audit_pin(
             wl, Path(scratch))
+        data["markov"] = markov_pin(Path(scratch))
     with open(PINS, "w") as f:
         json.dump(data, f, indent=1, sort_keys=True)
         f.write("\n")
