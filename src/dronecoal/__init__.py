@@ -9,8 +9,7 @@ from .scenario import (DEFAULT_TYPE_SET, SETTINGS, Scenario,
 from .allocation import CoalitionEvaluator, max_weight_matching, waterfill
 from .game import (BeliefState, CoalitionStructure, PayoffEngine,
                    enumerate_structures, is_nash_stable)
-from .learning import (ObservationLog, TypePrediction,
-                       frobenius_convergence, update_beliefs)
+from .learning import ObservationLog, frobenius_convergence, update_beliefs
 from .dynamics import (DynamicsConfig, NonConvergenceError, RoundRecord,
                        best_reply_step, run_best_reply, run_repeated_game)
 from .markov import (MarkovModel, absorbing_states, build_chain,

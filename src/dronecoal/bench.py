@@ -13,7 +13,7 @@ import json
 import math
 import os
 import statistics
-from dataclasses import MISSING, asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -25,7 +25,7 @@ from .game import (BeliefState, CoalitionStructure, PayoffEngine,
 from .markov import MarkovModel, build_chain, formation_probabilities
 from .propagation import ENVIRONMENTS
 from .scenario import (DEFAULT_TYPE_SET, SETTINGS, Scenario, TypeSpec,
-                       baseline_rates, generate, is_number)
+                       baseline_rates, check_keys, generate, is_number)
 
 REGIMES = ("baseline", "full_info", "proposed", "social_optimal")
 
@@ -77,10 +77,10 @@ class RunManifest:
         if not isinstance(self.type_set, (list, tuple)):
             raise ValueError(f"type_set must be a list, got {self.type_set!r}")
         for t in self.type_set:
-            if not isinstance(t, dict) or not all(
-                    is_number(t.get(k)) for k in ("id", "mu", "sigma")):
-                raise ValueError("type_set entries need numeric id, mu and "
-                                 f"sigma, got {t!r}")
+            if not isinstance(t, dict) or type(t.get("id")) is not int \
+                    or not all(is_number(t.get(k)) for k in ("mu", "sigma")):
+                raise ValueError("type_set entries need an integer id and "
+                                 f"numeric mu and sigma, got {t!r}")
         if not isinstance(self.environment, str) \
                 or self.environment not in ENVIRONMENTS:
             raise ValueError(f"unknown environment {self.environment!r}")
@@ -96,9 +96,10 @@ class RunManifest:
         # every run's dynamics settings, checked before any run starts
         DynamicsConfig(self.epsilon, self.init_grand_rounds,
                        self.max_rounds, self.stability_window)
+        types = self.types()   # each entry checked as a TypeSpec
         if {"full_info", "proposed"} & set(self.regimes):
             # the largest grand coalition's payoff sums m^(D-1) vectors
-            check_type_space(len(self.types()), max(
+            check_type_space(len(types), max(
                 (SETTINGS[s].d for s in self.settings), default=1) - 1)
 
     def types(self) -> tuple[TypeSpec, ...]:
@@ -116,20 +117,6 @@ class RunManifest:
             entries = json.load(f)
         check_keys(entries, cls, "manifest field")
         return cls(**entries)
-
-
-def check_keys(entries: dict, cls, what: str) -> None:
-    """ValueError naming the keys of ``entries`` that are not fields of
-    the dataclass ``cls``, or else the required fields it lacks."""
-    if not isinstance(entries, dict):
-        raise ValueError(f"expected a JSON object of {what}s, got {entries!r}")
-    unknown = sorted(set(entries) - {f.name for f in fields(cls)})
-    if unknown:
-        raise ValueError(f"unknown {what}(s): {', '.join(unknown)}")
-    missing = [f.name for f in fields(cls) if f.name not in entries
-               and f.default is MISSING and f.default_factory is MISSING]
-    if missing:
-        raise ValueError(f"missing {what}(s): {', '.join(missing)}")
 
 
 def scenario_seed(manifest: RunManifest, setting_index: int,

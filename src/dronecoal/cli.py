@@ -9,13 +9,12 @@ import json
 import os
 import sys
 
-from .bench import (RegimeResult, RunManifest, check_keys, emit_outputs,
-                    run_manifest)
+from .bench import RegimeResult, RunManifest, emit_outputs, run_manifest
 from .game import BeliefState, PayoffEngine
 from .markov import build_chain, formation_probabilities
 from .propagation import ENVIRONMENTS
 from .scenario import (DEFAULT_TYPE_SET, SETTINGS, Scenario, TypeSpec,
-                       generate, is_number)
+                       check_keys, generate, is_number)
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -18,8 +19,7 @@ import numpy as np
 # up in this module and then wraps it wherever dronecoal holds it
 from .game import (BeliefState, CoalitionStructure, PayoffEngine,
                    best_reply, candidate_groups)
-from .learning import (ObservationLog, TypePrediction, frobenius_convergence,
-                       update_beliefs)
+from .learning import ObservationLog, frobenius_convergence, update_beliefs
 
 STEP_CAP = 10_000
 
@@ -129,7 +129,8 @@ class RoundRecord:
     grand_coalition: bool
     structure: CoalitionStructure
     payoffs: dict[int, float]
-    shared_samples: dict[tuple[int, int], float]
+    # each drone's power draw, truncated at zero Watts
+    draws: dict[int, float]
     belief_hash: str
     type_norms: tuple[float, ...] = ()
     mean_norm: float = 0.0
@@ -140,8 +141,9 @@ class RoundRecord:
             "grand_coalition": self.grand_coalition,
             "structure": self.structure.to_string(),
             "payoffs": {str(k): v for k, v in sorted(self.payoffs.items())},
-            "shared_samples": {f"{i}->{j}": v for (i, j), v
-                               in sorted(self.shared_samples.items())},
+            "shared_samples": {f"{i}->{j}": self.draws[j]
+                               for block in self.structure.blocks
+                               for j in block for i in block if i != j},
             "belief_hash": self.belief_hash,
             "type_norms": list(self.type_norms),
             "mean_norm": self.mean_norm,
@@ -152,7 +154,7 @@ class RoundRecord:
 class RepeatedGameResult:
     structure: CoalitionStructure
     beliefs: BeliefState
-    prediction: TypePrediction
+    prediction: np.ndarray
     rounds: list[RoundRecord] = field(default_factory=list)
     converged: bool = False
     # the best-reply cycle that ended the game, if one did
@@ -164,27 +166,32 @@ class RepeatedGameResult:
                 f.write(record.to_json() + "\n")
 
 
-def _share_samples(structure: CoalitionStructure, scenario, log,
-                   round_index: int, rng: np.random.Generator
-                   ) -> dict[tuple[int, int], float]:
-    """Each drone broadcasts one draw of its available power to its
-    coalition mates.  Draws are truncated at zero Watts.  The round's
-    draws come from one ``rng.normal(mus, sigmas)`` call, which gives the
-    values and generator state of one scalar call per drone in id
-    order."""
+@lru_cache
+def _mates(structure: CoalitionStructure, ids: tuple) -> np.ndarray:
+    """Read-only (D, D) bool mask over ``ids``: [a, b] is set when
+    ``ids[a]`` and ``ids[b]`` are distinct drones of one block."""
+    owner = {d: k for k, block in enumerate(structure.blocks) for d in block}
+    block = np.array([owner[d] for d in ids])
+    mates = (block[:, None] == block) & ~np.eye(len(ids), dtype=bool)
+    mates.setflags(write=False)
+    return mates
+
+
+def _share_samples(structure: CoalitionStructure, log: ObservationLog,
+                   rng: np.random.Generator) -> dict[int, float]:
+    """Each drone broadcasts one draw of its available power, truncated at
+    zero Watts, to its coalition mates in one ``log.share`` call; returns
+    the draws.  One ``rng.normal(mus, sigmas)`` call gives the values and
+    generator state of one scalar call per drone in id order."""
+    scenario = log.scenario
     members = structure.members()
     specs = [scenario.type_spec(scenario.drone(d).true_type)
              for d in members]
     powers = rng.normal([t.mu for t in specs], [t.sigma for t in specs])
     draws = {d: max(0.0, x) for d, x in zip(members, powers.tolist())}
-    shared: dict[tuple[int, int], float] = {}
-    for block in structure.blocks:
-        for observed in block:
-            for observer in block:
-                if observer != observed:
-                    log.add(observer, observed, draws[observed], round_index)
-                    shared[(observer, observed)] = draws[observed]
-    return shared
+    log.share(np.array([draws[d] for d in log.ids]),
+              _mates(structure, log.ids))
+    return draws
 
 
 def run_repeated_game(scenario, config: DynamicsConfig,
@@ -212,9 +219,7 @@ def run_repeated_game(scenario, config: DynamicsConfig,
 
     def play(current: CoalitionStructure, grand_round: bool):
         """Share samples inside ``current``, re-learn and record the round."""
-        round_index = len(records)
-        shared = _share_samples(current, scenario, log, round_index,
-                                rng_sample)
+        draws = _share_samples(current, log, rng_sample)
         beliefs, prediction = update_beliefs(log)
         norms, mean_norm = frobenius_convergence(prediction, scenario)
         # each drone's payoff in its own block, read by (position, mask)
@@ -222,9 +227,9 @@ def run_repeated_game(scenario, config: DynamicsConfig,
         own = {d: (i, m) for m in current.masks
                for i, d in enumerate(current.ids) if m >> i & 1}
         records.append(RoundRecord(
-            round_index, grand_round, current,
+            len(records), grand_round, current,
             {d: table.payoff(*own[d]) for d in ids},
-            shared, beliefs.snapshot_hash(),
+            draws, beliefs.snapshot_hash(),
             tuple(float(x) for x in norms), mean_norm))
         return beliefs, prediction
 
@@ -234,7 +239,7 @@ def run_repeated_game(scenario, config: DynamicsConfig,
 
     structure = CoalitionStructure.singletons(ids)
     last_non_grand: CoalitionStructure | None = None
-    prev_classified = prediction.classified
+    prev_prediction = prediction
     stable_streak = 0
     converged = False
     stall = None
@@ -254,8 +259,8 @@ def run_repeated_game(scenario, config: DynamicsConfig,
         beliefs, prediction = play(current, grand_round)
 
         stable_streak = stable_streak + 1 \
-            if prediction.classified == prev_classified else 1
-        prev_classified = prediction.classified
+            if np.array_equal(prediction, prev_prediction) else 1
+        prev_prediction = prediction
         structure_repeats = (not grand_round
                              and last_non_grand is not None
                              and current == last_non_grand)

@@ -5,32 +5,20 @@ mate from the cumulative sample history (MLE), classifies the estimate
 against the known type set by KL divergence, and maintains per-type
 observation frequencies that become its belief vector.
 
-A sample's classification event depends only on the samples up to it, so
-the observation log, bound to one scenario, keeps one running (n, sum,
-sum of squares) per pair and queues each new sample's sums.  Each update
-classifies everything queued since the previous one in one batched call,
-adds the events to one per-pair count array, rebuilds the observed belief
-rows from it, and returns the previous belief state when none moved.
+A sample's event depends only on the samples up to it, so the observation
+log, bound to one scenario, keeps per-pair arrays of running sample sums
+and event counts: one ``share`` call per round classifies only the
+round's samples, in one batch, and ``update_beliefs`` reads beliefs and
+predictions off the counts.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from .game import BeliefState
 
 SIGMA_FLOOR_FACTOR = 1e-6   # degenerate-MLE floor relative to the mean
-
-
-def _kl(mu1, sigma1, mu2, sigma2, two_var2):
-    """KL divergence (nats) from N(mu1, sigma1) to N(mu2, sigma2),
-    elementwise over broadcast numpy arrays; ``two_var2`` is
-    ``2.0 * sigma2 ** 2``, which the learner computes once per type."""
-    return (np.log(sigma2 / sigma1)
-            + (sigma1 ** 2 + (mu1 - mu2) ** 2) / two_var2
-            - 0.5)
 
 
 class _TypeColumns:
@@ -58,120 +46,95 @@ def _classify(mean: np.ndarray, var: np.ndarray,
     sigma = np.sqrt(np.maximum(var, 0.0))
     floor = SIGMA_FLOOR_FACTOR * np.maximum(np.abs(mean), 1.0)
     sigma = np.maximum(sigma, floor)
-    kls = _kl(mean, sigma, types.mu, types.sigma, types.two_var)
+    # KL(N(mean, sigma) -> N(mu, type sigma)) in nats, one row per type
+    kls = (np.log(types.sigma / sigma)
+           + (sigma ** 2 + (mean - types.mu) ** 2) / types.two_var
+           - 0.5)
     return kls.argmin(axis=0)
 
 
 class ObservationLog:
-    """Power samples per (observer, observed) pair of one scenario's
-    drones, in strictly increasing round order per pair, and the learning
-    state built from them.
-
-    ``add`` keeps one running (n, sum of x, sum of x * x) per pair, by
-    sequential float64 additions from 0.0 as ``np.cumsum`` makes them,
-    and queues the pair's flat cell with its new sums.  The state is
-    ``counts``, the (D, D, m) type-event counts (drones in the scenario's
-    order, types in id order), the ``beliefs`` built from them and the
-    per-pair prediction ``classified``.  Samples must enter the log
-    through ``add``, not by appending to ``samples``.
+    """The learning state of one scenario's drones, indexed by position in
+    ``ids`` (the scenario's order) and types in id order: ``sums``, each
+    pair's sample count, sum of x and sum of x * x as a (3, D, D) float64
+    array, by the sequential additions from 0.0 that ``np.cumsum`` makes;
+    ``counts``, the (D, D, m) type events, with one of each drone's own
+    type on the diagonal; the last ``prediction``, None once new samples
+    came; and each (observer id, observed id) pair's ``samples``.
     """
 
     def __init__(self, scenario):
         self.scenario = scenario
         self.types = _TypeColumns(scenario.type_set)
         self.beliefs = BeliefState.uniform(scenario)
-        ids = self.beliefs.drone_ids
+        self.ids = ids = self.beliefs.drone_ids
         # the id-order position of each of the table's type columns
         self.order = [self.types.ids.index(t) for t in self.beliefs.type_ids]
-        self.counts = np.zeros((len(ids), len(ids), len(self.types.ids)),
-                               dtype=np.int64)
-        self._cell = {(i, j): a * len(ids) + b for a, i in enumerate(ids)
-                      for b, j in enumerate(ids) if i != j}
-        # unobserved pairs predict by the uniform-prior argmax (lowest id)
-        self.classified = dict.fromkeys(self._cell, self.types.ids[0])
+        d = len(ids)
+        self.sums = np.zeros((3, d, d))
+        self.counts = np.zeros((d, d, len(self.types.ids)), dtype=np.int64)
+        self.counts[range(d), range(d), [self.types.ids.index(
+            scenario.drone(i).true_type) for i in ids]] = 1
+        self.prediction = None
         self.samples: dict[tuple[int, int], list[float]] = {}
-        # pair -> (last round index, n, sum of x, sum of x * x)
-        self._running: dict[tuple[int, int], tuple] = {}
-        self._queue: list[tuple[int, int, float, float]] = []
 
-    def add(self, observer: int, observed: int, sample: float,
-            round_index: int) -> None:
-        if observer == observed:
+    def share(self, powers: np.ndarray, pairs: np.ndarray) -> None:
+        """One round: for every ``pairs[i, j]`` set in the (D, D) bool
+        mask, observer i takes ``powers[j]`` as one sample, whose
+        classification event (MLE over the pair's history up to it, then
+        KL classification) is added to ``counts``."""
+        rows, cols = pairs.nonzero()
+        if not rows.size:
+            return
+        if (rows == cols).any():
             raise ValueError("a drone does not observe itself")
-        key = (observer, observed)
-        last, n, s1, s2 = self._running.get(key, (None, 0, 0.0, 0.0))
-        if last is not None and round_index <= last:
-            raise ValueError("round indices must be strictly increasing")
-        x = float(sample)
-        sums = n + 1, s1 + x, s2 + x * x
-        self._running[key] = (round_index, *sums)
-        self.samples.setdefault(key, []).append(x)
-        self._queue.append((self._cell[key], *sums))
+        x = powers[cols]
+        sums = self.sums[:, rows, cols] + [np.ones_like(x), x, x * x]
+        self.sums[:, rows, cols] = sums
+        n, s1, s2 = sums
+        mean = s1 / n
+        events = _classify(mean, s2 / n - mean ** 2, self.types)
+        self.counts[rows, cols, events] += 1
+        self.prediction = None
+        for i, j, v in zip(rows.tolist(), cols.tolist(), x.tolist()):
+            self.samples.setdefault((self.ids[i], self.ids[j]), []).append(v)
 
 
-@dataclass
-class TypePrediction:
-    """Per-pair classified type."""
-    classified: dict[tuple[int, int], int]
+def update_beliefs(log: ObservationLog) -> tuple[BeliefState, np.ndarray]:
+    """Beliefs and the type prediction read off ``log.counts``; both come
+    back unchanged until new samples arrive.
 
-
-def update_beliefs(log: ObservationLog) -> tuple[BeliefState, TypePrediction]:
-    """Beliefs from the observation log over its scenario's type set.
-
-    For every pair, each logged sample contributes one classification
-    event (MLE over the history up to that sample, then KL
-    classification); the belief vector is the per-type frequency of those
-    events.  Pairs with no observations keep the uniform prior, and self
-    rows their point mass.  An event never changes once its sample is
-    logged, so a call classifies the samples queued since the previous
-    call in one batch, adds their events to ``log.counts`` and rebuilds
-    the observed rows from it; when no row value moved, the previous
-    ``BeliefState`` is returned again.  The beliefs equal a from-scratch
-    recomputation bit for bit.  The prediction, a fresh dict over every
-    pair in the scenario's drone order, is each pair's most frequent type,
-    the lowest id on ties (so the lowest id for unobserved pairs).
+    A belief vector is the per-type frequency of its pair's sample events;
+    unobserved pairs keep the uniform prior and self rows their point
+    mass.  The prediction is a read-only (D, D) array of type ids in the
+    scenario's drone order: each pair's most frequent type (the lowest id
+    on ties and for unobserved pairs), and the true types on the diagonal.
     """
-    if log._queue:
-        cells, cnt, sum1, sum2 = np.array(log._queue).T
-        log._queue = []
-        mean = sum1 / cnt
-        events = _classify(mean, sum2 / cnt - mean ** 2, log.types)
-        counts = log.counts
-        flat = cells.astype(np.int64) * counts.shape[2] + events
-        counts += np.bincount(flat, minlength=counts.size).reshape(
-            counts.shape)
-        total = counts.sum(axis=2, keepdims=True)
+    if log.prediction is None:
+        counts, total = log.counts, log.sums[0, ..., None]
         table = np.divide(counts[..., log.order], total, where=total > 0,
                           out=log.beliefs.table.copy())
-        if not np.array_equal(table, log.beliefs.table):
+        if not (table == log.beliefs.table).all():
             log.beliefs = BeliefState(table, log.beliefs.drone_ids,
                                       log.beliefs.type_ids)
-        best = counts.argmax(axis=2).ravel().tolist()
-        ids = log.types.ids
-        log.classified = {pair: ids[best[c]]
-                          for pair, c in log._cell.items()}
-    return log.beliefs, TypePrediction(dict(log.classified))
+        log.prediction = np.array(log.types.ids)[counts.argmax(axis=2)]
+        log.prediction.setflags(write=False)
+    return log.beliefs, log.prediction
 
 
-def frobenius_convergence(prediction: TypePrediction, scenario
+def frobenius_convergence(prediction: np.ndarray, scenario
                           ) -> tuple[np.ndarray, float]:
     """Per-type Frobenius norms of (predicted minus true) type-indicator
     matrices, and their mean.
 
-    For type m, entry (i, j) of the prediction matrix is 1 iff drone i
-    currently predicts type m for drone j; diagonals use the true type
-    (each drone knows its own).  Zero norm for every type means all
-    cross-predictions are correct.  The matrices are 0/1, and a wrong
-    prediction of type p for a drone of type q flips one entry of type
-    p's matrix and one of type q's, so each norm is the square root of
-    its type's count of such flips.
+    Entry (i, j) of type m's prediction matrix is 1 iff
+    ``prediction[i, j]`` (drones in the scenario's order, true types on
+    the diagonal) is m.  The matrices are 0/1, so each norm is the square
+    root of the count of entries where they differ.
     """
-    truth = {d.id: d.true_type for d in scenario.drones}
-    col = {t: k for k, t in enumerate(sorted(t.id for t in scenario.type_set))}
-    flips = [0] * len(col)
-    for (_, j), predicted in prediction.classified.items():
-        if predicted != truth[j]:
-            flips[col[predicted]] += 1
-            flips[col[truth[j]]] += 1
-    norms = np.sqrt(np.array(flips, dtype=float))
-    return norms, float(norms.mean())
+    types = sorted(t.id for t in scenario.type_set)
+    truth = [d.true_type for d in scenario.drones]
+    flips = (np.equal.outer(prediction, types)
+             != np.equal.outer(truth, types)).sum(axis=(0, 1), dtype=float)
+    norms = np.sqrt(flips)
+    return norms, float(norms.sum() / len(norms))   # np.mean's bits

@@ -51,12 +51,11 @@ class Environment:
     bandwidth_hz: float
 
     def __post_init__(self):
-        if self.alpha <= 0 or self.gamma <= 0:
-            raise ValueError("alpha and gamma must be positive")
-        if self.k1 <= 0 or self.g1 <= 0:
-            raise ValueError("k1 and g1 must be positive")
-        if self.bandwidth_hz <= 0:
-            raise ValueError("bandwidth_hz must be positive")
+        for name in ("alpha", "gamma", "k1", "g1", "carrier_hz",
+                     "bandwidth_hz"):
+            if not getattr(self, name) > 0:
+                raise ValueError(
+                    f"{name} must be positive, got {getattr(self, name)!r}")
 
     def to_dict(self) -> dict:
         return asdict(self)

@@ -4,8 +4,9 @@ ownership, type sets, and the non-cooperative baseline."""
 from __future__ import annotations
 
 import json
+import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 from functools import cached_property
 
 import numpy as np
@@ -16,6 +17,25 @@ from .propagation import ENVIRONMENTS, Environment, Position3D
 def is_number(value) -> bool:
     """A real number that is not a bool."""
     return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def is_finite(value) -> bool:
+    """A finite real number that is not a bool."""
+    return is_number(value) and math.isfinite(value)
+
+
+def check_keys(entries: dict, cls, what: str) -> None:
+    """ValueError naming the keys of ``entries`` that are not fields of
+    the dataclass ``cls``, or else the required fields it lacks."""
+    if not isinstance(entries, dict):
+        raise ValueError(f"expected a JSON object of {what}s, got {entries!r}")
+    unknown = sorted(set(entries) - {f.name for f in fields(cls)})
+    if unknown:
+        raise ValueError(f"unknown {what}(s): {', '.join(unknown)}")
+    missing = [f.name for f in fields(cls) if f.name not in entries
+               and f.default is MISSING and f.default_factory is MISSING]
+    if missing:
+        raise ValueError(f"missing {what}(s): {', '.join(missing)}")
 
 
 @dataclass(frozen=True)
@@ -30,6 +50,8 @@ class TypeSpec:
             value = getattr(self, name)
             if not is_number(value) or not value > 0:
                 raise ValueError(f"{name} must be positive, got {value!r}")
+            if not is_finite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
 
 
 DEFAULT_TYPE_SET = (TypeSpec(0, 12.0, 3.0), TypeSpec(1, 18.0, 3.0))
@@ -148,18 +170,43 @@ class Scenario:
         if not isinstance(d, dict):
             raise ValueError("a scenario must be a JSON object, got "
                              f"{type(d).__name__}")
-        for e in d["drones"]:
-            p = e["position"]
+        for key in ("drones", "users", "type_set"):
+            if not isinstance(d[key], list) \
+                    or not all(isinstance(e, dict) for e in d[key]):
+                raise ValueError(f"{key} must be a list of JSON objects, "
+                                 f"got {d[key]!r}")
+            ids = [e["id"] for e in d[key]]
+            for i in ids:
+                if type(i) is not int or ids.count(i) > 1:
+                    raise ValueError(f"ids of {key} must be distinct "
+                                     f"integers, got {i!r}")
+        drones = [e["id"] for e in d["drones"]]
+        for kind, e in [("drone", e) for e in d["drones"]] \
+                + [("user", e) for e in d["users"]]:
+            p, c, b = e["position"], e.get("channels", []), \
+                e.get("baseline_drone")
             for name, ok, what in (
-                    ("channels", isinstance(e["channels"], list), "a list"),
                     ("position", isinstance(p, list) and 2 <= len(p) <= 3
-                     and all(map(is_number, p)), "a list of 2 or 3 numbers"),
-                    ("true_type", type(e["true_type"]) is int, "an integer")):
+                     and all(map(is_finite, p)), "a list of 2 or 3 numbers"),
+                    ("channels", isinstance(c, list), "a list"),
+                    ("channels", isinstance(c, list) and all(
+                        type(q) is int for q in c), "a list of integers"),
+                    ("true_type", kind == "user"
+                     or type(e["true_type"]) is int, "an integer"),
+                    ("baseline_drone", kind == "drone"
+                     or type(b) is int and b in drones, "a drone id")):
                 if not ok:
-                    raise ValueError(f"{name} of drone {e['id']} must be "
+                    raise ValueError(f"{name} of {kind} {e['id']} must be "
                                      f"{what}, got {e[name]!r}")
         if not is_number(d["area_m"]) or not d["area_m"] > 0:
             raise ValueError(f"area_m must be positive, got {d['area_m']!r}")
+        if type(d["seed"]) is not int:
+            raise ValueError(f"seed must be an integer, got {d['seed']!r}")
+        check_keys(d["env"], Environment, "env key")
+        for f in fields(Environment)[1:]:   # every field but the name
+            if not is_finite(d["env"][f.name]):
+                raise ValueError(f"{f.name} must be a finite number, got "
+                                 f"{d['env'][f.name]!r}")
         return cls(
             drones=tuple(
                 DroneSpec(e["id"], Position3D(*e["position"]),

@@ -12,6 +12,8 @@ against them bit for bit.
   since a ``BeliefState`` never changes.
 - ``frobenius_convergence`` builds each type's indicator matrices in a
   Python loop and takes ``np.linalg.norm`` of their difference.
+- ``share`` is not a reference: it feeds samples keyed by drone id to
+  ``ObservationLog.share``, whose arrays follow the scenario's drone order.
 - ``candidate_groups``, ``best_reply_step``, ``is_nash_stable`` and
   ``build_chain`` each make the best-reply decision on their own, with
   the comparisons they used before the library put them behind
@@ -53,8 +55,7 @@ from dronecoal.game import (BeliefState, CoalitionStructure,
                             DeviationWitness, PayoffEngine,
                             enumerate_structures)
 from dronecoal.learning import (SIGMA_FLOOR_FACTOR, ObservationLog,
-                                TypePrediction, _classify, _kl,
-                                _TypeColumns)
+                                _classify, _TypeColumns)
 from dronecoal.markov import MarkovModel
 
 
@@ -87,15 +88,26 @@ def with_rows(beliefs: BeliefState, rows: dict) -> BeliefState:
     return BeliefState(table, beliefs.drone_ids, beliefs.type_ids)
 
 
-def update_beliefs(log: ObservationLog) -> tuple[BeliefState, TypePrediction]:
+def share(log: ObservationLog, powers: dict, pairs) -> None:
+    """One ``log.share`` call: observer i takes ``powers[j]`` for every
+    (observer id i, observed id j) in ``pairs``."""
+    ids = log.scenario.drone_ids
+    mask = np.zeros((len(ids), len(ids)), dtype=bool)
+    for i, j in pairs:
+        mask[ids.index(i), ids.index(j)] = True
+    log.share(np.array([float(powers.get(d, 0.0)) for d in ids]), mask)
+
+
+def update_beliefs(log: ObservationLog) -> tuple[BeliefState, np.ndarray]:
     """Recompute beliefs from the observation log over its scenario's
     type set.
 
     For every pair, each logged round contributes one classification event
     (MLE over the history up to that round, then KL classification); the
     belief vector is the per-type frequency of those events.  Pairs with
-    no observations keep the uniform prior.  The prediction lists every
-    pair in the scenario's drone order.
+    no observations keep the uniform prior.  The prediction is a (D, D)
+    array of type ids in the scenario's drone order, with the true types
+    on the diagonal.
     """
     scenario = log.scenario
     uniform = BeliefState.uniform(scenario)
@@ -118,12 +130,14 @@ def update_beliefs(log: ObservationLog) -> tuple[BeliefState, TypePrediction]:
     beliefs = BeliefState(table, uniform.drone_ids, uniform.type_ids)
     # unobserved pairs predict by the uniform-prior argmax (lowest id)
     ids = scenario.drone_ids
-    classified = {(i, j): observed_types.get((i, j), types[0].id)
-                  for i in ids for j in ids if i != j}
-    return beliefs, TypePrediction(classified)
+    prediction = np.array([
+        [scenario.drone(j).true_type if i == j
+         else observed_types.get((i, j), types[0].id) for j in ids]
+        for i in ids])
+    return beliefs, prediction
 
 
-def frobenius_convergence(prediction: TypePrediction, scenario
+def frobenius_convergence(prediction: np.ndarray, scenario
                           ) -> tuple[np.ndarray, float]:
     """Per-type Frobenius norms of (predicted minus true) type-indicator
     matrices, and their mean.
@@ -143,8 +157,7 @@ def frobenius_convergence(prediction: TypePrediction, scenario
         true = np.zeros((d, d))
         for a, i in enumerate(ids):
             for b, j in enumerate(ids):
-                predicted = truth[j] if i == j \
-                    else prediction.classified[(i, j)]
+                predicted = truth[j] if i == j else prediction[a, b]
                 pred[a, b] = 1.0 if predicted == t.id else 0.0
                 true[a, b] = 1.0 if truth[j] == t.id else 0.0
         norms[k] = np.linalg.norm(pred - true)
@@ -452,7 +465,9 @@ def kl_gaussian(p: tuple[float, float], q: tuple[float, float]) -> float:
         raise ValueError("reference std must be positive")
     if sigma1 <= 0:
         raise ValueError("std of the first argument must be positive")
-    return float(_kl(mu1, sigma1, mu2, sigma2, 2.0 * sigma2 ** 2))
+    return float(math.log(sigma2 / sigma1)
+                 + (sigma1 ** 2 + (mu1 - mu2) ** 2) / (2.0 * sigma2 ** 2)
+                 - 0.5)
 
 
 def classify(estimate: tuple[float, float], type_set) -> int:

@@ -57,6 +57,19 @@ class TestGenerate:
         sc = Scenario.load(out)
         assert [t.mu for t in sc.type_set] == [10.0, 20.0, 30.0]
 
+    @pytest.mark.parametrize("types, message", [
+        ("inf:3,18:3", "mu must be finite, got inf"),
+        ("12:3,18:inf", "sigma must be finite, got inf"),
+        ("nan:3,18:3", "mu must be positive, got nan"),
+    ])
+    def test_non_finite_type_rejected(self, tmp_path, capsys, types,
+                                      message):
+        out = tmp_path / "scenario.json"
+        assert main(["generate", "--types", types,
+                     "--out", str(out)]) == EXIT_VALIDATION
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
     def test_bad_setting_is_parse_error(self, tmp_path):
         with pytest.raises(SystemExit):
             main(["generate", "--setting", "S9",
@@ -185,6 +198,14 @@ class TestRun:
         ({"type_set": [{"id": True, "mu": 12.0, "sigma": 3.0}]}, "type_set"),
         ({"type_set": [[0, 12.0, 3.0]]}, "type_set"),
         ({"environment": ["urban"]}, "environment"),
+        ({"type_set": [{"id": 0, "mu": float("inf"), "sigma": 3.0}]}, "mu"),
+        # a float id would be written into scenario files that then fail
+        # to load
+        ({"type_set": [{"id": 0.0, "mu": 12.0, "sigma": 3.0}]}, "type_set"),
+        # checked even when no regime takes an expected payoff
+        ({"regimes": ["baseline"],
+          "type_set": [{"id": 0, "mu": 12.0, "sigma": float("inf")}]},
+         "sigma"),
     ])
     def test_malformed_field_rejected_on_load(self, tmp_path, monkeypatch,
                                               capsys, entries, field):
@@ -270,7 +291,35 @@ class TestMarkov:
         (lambda d: d["drones"][1].update(true_type=[0]),
          "true_type of drone 1 must be an integer, got [0]"),
         (lambda d: d.update(area_m="x"), "area_m must be positive, got 'x'"),
-    ], ids=["mu", "channels", "array", "position", "true_type", "area_m"])
+        (lambda d: d["users"][0].update(position=5),
+         "position of user 0 must be a list of 2 or 3 numbers, got 5"),
+        (lambda d: d["users"][2].update(baseline_drone="x"),
+         "baseline_drone of user 2 must be a drone id, got 'x'"),
+        (lambda d: d["users"][2].update(baseline_drone=99),
+         "baseline_drone of user 2 must be a drone id, got 99"),
+        (lambda d: d["drones"][0].update(id="a"),
+         "ids of drones must be distinct integers, got 'a'"),
+        (lambda d: d["drones"][2].update(id=1),
+         "ids of drones must be distinct integers, got 1"),
+        (lambda d: d["users"][4].update(id=3),
+         "ids of users must be distinct integers, got 3"),
+        (lambda d: d["users"][2].update(baseline_drone=True),
+         "baseline_drone of user 2 must be a drone id, got True"),
+        (lambda d: d["env"].update(bandwidth_hz="x"),
+         "bandwidth_hz must be a finite number, got 'x'"),
+        (lambda d: d["type_set"][1].update(mu=float("inf")),
+         "mu must be finite, got inf"),
+        (lambda d: d["drones"][1].update(channels=[3, "4"]),
+         "channels of drone 1 must be a list of integers, got [3, '4']"),
+        (lambda d: d["env"].update(gain=1.0), "unknown env key(s): gain"),
+        (lambda d: d["env"].update(carrier_hz=0.0),
+         "carrier_hz must be positive, got 0.0"),
+        (lambda d: d.update(seed=0.5), "seed must be an integer, got 0.5"),
+    ], ids=["mu", "channels", "array", "position", "true_type", "area_m",
+            "user_position", "baseline_drone_str", "baseline_drone_id",
+            "drone_id", "duplicate_drone", "duplicate_user",
+            "baseline_drone_bool", "bandwidth_hz",
+            "mu_inf", "channel_ids", "env_key", "carrier_hz", "seed"])
     def test_malformed_scenario(self, tmp_path, capsys, edit, message):
         scenario_path = tmp_path / "scenario.json"
         main(["generate", "--setting", "S1", "--out", str(scenario_path)])

@@ -30,13 +30,14 @@ def learned_beliefs(sc, rounds: int, seed: int) -> BeliefState:
     drone shares one draw of its power with every other drone."""
     rng = np.random.default_rng(seed)
     log = ObservationLog(sc)
-    for r in range(rounds):
-        for j in sc.drone_ids:
+    ids = sc.drone_ids
+    for _ in range(rounds):
+        draws = {}
+        for j in ids:
             t = sc.type_spec(sc.drone(j).true_type)
-            x = max(0.0, float(rng.normal(t.mu, t.sigma)))
-            for i in sc.drone_ids:
-                if i != j:
-                    log.add(i, j, x, r)
+            draws[j] = max(0.0, float(rng.normal(t.mu, t.sigma)))
+        oracles.share(log, draws,
+                      [(i, j) for i in ids for j in ids if i != j])
     beliefs, _ = update_beliefs(log)
     return beliefs
 

@@ -7,7 +7,7 @@ from dronecoal.learning import (ObservationLog, frobenius_convergence,
                                 update_beliefs)
 from dronecoal.propagation import ENVIRONMENTS
 from dronecoal.scenario import SETTINGS, TypeSpec, generate
-from oracles import classify, kl_gaussian, mle_gaussian, prob
+from oracles import classify, kl_gaussian, mle_gaussian, prob, share
 
 URBAN = ENVIRONMENTS["urban"]
 TYPES = (TypeSpec(0, 12.0, 3.0), TypeSpec(1, 18.0, 3.0))
@@ -103,22 +103,21 @@ S1 = generate(SETTINGS["S1"], URBAN, type_set=TYPES, seed=30)
 class TestObservationLog:
     def test_self_observation_rejected(self):
         log = ObservationLog(S1)
+        counts = log.counts.copy()
         with pytest.raises(ValueError):
-            log.add(0, 0, 12.0, 0)
-
-    def test_rounds_strictly_increasing(self):
-        log = ObservationLog(S1)
-        log.add(0, 1, 12.0, 0)
-        log.add(0, 1, 13.0, 1)
-        with pytest.raises(ValueError):
-            log.add(0, 1, 14.0, 1)
+            share(log, {0: 12.0, 1: 13.0}, [(0, 0), (0, 1)])
+        assert (log.counts == counts).all() and not log.samples
 
     def test_pairs_independent(self):
         log = ObservationLog(S1)
-        log.add(0, 1, 12.0, 3)
-        log.add(1, 0, 18.0, 3)
-        assert log.samples[(0, 1)] == [12.0]
-        assert log.samples[(1, 0)] == [18.0]
+        share(log, {0: 18.0, 1: 12.0}, [(0, 1), (1, 0)])
+        share(log, {0: 19.0, 1: 13.0}, [(0, 1)])
+        assert log.samples == {(0, 1): [12.0, 13.0], (1, 0): [18.0]}
+        # one event per sample, and each drone's own type on the diagonal
+        assert (log.counts.sum(axis=2) - np.eye(3)).tolist() == \
+            log.sums[0].tolist() == [[0, 2, 0], [1, 0, 0], [0, 0, 0]]
+        assert log.sums[:, 0, 1].tolist() == [2.0, 25.0, 313.0]
+        assert log.sums[:, 1, 0].tolist() == [1.0, 18.0, 324.0]
 
 
 class TestUpdateBeliefs:
@@ -133,7 +132,7 @@ class TestUpdateBeliefs:
             for j in sc.drone_ids:
                 if i != j:
                     assert prob(beliefs, i, j, 0) == pytest.approx(0.5)
-                    assert prediction.classified[(i, j)] == 0
+                    assert prediction[i, j] == 0
 
     def test_hand_counted_frequencies(self):
         # prefix classifications of [12, 12, 30]:
@@ -142,32 +141,31 @@ class TestUpdateBeliefs:
         #  after 3 samples: mean 18, var 72 -> KL favors type 1
         sc = self._scenario()
         log = ObservationLog(sc)
-        for r, v in enumerate([12.0, 12.0, 30.0]):
-            log.add(0, 1, v, r)
+        for v in [12.0, 12.0, 30.0]:
+            share(log, {1: v}, [(0, 1)])
         beliefs, prediction = update_beliefs(log)
         assert prob(beliefs, 0, 1, 0) == pytest.approx(2.0 / 3.0)
         assert prob(beliefs, 0, 1, 1) == pytest.approx(1.0 / 3.0)
-        assert prediction.classified[(0, 1)] == 0
+        assert prediction[0, 1] == 0
         assert beliefs.rows(0, [1], [0, 1]) == [[2.0 / 3.0, 1.0 / 3.0]]
 
     def test_unanimous_observations(self):
         sc = self._scenario()
         log = ObservationLog(sc)
         for r in range(5):
-            log.add(0, 1, 18.0 + 0.1 * r, r)
+            share(log, {1: 18.0 + 0.1 * r}, [(0, 1)])
         beliefs, prediction = update_beliefs(log)
         assert prob(beliefs, 0, 1, 1) == pytest.approx(1.0)
-        assert prediction.classified[(0, 1)] == 1
+        assert prediction[0, 1] == 1
 
     def test_simplex_invariant(self):
         sc = self._scenario()
         rng = np.random.default_rng(23)
         log = ObservationLog(sc)
-        for r in range(20):
-            for i in sc.drone_ids:
-                for j in sc.drone_ids:
-                    if i != j:
-                        log.add(i, j, float(rng.normal(15, 5)), r)
+        ids = sc.drone_ids
+        for _ in range(20):
+            share(log, dict(zip(ids, rng.normal(15, 5, size=len(ids)))),
+                  [(i, j) for i in ids for j in ids if i != j])
         beliefs, _ = update_beliefs(log)
         assert np.allclose(beliefs.table.sum(axis=2), 1.0)
         assert np.all(beliefs.table >= 0.0)
@@ -178,10 +176,10 @@ class TestUpdateBeliefs:
         types = (TypeSpec(1, 18.0, 3.0), TypeSpec(0, 12.0, 3.0))
         sc = generate(SETTINGS["S1"], URBAN, type_set=types, seed=30)
         log = ObservationLog(sc)
-        for r in range(5):
-            log.add(0, 1, 12.0, r)
+        for _ in range(5):
+            share(log, {1: 12.0}, [(0, 1)])
         beliefs, prediction = update_beliefs(log)
-        assert prediction.classified[(0, 1)] == 0
+        assert prediction[0, 1] == 0
         assert prob(beliefs, 0, 1, 0) == 1.0
         assert prob(beliefs, 0, 1, 1) == 0.0
 
@@ -189,19 +187,16 @@ class TestUpdateBeliefs:
         sc = self._scenario(seed=31)
         rng = np.random.default_rng(24)
         log = ObservationLog(sc)
-        for r in range(40):
-            for j in sc.drone_ids:
+        ids = sc.drone_ids
+        for _ in range(40):
+            draws = {}
+            for j in ids:
                 t = sc.type_spec(sc.drone(j).true_type)
-                draw = max(0.0, float(rng.normal(t.mu, t.sigma)))
-                for i in sc.drone_ids:
-                    if i != j:
-                        log.add(i, j, draw, r)
+                draws[j] = max(0.0, float(rng.normal(t.mu, t.sigma)))
+            share(log, draws, [(i, j) for i in ids for j in ids if i != j])
         _, prediction = update_beliefs(log)
-        for i in sc.drone_ids:
-            for j in sc.drone_ids:
-                if i != j:
-                    assert prediction.classified[(i, j)] == \
-                        sc.drone(j).true_type
+        truth = [sc.drone(j).true_type for j in ids]
+        assert prediction.tolist() == [truth] * len(ids)
 
 
 class TestFrobeniusConvergence:
@@ -209,13 +204,11 @@ class TestFrobeniusConvergence:
         return generate(SETTINGS["S1"], URBAN, type_set=TYPES, seed=32)
 
     def _prediction(self, sc, overrides=None):
-        log = ObservationLog(sc)
-        _, prediction = update_beliefs(log)
-        truth = {(i, j): sc.drone(j).true_type
-                 for i in sc.drone_ids for j in sc.drone_ids if i != j}
-        prediction.classified.update(truth)
-        if overrides:
-            prediction.classified.update(overrides)
+        # S1 lists drones 0..2 in id order, so ids are positions
+        prediction = np.array([[sc.drone(j).true_type for j in sc.drone_ids]
+                               for _ in sc.drone_ids])
+        for (i, j), t in (overrides or {}).items():
+            prediction[i, j] = t
         return prediction
 
     def test_all_correct_is_zero(self):
@@ -253,8 +246,7 @@ class TestFrobeniusConvergence:
                     if i != j and rng.random() < 0.3:
                         overrides[(i, j)] = int(rng.integers(2))
             prediction = self._prediction(sc, overrides)
-            wrong = any(prediction.classified[(i, j)] !=
-                        sc.drone(j).true_type
+            wrong = any(prediction[i, j] != sc.drone(j).true_type
                         for i in sc.drone_ids for j in sc.drone_ids
                         if i != j)
             _, mean = frobenius_convergence(prediction, sc)

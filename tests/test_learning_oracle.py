@@ -2,14 +2,16 @@
 Frobenius norms against the from-scratch reference in ``oracles.py``,
 compared bit for bit."""
 
+import dataclasses
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
 from dronecoal.game import BeliefState
-from dronecoal.learning import (ObservationLog, TypePrediction,
-                                frobenius_convergence, update_beliefs)
+from dronecoal.learning import (ObservationLog, frobenius_convergence,
+                                update_beliefs)
 from dronecoal.propagation import ENVIRONMENTS
 from dronecoal.scenario import SETTINGS, TypeSpec, generate
 
@@ -33,37 +35,43 @@ def learning_cases(draw):
     setting = SETTINGS[draw(st.sampled_from(["S1", "S2", "S3", "S4"]))]
     sc = generate(setting, URBAN, type_set=draw(type_sets(m)),
                   seed=draw(st.integers(0, 10_000)))
-    pairs = [(i, j) for i in sc.drone_ids for j in sc.drone_ids if i != j]
+    # the scenario lists its drones in a drawn order, which the log's
+    # arrays follow, while drone ids and structures stay sorted
+    sc = dataclasses.replace(sc, drones=tuple(
+        draw(st.permutations(sc.drones))))
+    ids = sorted(sc.drone_ids)
+    pairs = [(i, j) for i in ids for j in ids if i != j]
     # some pairs are never observed; the others share in most rounds
     observed = [pair for pair in pairs if draw(st.integers(0, 3))]
-    # a constant pair shares one value every time, so every event of it is
-    # the same classification and its row stays one point mass
-    constant = {pair: draw(SAMPLES) for pair in observed
-                if not draw(st.integers(0, 2))}
+    # a constant drone shares one value every time, so every event of a
+    # pair observing it is the same classification and the row stays one
+    # point mass
+    constant = {j: draw(SAMPLES) for j in ids if not draw(st.integers(0, 2))}
     seen: set = set()
     rounds = []
     for _ in range(draw(st.integers(1, 16))):
-        # a quiet round shares only constant pairs seen before, or nothing
+        # a quiet round shares only pairs seen before that observe a
+        # constant drone, or nothing
         quiet = draw(st.integers(0, 2)) == 0
         if quiet:
-            active = [pair for pair in constant
-                      if pair in seen and draw(st.booleans())]
+            active = [(i, j) for i, j in observed if j in constant
+                      and (i, j) in seen and draw(st.booleans())]
         else:
             active = [pair for pair in observed if draw(st.integers(0, 3))]
-        values = [constant[pair] if pair in constant else draw(SAMPLES)
-                  for pair in active]
+        powers = {j: constant[j] if j in constant else draw(SAMPLES)
+                  for j in ids}
         seen.update(active)
         # whether the learner updates after this round
-        rounds.append((list(zip(active, values)), draw(st.booleans()), quiet))
+        rounds.append((powers, active, draw(st.booleans()), quiet))
     return sc, rounds
 
 
-def assert_same_prediction(got: TypePrediction, ref: TypePrediction, sc):
-    assert got.classified == ref.classified
-    # every pair, in the scenario's drone order
-    ids = sc.drone_ids
-    assert list(got.classified) == [(i, j) for i in ids for j in ids
-                                    if i != j]
+def assert_same_prediction(got: np.ndarray, ref: np.ndarray, sc):
+    # type ids for every pair, in the scenario's drone order
+    d = len(sc.drones)
+    assert got.shape == ref.shape == (d, d)
+    assert got.dtype.kind == "i"
+    assert got.tobytes() == ref.tobytes()
 
 
 @settings(deadline=None, max_examples=60)
@@ -75,9 +83,8 @@ def test_incremental_beliefs_equal_from_scratch(case):
     # the table were logged since
     last = None
     moved_since = True
-    for r, (shared, call, quiet) in enumerate(rounds):
-        for (i, j), x in shared:
-            log.add(i, j, x, r)
+    for powers, active, call, quiet in rounds:
+        oracles.share(log, powers, active)
         moved_since = moved_since or not quiet
         if not call:
             continue
@@ -108,15 +115,17 @@ def test_no_new_samples_returns_the_same_state():
     assert update_beliefs(log)[0] is empty
     assert empty.content_key == oracles.update_beliefs(log)[0].content_key
     for r in range(3):
-        log.add(0, 1, 12.0, r)
-        log.add(2, 3, 30.0 + r, r)
+        oracles.share(log, {1: 12.0, 3: 30.0 + r}, [(0, 1), (2, 3)])
+    # a round without mates shares nothing
+    oracles.share(log, {}, [])
     beliefs, prediction = update_beliefs(log)
     again, again_prediction = update_beliefs(log)
     assert again is beliefs
     assert again.content_key == oracles.update_beliefs(log)[0].content_key
     assert_same_prediction(again_prediction, prediction, sc)
-    # each call hands out its own prediction dict
-    assert again_prediction.classified is not prediction.classified
+    # the same read-only prediction comes back until new samples arrive
+    assert again_prediction is prediction
+    assert not prediction.flags.writeable
 
 
 # two types 6 apart, listed out of id order: a first sample of 12 reads as
@@ -128,24 +137,24 @@ def test_unmoved_rows_return_the_same_state():
     # new samples whose events leave every row where it was
     sc = generate(SETTINGS["S1"], URBAN, type_set=TWO_TYPES, seed=30)
     log = ObservationLog(sc)
-    log.add(0, 1, 12.0, 0)
+    oracles.share(log, {1: 12.0}, [(0, 1)])
     beliefs, _ = update_beliefs(log)
-    for r in range(1, 4):
-        log.add(0, 1, 12.0, r)
+    for _ in range(1, 4):
+        oracles.share(log, {1: 12.0}, [(0, 1)])
         assert update_beliefs(log)[0] is beliefs
-    log.add(0, 1, 30.0, 4)
+    oracles.share(log, {1: 30.0}, [(0, 1)])
     assert update_beliefs(log)[0] is not beliefs
 
 
 def test_tied_events_predict_the_lowest_id():
     sc = generate(SETTINGS["S1"], URBAN, type_set=TWO_TYPES, seed=30)
     log = ObservationLog(sc)
-    log.add(0, 1, 12.0, 0)
-    log.add(0, 1, 30.0, 1)
+    oracles.share(log, {1: 12.0}, [(0, 1)])
+    oracles.share(log, {1: 30.0}, [(0, 1)])
     beliefs, prediction = update_beliefs(log)
     assert beliefs.rows(0, [1], [0, 1]) == [[0.5, 0.5]]
-    assert prediction.classified[(0, 1)] == 0
-    assert prediction == oracles.update_beliefs(log)[1]
+    assert prediction[0, 1] == 0
+    assert_same_prediction(prediction, oracles.update_beliefs(log)[1], sc)
 
 
 def test_unobserved_rows_keep_the_prior():
@@ -153,9 +162,9 @@ def test_unobserved_rows_keep_the_prior():
     sc = generate(SETTINGS["S4"], URBAN, seed=3)
     log = ObservationLog(sc)
     for r in range(4):
-        log.add(0, 1, 10.0 + 5 * r, r)
+        oracles.share(log, {1: 10.0 + 5 * r}, [(0, 1)])
     update_beliefs(log)
-    log.add(2, 3, 30.0, 4)
+    oracles.share(log, {3: 30.0}, [(2, 3)])
     beliefs, _ = update_beliefs(log)
     uniform = BeliefState.uniform(sc).table
     kept = np.ones(uniform.shape[:2], dtype=bool)
@@ -170,9 +179,13 @@ def predictions(draw):
     sc = generate(SETTINGS[draw(st.sampled_from(["S1", "S2"]))], URBAN,
                   type_set=draw(type_sets(m)),
                   seed=draw(st.integers(0, 10_000)))
-    classified = {(i, j): draw(st.integers(0, m - 1))
-                  for i in sc.drone_ids for j in sc.drone_ids if i != j}
-    return sc, TypePrediction(classified)
+    sc = dataclasses.replace(sc, drones=tuple(
+        draw(st.permutations(sc.drones))))
+    # any type off the diagonal, the true type on it
+    prediction = np.array([[draw(st.integers(0, m - 1)) for _ in sc.drones]
+                           for _ in sc.drones])
+    np.fill_diagonal(prediction, [d.true_type for d in sc.drones])
+    return sc, prediction
 
 
 @settings(deadline=None, max_examples=40)

@@ -32,7 +32,7 @@ from dronecoal.markov import (TrappedClassError, absorbing_states,
 from dronecoal.propagation import ENVIRONMENTS
 from dronecoal.scenario import (DEFAULT_TYPE_SET, SETTINGS, Scenario,
                                 TypeSpec, generate)
-from oracles import prob
+from oracles import prob, share
 
 URBAN = ENVIRONMENTS["urban"]
 REL = 1e-12
@@ -70,10 +70,9 @@ def make_beliefs(sc, kind: str, samples: dict, relabel=None):
         return BeliefState.uniform(sc)
     relabel = relabel or {d: d for d in sc.drone_ids}
     log = ObservationLog(sc)
-    for (r, j), x in samples.items():
-        for i in sc.drone_ids:
-            if i != relabel[j]:
-                log.add(i, relabel[j], x, r)
+    for (_, j), x in samples.items():
+        share(log, {relabel[j]: x},
+              [(i, relabel[j]) for i in sc.drone_ids if i != relabel[j]])
     beliefs, _ = update_beliefs(log)
     return beliefs
 

@@ -32,11 +32,12 @@ def learned(sc, rounds: int, seed: int) -> BeliefState:
     rounds of four, so some rows stay uniform."""
     rng = np.random.default_rng(seed)
     log = ObservationLog(sc)
-    for r in range(rounds):
+    for _ in range(rounds):
         for i, j in itertools.permutations(sc.drone_ids, 2):
             if rng.random() < 0.75:
                 t = sc.type_spec(sc.drone(j).true_type)
-                log.add(i, j, max(0.0, float(rng.normal(t.mu, t.sigma))), r)
+                x = max(0.0, float(rng.normal(t.mu, t.sigma)))
+                oracles.share(log, {j: x}, [(i, j)])
     beliefs, _ = update_beliefs(log)
     return beliefs
 

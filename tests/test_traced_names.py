@@ -3,17 +3,23 @@ lists must exist, or a traced benchmark run fails while installing."""
 
 import importlib
 import importlib.util
+import json
 import pkgutil
+import sys
 from pathlib import Path
 
 TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
 
 
-def _spans():
+def _tracer():
     spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
     tracer = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracer)
-    return tracer.SPANS
+    return tracer
+
+
+def _spans():
+    return _tracer().SPANS
 
 
 def test_every_traced_name_resolves():
@@ -50,3 +56,54 @@ def test_every_module_holds_the_traced_object():
             if held is not None and held is not original:
                 stale.append(f"{span}: {module.__name__}.{name}")
     assert not stale, stale
+
+
+def _held_names(spans):
+    """Every (owner, attribute) -> object a traced name resolves to: the
+    class entry of a traced method, and each dronecoal module's entry of
+    a traced function."""
+    modules = {name: mod for name, mod in sys.modules.items()
+               if name.split(".")[0] == "dronecoal"}
+    held = {}
+    for _, modname, attr in spans:
+        if "." in attr:
+            cls_name, meth = attr.split(".")
+            cls = getattr(modules[modname], cls_name)
+            held[(modname, attr)] = cls.__dict__[meth]
+            continue
+        for name, mod in modules.items():
+            if attr in vars(mod):
+                held[(name, attr)] = vars(mod)[attr]
+    return held
+
+
+def test_traced_repeated_game_counts_every_sample():
+    # learning.samples adds the log's sample count at each update_beliefs
+    # call, which comes once per round after that round's sharing
+    tracer = _tracer()
+    dynamics = importlib.import_module("dronecoal.dynamics")
+    scenario = importlib.import_module("dronecoal.scenario")
+    propagation = importlib.import_module("dronecoal.propagation")
+    sc = scenario.generate(scenario.SETTINGS["S3"],
+                           propagation.ENVIRONMENTS["urban"], seed=4)
+    before = _held_names(tracer.SPANS)
+    spans = tracer.Tracer()
+    spans.install()
+    try:
+        result = dynamics.run_repeated_game(
+            sc, dynamics.DynamicsConfig(seed=2, max_rounds=40))
+    finally:
+        spans.uninstall()
+    after = _held_names(tracer.SPANS)
+    assert after.keys() == before.keys()
+    assert all(after[key] is held for key, held in before.items())
+    per_round = [len(json.loads(r.to_json())["shared_samples"])
+                 for r in result.rounds]
+    assert sum(per_round) > 0
+    summary = spans.summary()
+    assert summary["learning.samples"] == sum(
+        sum(per_round[:k + 1]) for k in range(len(per_round)))
+    assert summary["dynamics.rounds"] == len(result.rounds)
+    assert summary["learning.update_beliefs.calls"] == len(result.rounds)
+    assert summary["learning.frobenius_convergence.calls"] == \
+        len(result.rounds)

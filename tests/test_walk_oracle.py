@@ -6,6 +6,9 @@ the same state, so the rest of a repeated game draws the same values.  The
 one-call draws the walk and a round's power sharing rest on are pinned
 against scalar draws."""
 
+import dataclasses
+import json
+
 import numpy as np
 import pytest
 
@@ -141,22 +144,35 @@ def test_shared_samples_are_scalar_draws_truncated_at_zero():
     negatives = 0
     for seed in range(30):
         sc = generate(SETTINGS["S4"], URBAN, type_set=types, seed=seed)
-        ids = sc.drone_ids
+        # every other scenario lists its drones out of id order; draws
+        # stay in id order, the log's arrays follow the list
+        if seed % 2:
+            sc = dataclasses.replace(sc, drones=sc.drones[3:] + sc.drones[:3])
+        ids = sorted(sc.drone_ids)
         for structure in (CoalitionStructure.grand(ids),
                           CoalitionStructure.singletons(ids),
-                          CoalitionStructure.from_string("{0,1,2}{3,4}{5}")):
+                          CoalitionStructure.from_string("{0,1,2}{3,4}{5}"),
+                          CoalitionStructure.from_string("{0,4}{1,3,5}{2}")):
             rng, ref_rng = (np.random.default_rng(seed) for _ in range(2))
             log = ObservationLog(sc)
-            shared = dynamics._share_samples(structure, sc, log, 0, rng)
-            specs = {d: sc.type_spec(sc.drone(d).true_type)
-                     for d in structure.members()}
+            draws = dynamics._share_samples(structure, log, rng)
+            specs = {d: sc.type_spec(sc.drone(d).true_type) for d in ids}
             raw = {d: float(ref_rng.normal(t.mu, t.sigma))
                    for d, t in specs.items()}
             negatives += sum(x < 0.0 for x in raw.values())
+            assert draws == {d: max(0.0, x) for d, x in raw.items()}
             expected = {(i, j): max(0.0, raw[j])
                         for block in structure.blocks
                         for j in block for i in block if i != j}
-            assert shared == expected
+            record = dynamics.RoundRecord(0, False, structure, {}, draws, "")
+            assert json.loads(record.to_json())["shared_samples"] == {
+                f"{i}->{j}": x for (i, j), x in expected.items()}
             assert log.samples == {pair: [x] for pair, x in expected.items()}
+            pos = {d: k for k, d in enumerate(sc.drone_ids)}
+            assert {(sc.drone_ids[a], sc.drone_ids[b]) for a, b
+                    in zip(*log.sums[0].nonzero())} == \
+                set(expected)
+            assert all(log.sums[1, pos[i], pos[j]] == x
+                       for (i, j), x in expected.items())
             assert rng.bit_generator.state == ref_rng.bit_generator.state
     assert negatives > 0

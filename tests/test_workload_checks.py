@@ -107,8 +107,10 @@ def repeated_pin(wl, seed, tmp_path) -> dict:
         stall = [] if outcome.stall is None \
             else [s.to_string() for s in outcome.stall.trace]
         rounds.update(f"stall {stall}\n".encode())
-        rounds.update(f"{sorted(outcome.prediction.classified.items())}\n"
-                      .encode())
+        ids, prediction = args[0].drone_ids, outcome.prediction.tolist()
+        pairs = sorted(((i, j), prediction[a][b]) for a, i in enumerate(ids)
+                       for b, j in enumerate(ids) if i != j)
+        rounds.update(f"{pairs}\n".encode())
         return outcome
 
     wl.bench.run_repeated_game = traced
