@@ -81,6 +81,9 @@ class RunManifest:
                     or not all(is_number(t.get(k)) for k in ("mu", "sigma")):
                 raise ValueError("type_set entries need an integer id and "
                                  f"numeric mu and sigma, got {t!r}")
+        ids = [t["id"] for t in self.type_set]
+        if len(set(ids)) != len(ids):
+            raise ValueError(f"type_set ids must be distinct, got {ids}")
         if not isinstance(self.environment, str) \
                 or self.environment not in ENVIRONMENTS:
             raise ValueError(f"unknown environment {self.environment!r}")

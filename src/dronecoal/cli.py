@@ -9,7 +9,8 @@ import json
 import os
 import sys
 
-from .bench import RegimeResult, RunManifest, emit_outputs, run_manifest
+from .bench import (REGIMES, RegimeResult, RunManifest, emit_outputs,
+                    run_manifest)
 from .game import BeliefState, PayoffEngine
 from .markov import build_chain, formation_probabilities
 from .propagation import ENVIRONMENTS
@@ -72,24 +73,53 @@ def cmd_markov(args) -> int:
     return EXIT_OK
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _numbers(value) -> bool:
+    """A JSON object whose values are numbers."""
+    return isinstance(value, dict) and all(map(is_number, value.values()))
+
+
+# every field of a results entry: what emit_outputs needs it to be
+RESULT_FIELDS = (
+    ("regime", lambda v: isinstance(v, str) and v in REGIMES,
+     "be one of " + ", ".join(REGIMES)),
+    ("setting", lambda v: isinstance(v, str) and v in SETTINGS,
+     "be one of " + ", ".join(SETTINGS)),
+    ("topology", _is_int, "be an integer"),
+    ("repetition", _is_int, "be an integer"),
+    ("total_rate", is_number, "be a number"),
+    ("per_drone", lambda v: _numbers(v) and all(map(str.isdigit, v)),
+     "map drone ids to rates"),
+    ("structure", lambda v: isinstance(v, str), "be a string"),
+    ("rounds_to_convergence", lambda v: v is None or _is_int(v),
+     "be an integer or null"),
+    ("structure_changes", lambda v: v is None or _is_int(v),
+     "be an integer or null"),
+    ("frobenius_series", lambda v: isinstance(v, list)
+     and all(map(is_number, v)), "be a list of numbers"),
+    ("stable_totals", _numbers, "map structures to numbers"),
+    ("formation_probs", _numbers, "map structures to numbers"),
+    ("best_stable_total", lambda v: v is None or is_number(v),
+     "be a number or null"),
+    ("note", lambda v: isinstance(v, str), "be a string"),
+)
+
+
 def cmd_report(args) -> int:
     with open(args.results) as f:
         raw = json.load(f)
+    if not isinstance(raw, list):
+        raise ValueError(
+            f"results must be a JSON list, got {type(raw).__name__}")
     results = []
     for r in raw:
         check_keys(r, RegimeResult, "result key")
-        for name in ("topology", "repetition"):
-            if not isinstance(r[name], int) or isinstance(r[name], bool):
-                raise ValueError(
-                    f"{name} must be an integer, got {r[name]!r}")
-        if not is_number(r["total_rate"]):
-            raise ValueError(
-                f"total_rate must be a number, got {r['total_rate']!r}")
-        if not isinstance(r["per_drone"], dict) \
-                or not all(map(is_number, r["per_drone"].values())) \
-                or not all(k.isdigit() for k in r["per_drone"]):
-            raise ValueError("per_drone must map drone ids to rates, "
-                             f"got {r['per_drone']!r}")
+        for name, ok, what in RESULT_FIELDS:
+            if name in r and not ok(r[name]):
+                raise ValueError(f"{name} must {what}, got {r[name]!r}")
         r["per_drone"] = {int(k): v for k, v in r["per_drone"].items()}
         results.append(RegimeResult(**r))
     manifest = RunManifest.load(args.manifest)

@@ -167,12 +167,12 @@ class RepeatedGameResult:
 
 
 @lru_cache
-def _mates(structure: CoalitionStructure, ids: tuple) -> np.ndarray:
-    """Read-only (D, D) bool mask over ``ids``: [a, b] is set when
-    ``ids[a]`` and ``ids[b]`` are distinct drones of one block."""
+def _mates(structure: CoalitionStructure) -> np.ndarray:
+    """Read-only (D, D) bool mask over ``structure.ids``: [a, b] is set
+    when the drones at a and b are distinct members of one block."""
     owner = {d: k for k, block in enumerate(structure.blocks) for d in block}
-    block = np.array([owner[d] for d in ids])
-    mates = (block[:, None] == block) & ~np.eye(len(ids), dtype=bool)
+    block = np.array([owner[d] for d in structure.ids])
+    mates = (block[:, None] == block) & ~np.eye(len(block), dtype=bool)
     mates.setflags(write=False)
     return mates
 
@@ -182,15 +182,17 @@ def _share_samples(structure: CoalitionStructure, log: ObservationLog,
     """Each drone broadcasts one draw of its available power, truncated at
     zero Watts, to its coalition mates in one ``log.share`` call; returns
     the draws.  One ``rng.normal(mus, sigmas)`` call gives the values and
-    generator state of one scalar call per drone in id order."""
+    generator state of one scalar call per drone in id order, which is
+    also the order of the log's rows."""
     scenario = log.scenario
     members = structure.members()
+    if members != log.ids:
+        raise ValueError(f"{structure} does not partition {log.ids}")
     specs = [scenario.type_spec(scenario.drone(d).true_type)
              for d in members]
     powers = rng.normal([t.mu for t in specs], [t.sigma for t in specs])
     draws = {d: max(0.0, x) for d, x in zip(members, powers.tolist())}
-    log.share(np.array([draws[d] for d in log.ids]),
-              _mates(structure, log.ids))
+    log.share(np.array(list(draws.values())), _mates(structure))
     return draws
 
 

@@ -155,7 +155,6 @@ class BeliefState:
         self.drone_ids = tuple(drone_ids)
         self.type_ids = tuple(type_ids)
         self._index = {d: i for i, d in enumerate(self.drone_ids)}
-        self._tindex = {t: i for i, t in enumerate(self.type_ids)}
         table = np.array(table, dtype=float)
         if table.shape != (len(self.drone_ids), len(self.drone_ids),
                            len(self.type_ids)):
@@ -173,8 +172,7 @@ class BeliefState:
     @classmethod
     def uniform(cls, scenario) -> "BeliefState":
         """Uniform priors about others; point mass on own true type."""
-        ids = scenario.drone_ids
-        tids = [t.id for t in scenario.type_set]
+        ids, tids = scenario.drone_ids, scenario.type_ids
         m = len(tids)
         table = np.full((len(ids), len(ids), m), 1.0 / m)
         for i, d in enumerate(ids):
@@ -185,19 +183,17 @@ class BeliefState:
     @classmethod
     def point_mass_truth(cls, scenario) -> "BeliefState":
         """Full information: every drone knows every true type."""
-        ids = scenario.drone_ids
-        tids = [t.id for t in scenario.type_set]
+        ids, tids = scenario.drone_ids, scenario.type_ids
         table = np.zeros((len(ids), len(ids), len(tids)))
         for j, d in enumerate(ids):
             table[:, j, tids.index(scenario.drone(d).true_type)] = 1.0
         return cls(table, ids, tids)
 
-    def rows(self, observer: int, observed, type_ids) -> list[list[float]]:
+    def rows(self, observer: int, observed) -> list[list[float]]:
         """Observer's belief vectors about each drone in ``observed``, as
-        Python floats, with the columns in ``type_ids`` order."""
+        Python floats."""
         table = self.table[self._index[observer]].tolist()
-        cols = [self._tindex[t] for t in type_ids]
-        return [[table[self._index[j]][k] for k in cols] for j in observed]
+        return [table[self._index[j]] for j in observed]
 
     def snapshot_hash(self) -> str:
         return hashlib.sha1(self.content_key[-1]).hexdigest()[:16]
@@ -206,18 +202,17 @@ class BeliefState:
 class PayoffEngine:
     """Expected payoffs under belief uncertainty for one scenario, and the
     best-reply decisions read from them, in one ``DecisionTable`` per
-    beliefs content key (``tables``).  A payoff a table misses is memoized
-    per (observer, coalition, the observer's rows about the other members
-    in the scenario's type order), which states that differ only in rows
-    the payoff does not read share.  Every state reuses one rate per
-    (observer, coalition, type-count multiset), filled for every member of
-    a coalition by one batched water-fill."""
+    beliefs content key (``tables``), over the scenario's drone and type
+    order.  A payoff a table misses is memoized per (observer, coalition,
+    the observer's rows about the other members), which states that
+    differ only in rows the payoff does not read share.  Every state
+    reuses one rate per (observer, coalition, type-count multiset), filled
+    for every member of a coalition by one batched water-fill."""
 
     def __init__(self, scenario):
         self.scenario = scenario
-        self.ids = tuple(sorted(scenario.drone_ids))
+        self.ids = scenario.drone_ids
         self.evaluator = CoalitionEvaluator(scenario)
-        self._type_ids = [t.id for t in scenario.type_set]
         self._by_rows: dict[tuple, float] = {}
         self._rates: dict[tuple, list[float]] = {}
         self.tables: dict[tuple, DecisionTable] = {}
@@ -229,9 +224,13 @@ class PayoffEngine:
         return BeliefState.point_mass_truth(self.scenario)
 
     def table(self, beliefs: BeliefState) -> "DecisionTable":
-        """The decision table of the beliefs' content, made on first use."""
+        """The decision table of the beliefs' content, made on first use;
+        its columns must be the scenario's types."""
         key = beliefs.content_key
         if key not in self.tables:
+            if beliefs.type_ids != self.scenario.type_ids:
+                raise ValueError(f"belief types {beliefs.type_ids} are not "
+                                 f"the scenario's {self.scenario.type_ids}")
             self.tables[key] = DecisionTable(self, beliefs)
         return self.tables[key]
 
@@ -250,8 +249,8 @@ class PayoffEngine:
     def expected_payoff_of(self, observer: int, coalition: frozenset,
                            beliefs: BeliefState) -> float:
         """The payoff a table fills on a miss."""
-        rows = beliefs.rows(observer, sorted(coalition - {observer}),
-                            self._type_ids)
+        rows = beliefs.rows(observer, [d for d in self.ids
+                                       if d in coalition and d != observer])
         rkey = (observer, coalition, tuple(map(tuple, rows)))
         if rkey not in self._by_rows:
             self._by_rows[rkey] = self._compute(observer, coalition, rows)
@@ -312,7 +311,7 @@ def _type_vectors(m: int, k: int) -> tuple[np.ndarray, tuple]:
 
 class DecisionTable:
     """One belief content's payoffs, vetoes and best-reply decisions over
-    bitmasks of the engine's sorted ``ids`` (a target of 0 is going
+    bitmasks of the engine's ``ids``, the scenario's (a target of 0 is going
     singleton), filled on first read and shared by every reader."""
 
     def __init__(self, engine: PayoffEngine, beliefs: BeliefState):

@@ -9,7 +9,8 @@ A sample's event depends only on the samples up to it, so the observation
 log, bound to one scenario, keeps per-pair arrays of running sample sums
 and event counts: one ``share`` call per round classifies only the
 round's samples, in one batch, and ``update_beliefs`` reads beliefs and
-predictions off the counts.
+predictions off the counts.  Their axes are the scenario's drones and
+types, which the scenario keeps in id order.
 """
 
 from __future__ import annotations
@@ -22,10 +23,9 @@ SIGMA_FLOOR_FACTOR = 1e-6   # degenerate-MLE floor relative to the mean
 
 
 class _TypeColumns:
-    """A type set sorted by id, as (m, 1) columns for the KL kernel."""
+    """A type set as (m, 1) columns for the KL kernel."""
 
-    def __init__(self, type_set):
-        types = sorted(type_set, key=lambda t: t.id)
+    def __init__(self, types):
         if not types:
             raise ValueError("type set must be non-empty")
         self.ids = tuple(t.id for t in types)
@@ -55,9 +55,9 @@ def _classify(mean: np.ndarray, var: np.ndarray,
 
 class ObservationLog:
     """The learning state of one scenario's drones, indexed by position in
-    ``ids`` (the scenario's order) and types in id order: ``sums``, each
-    pair's sample count, sum of x and sum of x * x as a (3, D, D) float64
-    array, by the sequential additions from 0.0 that ``np.cumsum`` makes;
+    its drones (``ids``) and types, both in id order: ``sums``, each pair's
+    sample count, sum of x and sum of x * x as a (3, D, D) float64 array,
+    by the sequential additions from 0.0 that ``np.cumsum`` makes;
     ``counts``, the (D, D, m) type events, with one of each drone's own
     type on the diagonal; the last ``prediction``, None once new samples
     came; and each (observer id, observed id) pair's ``samples``.
@@ -67,9 +67,7 @@ class ObservationLog:
         self.scenario = scenario
         self.types = _TypeColumns(scenario.type_set)
         self.beliefs = BeliefState.uniform(scenario)
-        self.ids = ids = self.beliefs.drone_ids
-        # the id-order position of each of the table's type columns
-        self.order = [self.types.ids.index(t) for t in self.beliefs.type_ids]
+        self.ids = ids = scenario.drone_ids
         d = len(ids)
         self.sums = np.zeros((3, d, d))
         self.counts = np.zeros((d, d, len(self.types.ids)), dtype=np.int64)
@@ -106,13 +104,13 @@ def update_beliefs(log: ObservationLog) -> tuple[BeliefState, np.ndarray]:
 
     A belief vector is the per-type frequency of its pair's sample events;
     unobserved pairs keep the uniform prior and self rows their point
-    mass.  The prediction is a read-only (D, D) array of type ids in the
-    scenario's drone order: each pair's most frequent type (the lowest id
+    mass.  The prediction is a read-only (D, D) array of type ids over the
+    scenario's drones: each pair's most frequent type (the lowest id
     on ties and for unobserved pairs), and the true types on the diagonal.
     """
     if log.prediction is None:
         counts, total = log.counts, log.sums[0, ..., None]
-        table = np.divide(counts[..., log.order], total, where=total > 0,
+        table = np.divide(counts, total, where=total > 0,
                           out=log.beliefs.table.copy())
         if not (table == log.beliefs.table).all():
             log.beliefs = BeliefState(table, log.beliefs.drone_ids,
@@ -128,11 +126,11 @@ def frobenius_convergence(prediction: np.ndarray, scenario
     matrices, and their mean.
 
     Entry (i, j) of type m's prediction matrix is 1 iff
-    ``prediction[i, j]`` (drones in the scenario's order, true types on
-    the diagonal) is m.  The matrices are 0/1, so each norm is the square
+    ``prediction[i, j]`` (the scenario's drones, true types on the
+    diagonal) is m.  The matrices are 0/1, so each norm is the square
     root of the count of entries where they differ.
     """
-    types = sorted(t.id for t in scenario.type_set)
+    types = scenario.type_ids
     truth = [d.true_type for d in scenario.drones]
     flips = (np.equal.outer(prediction, types)
              != np.equal.outer(truth, types)).sum(axis=(0, 1), dtype=float)

@@ -1,6 +1,8 @@
 """Markov chain over coalition structures induced by best-reply dynamics,
 built from the walk's decisions (``DecisionTable.decisions``): a
-proposer's mass is split uniformly over its best-reply targets."""
+proposer's mass is split uniformly over its best-reply targets.  A
+proposer's slot is its position in ``scenario.drone_ids``, which is id
+order and its bit in every structure's masks."""
 
 from __future__ import annotations
 
@@ -55,7 +57,7 @@ def build_chain(scenario, beliefs: BeliefState,
     for i, w in enumerate(states):
         decisions = table.decisions(w)
         # in proposer order: two proposers can reach the same structure
-        for pos in map(engine.ids.index, ids):
+        for pos in range(len(ids)):
             chosen = decisions[pos][2 if veto_self_loop else 1]
             if not chosen:
                 t[i, i] += share

@@ -101,15 +101,26 @@ class Scenario:
     seed: int
 
     def __post_init__(self):
+        # the one order of every axis: a drone's or type's position here is
+        # its bit, row, column and proposer slot everywhere else
+        for name in ("drones", "users", "type_set"):
+            entries = tuple(sorted(getattr(self, name), key=lambda e: e.id))
+            for a, b in zip(entries, entries[1:]):
+                if a.id == b.id:
+                    raise ValueError(f"ids of {name} must be distinct "
+                                     f"integers, got {a.id!r}")
+            object.__setattr__(self, name, entries)
         owned = [q for d in self.drones for q in d.channels]
         if len(owned) != len(set(owned)):
             raise ValueError("channel ownership must be disjoint")
-        type_ids = {t.id for t in self.type_set}
         for d in self.drones:
-            if d.true_type not in type_ids:
+            if d.true_type not in self.type_ids:
                 raise ValueError(f"drone {d.id} has unknown type {d.true_type}")
         counts: dict[int, int] = {}
         for u in self.users:
+            if u.baseline_drone not in self._drone_index:
+                raise ValueError(f"baseline_drone of user {u.id} must be a "
+                                 f"drone id, got {u.baseline_drone!r}")
             counts[u.baseline_drone] = counts.get(u.baseline_drone, 0) + 1
         for d in self.drones:
             if counts.get(d.id, 0) > len(d.channels):
@@ -119,6 +130,10 @@ class Scenario:
     @property
     def drone_ids(self) -> tuple[int, ...]:
         return tuple(d.id for d in self.drones)
+
+    @property
+    def type_ids(self) -> tuple[int, ...]:
+        return tuple(t.id for t in self.type_set)
 
     def drone(self, drone_id: int) -> DroneSpec:
         return self._drone_index[drone_id]
@@ -175,12 +190,10 @@ class Scenario:
                     or not all(isinstance(e, dict) for e in d[key]):
                 raise ValueError(f"{key} must be a list of JSON objects, "
                                  f"got {d[key]!r}")
-            ids = [e["id"] for e in d[key]]
-            for i in ids:
-                if type(i) is not int or ids.count(i) > 1:
+            for e in d[key]:
+                if type(e["id"]) is not int:
                     raise ValueError(f"ids of {key} must be distinct "
-                                     f"integers, got {i!r}")
-        drones = [e["id"] for e in d["drones"]]
+                                     f"integers, got {e['id']!r}")
         for kind, e in [("drone", e) for e in d["drones"]] \
                 + [("user", e) for e in d["users"]]:
             p, c, b = e["position"], e.get("channels", []), \
@@ -194,7 +207,7 @@ class Scenario:
                     ("true_type", kind == "user"
                      or type(e["true_type"]) is int, "an integer"),
                     ("baseline_drone", kind == "drone"
-                     or type(b) is int and b in drones, "a drone id")):
+                     or type(b) is int, "a drone id")):
                 if not ok:
                     raise ValueError(f"{name} of {kind} {e['id']} must be "
                                      f"{what}, got {e[name]!r}")

@@ -206,6 +206,9 @@ class TestRun:
         ({"regimes": ["baseline"],
           "type_set": [{"id": 0, "mu": 12.0, "sigma": float("inf")}]},
          "sigma"),
+        # a repeated type id, refused before any run
+        ({"type_set": [{"id": 0, "mu": 12.0, "sigma": 3.0},
+                       {"id": 0, "mu": 18.0, "sigma": 3.0}]}, "type_set"),
     ])
     def test_malformed_field_rejected_on_load(self, tmp_path, monkeypatch,
                                               capsys, entries, field):
@@ -280,6 +283,24 @@ class TestMarkov:
                      "--veto-self-loop", "--out", str(b)]) == EXIT_OK
         assert a.read_text() != b.read_text()
 
+    def test_reversed_lists_load_and_audit_as_sorted(self, tmp_path):
+        # a file listing drones, users and types in reverse id order is the
+        # same scenario as the sorted file, down to the audit's bytes
+        paths = {name: tmp_path / f"{name}.json" for name in ("sorted", "rev")}
+        main(["generate", "--setting", "S2", "--seed", "4",
+              "--types", "12:3,18:3,24:3,30:3", "--out", str(paths["sorted"])])
+        data = json.loads(paths["sorted"].read_text())
+        for key in ("drones", "users", "type_set"):
+            data[key].reverse()
+        paths["rev"].write_text(json.dumps(data))
+        assert Scenario.load(paths["rev"]) == Scenario.load(paths["sorted"])
+        for beliefs in ("truth", "uniform"):
+            outs = [tmp_path / f"{name}-{beliefs}.txt" for name in paths]
+            for path, out in zip(paths.values(), outs):
+                assert main(["markov", "--scenario", str(path), "--beliefs",
+                             beliefs, "--out", str(out)]) == EXIT_OK
+            assert outs[0].read_bytes() == outs[1].read_bytes()
+
     @pytest.mark.parametrize("edit, message", [
         (lambda d: d["type_set"][0].update(mu="x"),
          "mu must be positive, got 'x'"),
@@ -337,6 +358,11 @@ class TestMarkov:
                      "--out", str(tmp_path / "x.txt")]) == EXIT_VALIDATION
 
 
+class WholeFile(dict):
+    """A results file's whole content, written as it is rather than as
+    the one entry of a list."""
+
+
 ENTRY = {"regime": "baseline", "setting": "S1", "topology": 0,
          "repetition": 0, "total_rate": 1.0, "per_drone": {"0": 1.0},
          "structure": "{0}"}
@@ -389,12 +415,32 @@ class TestReport:
          "repetition must be an integer, got 1.0"),
         ({**ENTRY, "per_drone": {"x": 1.0}},
          "per_drone must map drone ids to rates, got {'x': 1.0}"),
+        ({**ENTRY, "frobenius_series": 5},
+         "frobenius_series must be a list of numbers, got 5"),
+        ({**ENTRY, "frobenius_series": ["x"]},
+         "frobenius_series must be a list of numbers, got ['x']"),
+        ({**ENTRY, "stable_totals": [1]},
+         "stable_totals must map structures to numbers, got [1]"),
+        ({**ENTRY, "formation_probs": {"a": "x"}},
+         "formation_probs must map structures to numbers, got {'a': 'x'}"),
+        ({**ENTRY, "setting": 7},
+         "setting must be one of S1, S2, S3, S4, got 7"),
+        ({**ENTRY, "regime": None}, "regime must be one of baseline, "
+                                    "full_info, proposed, social_optimal, "
+                                    "got None"),
+        (WholeFile({"a": 1}), "results must be a JSON list, got dict"),
+        ({**ENTRY, "rounds_to_convergence": 1.5},
+         "rounds_to_convergence must be an integer or null, got 1.5"),
+        ({**ENTRY, "best_stable_total": "x"},
+         "best_stable_total must be a number or null, got 'x'"),
+        ({**ENTRY, "structure": None}, "structure must be a string, got None"),
     ])
     def test_malformed_result_entry(self, tmp_path, capsys, entry, message):
         manifest_path = tmp_path / "manifest.json"
         _write_manifest(manifest_path)
         results_path = tmp_path / "results.json"
-        results_path.write_text(json.dumps([entry]))
+        results_path.write_text(json.dumps(
+            entry if isinstance(entry, WholeFile) else [entry]))
         out = tmp_path / "r"
         assert main(["report", "--results", str(results_path),
                      "--manifest", str(manifest_path),

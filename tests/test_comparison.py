@@ -50,9 +50,10 @@ def test_equal_values():
 class StubEngine(PayoffEngine):
     """Expected payoffs from a table keyed by (observer, coalition), which
     the engine's per-content decision tables fill from, over the drones
-    the table names."""
+    the table names, and no types."""
 
     evaluator = None
+    scenario = SimpleNamespace(type_ids=())
 
     def __init__(self, payoffs):
         self.payoffs = {(d, frozenset(s)): q for (d, s), q in payoffs.items()}
@@ -64,8 +65,8 @@ class StubEngine(PayoffEngine):
 
 
 # the stub payoffs ignore beliefs; the engine keys its tables by their
-# content
-BELIEFS = SimpleNamespace(content_key="stub")
+# content and checks their types against the scenario's
+BELIEFS = SimpleNamespace(content_key="stub", type_ids=())
 
 
 @pytest.mark.parametrize("base", (1.0, 1e6))

@@ -285,15 +285,21 @@ def test_memos_answer_by_belief_content(case):
     assert_memos_match(sc, twin, shared)
     assert twin.content_key == beliefs.content_key
     assert_memos_match(sc, beliefs, shared)
-    # the same beliefs with the drone and type axes in other orders
+    # the same beliefs with the drone axis in another order
     assert_memos_match(sc, BeliefState(
-        beliefs.table[np.ix_(dperm, dperm, tperm)],
-        [ids[i] for i in dperm], [tids[k] for k in tperm]), shared)
-    # equal bytes under relabelled axes are other beliefs
-    assert_memos_match(sc, BeliefState(
-        beliefs.table, ids, [tids[k] for k in tperm]), shared)
+        beliefs.table[np.ix_(dperm, dperm)], [ids[i] for i in dperm], tids),
+        shared)
+    # equal bytes under a relabelled drone axis are other beliefs
     assert_memos_match(sc, BeliefState(
         beliefs.table, [ids[i] for i in dperm], tids), shared)
+    # a type axis out of the scenario's order is refused, whether its
+    # columns were permuted with it or not
+    if list(tperm) != sorted(tperm):
+        for table in (beliefs.table[..., tperm], beliefs.table):
+            other = BeliefState(table, ids, [tids[k] for k in tperm])
+            with pytest.raises(ValueError, match="belief types"):
+                shared.expected_payoff(ids[0], ids, other)
+            assert other.content_key not in shared.tables
     # a state built from one the memos have seen, with every row about
     # another drone reset, gets its own answers
     assert_memos_match(sc, wrong_point_masses(twin, sc), shared)

@@ -8,6 +8,7 @@ from dronecoal import game
 from dronecoal.game import (BeliefState, CoalitionStructure, PayoffEngine,
                             admissible, enumerate_structures, is_nash_stable)
 from dronecoal.allocation import CoalitionEvaluator
+from dronecoal.markov import build_chain
 from dronecoal.propagation import ENVIRONMENTS
 from dronecoal.scenario import SETTINGS, baseline_rates, generate
 from oracles import deviation_candidates, prob, with_rows
@@ -225,6 +226,30 @@ class TestPayoffEngine:
             game.best_reply(other, 1, b, s1_engine)
         with pytest.raises(ValueError):
             is_nash_stable(other, b, s1, s1_engine)
+
+    def test_beliefs_over_other_types_refused(self, s1):
+        # an engine reads belief columns by position in the scenario's
+        # type order, so beliefs over any other type axis are refused
+        # before a table is made
+        b = BeliefState.uniform(s1)
+        engine = PayoffEngine(s1)
+        for table, tids in ((b.table[..., ::-1], b.type_ids[::-1]),
+                            (b.table, b.type_ids[::-1]),
+                            (b.table, (5, 6))):
+            other = BeliefState(table, b.drone_ids, tids)
+            with pytest.raises(ValueError, match="belief types"):
+                engine.expected_payoff(0, frozenset([0, 1]), other)
+            with pytest.raises(ValueError, match="belief types"):
+                engine.table(other)
+            with pytest.raises(ValueError, match="belief types"):
+                build_chain(s1, other, engine)
+        assert engine.tables == {}
+        # the drone axis may come in any order: rows are looked up by id
+        perm = [2, 0, 1]
+        shuffled = BeliefState(b.table[np.ix_(perm, perm)],
+                               [b.drone_ids[i] for i in perm], b.type_ids)
+        assert engine.expected_payoff(0, frozenset([0, 1]), shuffled) == \
+            engine.expected_payoff(0, frozenset([0, 1]), b)
 
     def test_type_space_cap(self, s1, monkeypatch):
         monkeypatch.setattr(game, "TYPE_SPACE_CAP", 1)

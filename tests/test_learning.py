@@ -147,7 +147,7 @@ class TestUpdateBeliefs:
         assert prob(beliefs, 0, 1, 0) == pytest.approx(2.0 / 3.0)
         assert prob(beliefs, 0, 1, 1) == pytest.approx(1.0 / 3.0)
         assert prediction[0, 1] == 0
-        assert beliefs.rows(0, [1], [0, 1]) == [[2.0 / 3.0, 1.0 / 3.0]]
+        assert beliefs.rows(0, [1]) == [[2.0 / 3.0, 1.0 / 3.0]]
 
     def test_unanimous_observations(self):
         sc = self._scenario()
@@ -171,10 +171,11 @@ class TestUpdateBeliefs:
         assert np.all(beliefs.table >= 0.0)
 
     def test_beliefs_follow_the_scenario_type_order(self):
-        # a type set listed out of id order: the belief table's type axis
-        # follows the list, the learned classification follows the ids
+        # a type set listed out of id order: the scenario sorts it, so the
+        # belief table's type axis and the classification follow the ids
         types = (TypeSpec(1, 18.0, 3.0), TypeSpec(0, 12.0, 3.0))
         sc = generate(SETTINGS["S1"], URBAN, type_set=types, seed=30)
+        assert sc.type_set == types[::-1]
         log = ObservationLog(sc)
         for _ in range(5):
             share(log, {1: 12.0}, [(0, 1)])

@@ -82,19 +82,26 @@ def payoff_cases(draw):
     beliefs = beliefs_of(sc, kind, draw(st.integers(0, 10_000)),
                          draw(st.integers(1, 6)))
     if draw(st.booleans()):
-        # the same beliefs with the drone and type axes in other orders
+        # the same beliefs with the drone axis in another order
         dperm = draw(st.permutations(range(len(beliefs.drone_ids))))
-        tperm = draw(st.permutations(range(m)))
-        beliefs = BeliefState(beliefs.table[np.ix_(dperm, dperm, tperm)],
+        beliefs = BeliefState(beliefs.table[np.ix_(dperm, dperm)],
                               [beliefs.drone_ids[i] for i in dperm],
-                              [beliefs.type_ids[k] for k in tperm])
-    return sc, beliefs
+                              beliefs.type_ids)
+    return sc, beliefs, draw(st.permutations(range(m)))
 
 
 @settings(deadline=None, max_examples=60)
 @given(payoff_cases())
 def test_payoffs_equal_per_entry_reference(case):
-    assert_all_payoffs_equal_reference(*case)
+    sc, beliefs, tperm = case
+    assert_all_payoffs_equal_reference(sc, beliefs)
+    # the same beliefs with the type axis in another order are refused
+    if list(tperm) != sorted(tperm):
+        other = BeliefState(beliefs.table[..., tperm], beliefs.drone_ids,
+                            [beliefs.type_ids[k] for k in tperm])
+        d = sc.drone_ids[0]
+        with pytest.raises(ValueError, match="belief types"):
+            PayoffEngine(sc).expected_payoff(d, {d}, other)
 
 
 @pytest.mark.parametrize("kind", ["point_mass", "uniform", "learned"])

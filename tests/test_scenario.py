@@ -167,6 +167,37 @@ class TestScenarioValidation:
         assert set(raw) == {"area_m", "seed", "env", "type_set",
                             "drones", "users"}
 
+    def test_repeated_ids_rejected(self):
+        for kw in (
+                dict(drones=(DroneSpec(1, Position3D(0, 0, 1000), (0,), 0),
+                             DroneSpec(1, Position3D(100, 0, 1000), (1,), 1))),
+                dict(users=(UserSpec(0, Position3D(0, 0, 0), 0),
+                            UserSpec(0, Position3D(100, 0, 0), 1))),
+                dict(type_set=(TypeSpec(0, 12.0, 3.0), TypeSpec(1, 18.0, 3.0),
+                               TypeSpec(0, 24.0, 3.0)))):
+            name = next(iter(kw))
+            with pytest.raises(ValueError, match=f"ids of {name} must be "
+                                                 "distinct"):
+                self._mini(**kw)
+
+    def test_every_axis_kept_in_id_order(self, tmp_path):
+        # a scenario handed its drones, users and types in reverse id
+        # order keeps them by id, and saves them so
+        sc = self._mini(
+            drones=(DroneSpec(1, Position3D(100, 0, 1000), (1,), 1),
+                    DroneSpec(0, Position3D(0, 0, 1000), (0,), 0)),
+            users=(UserSpec(1, Position3D(100, 0, 0), 1),
+                   UserSpec(0, Position3D(0, 0, 0), 0)),
+            type_set=DEFAULT_TYPE_SET[::-1])
+        assert sc == self._mini()
+        assert sc.drone_ids == (0, 1)
+        assert sc.type_ids == (0, 1)
+        assert [u.id for u in sc.users] == [0, 1]
+        sc.save(tmp_path / "scenario.json")
+        raw = json.loads((tmp_path / "scenario.json").read_text())
+        for key in ("drones", "users", "type_set"):
+            assert [e["id"] for e in raw[key]] == [0, 1]
+
     def test_drone_lookup_keeps_field_equality(self):
         sc = generate(SETTINGS["S1"], URBAN, seed=9)
         fresh = Scenario.from_dict(sc.to_dict())

@@ -144,11 +144,12 @@ def test_shared_samples_are_scalar_draws_truncated_at_zero():
     negatives = 0
     for seed in range(30):
         sc = generate(SETTINGS["S4"], URBAN, type_set=types, seed=seed)
-        # every other scenario lists its drones out of id order; draws
-        # stay in id order, the log's arrays follow the list
+        # every other scenario is handed its drones out of id order and
+        # keeps them in id order, which draws and the log's arrays follow
         if seed % 2:
             sc = dataclasses.replace(sc, drones=sc.drones[3:] + sc.drones[:3])
         ids = sorted(sc.drone_ids)
+        assert sc.drone_ids == tuple(ids)
         for structure in (CoalitionStructure.grand(ids),
                           CoalitionStructure.singletons(ids),
                           CoalitionStructure.from_string("{0,1,2}{3,4}{5}"),
@@ -176,3 +177,18 @@ def test_shared_samples_are_scalar_draws_truncated_at_zero():
                        for (i, j), x in expected.items())
             assert rng.bit_generator.state == ref_rng.bit_generator.state
     assert negatives > 0
+
+
+
+def test_structure_over_other_drones_refused_by_share():
+    # the mask's rows are the structure's drones and the log's rows its
+    # scenario's, so a round over other drones would credit its samples
+    # to the wrong pairs
+    sc = generate(SETTINGS["S1"], URBAN, seed=0)
+    log = ObservationLog(sc)
+    for structure in (CoalitionStructure.grand([1, 2]),
+                      CoalitionStructure.grand([0, 1, 2, 3])):
+        with pytest.raises(ValueError):
+            dynamics._share_samples(structure, log,
+                                    np.random.default_rng(0))
+    assert log.samples == {} and not log.sums.any()
