@@ -90,12 +90,15 @@ class RunManifest:
         if self.aggregate_mode not in ("best_stable", "expected"):
             raise ValueError(
                 f"unknown aggregate_mode {self.aggregate_mode!r}")
-        for name in ("topologies", "repetitions", "seed"):
+        for name, low in (("topologies", 1), ("repetitions", 1), ("seed", 0)):
             value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-        if self.topologies < 1 or self.repetitions < 1:
-            raise ValueError("topologies and repetitions must be positive")
+            if isinstance(value, bool) or not isinstance(value, int) \
+                    or value < low:
+                raise ValueError(
+                    f"{name} must be an integer >= {low}, got {value!r}")
+        if not isinstance(self.output_dir, str):
+            raise ValueError(
+                f"output_dir must be a string, got {self.output_dir!r}")
         # every run's dynamics settings, checked before any run starts
         DynamicsConfig(self.epsilon, self.init_grand_rounds,
                        self.max_rounds, self.stability_window)

@@ -183,14 +183,12 @@ def _share_samples(structure: CoalitionStructure, log: ObservationLog,
     zero Watts, to its coalition mates in one ``log.share`` call; returns
     the draws.  One ``rng.normal(mus, sigmas)`` call gives the values and
     generator state of one scalar call per drone in id order, which is
-    also the order of the log's rows."""
-    scenario = log.scenario
+    also the order of the log's rows and of the true-type columns."""
     members = structure.members()
     if members != log.ids:
         raise ValueError(f"{structure} does not partition {log.ids}")
-    specs = [scenario.type_spec(scenario.drone(d).true_type)
-             for d in members]
-    powers = rng.normal([t.mu for t in specs], [t.sigma for t in specs])
+    true = log.scenario.true_columns
+    powers = rng.normal(log.types.mu[true, 0], log.types.sigma[true, 0])
     draws = {d: max(0.0, x) for d, x in zip(members, powers.tolist())}
     log.share(np.array(list(draws.values())), _mates(structure))
     return draws

@@ -31,8 +31,8 @@ class CoalitionStructure:
         ids = tuple(sorted(d for b in blocks for d in b))
         if len(ids) != len(set(ids)):
             raise ValueError("blocks must be disjoint")
-        self._set(ids, sorted((sum(1 << ids.index(d) for d in b)
-                               for b in blocks), key=lambda m: m & -m))
+        self._set(ids, sorted((mask_of(ids, b) for b in blocks),
+                              key=lambda m: m & -m))
 
     def _set(self, ids: tuple, masks) -> "CoalitionStructure":
         self.ids, self.masks = ids, tuple(masks)
@@ -97,6 +97,11 @@ class CoalitionStructure:
         return cls(blocks)
 
 
+def mask_of(ids: tuple, members) -> int:
+    """The bitmask of ``members`` over ``ids``: bit i is ``ids[i]``."""
+    return sum(1 << ids.index(d) for d in members)
+
+
 def moved(masks: tuple, bit: int, target: int) -> tuple:
     """Block masks, in lowest-bit order, after the drone at ``bit`` leaves
     its block and joins the block ``target`` (0: goes singleton)."""
@@ -154,7 +159,6 @@ class BeliefState:
     def __init__(self, table: np.ndarray, drone_ids, type_ids):
         self.drone_ids = tuple(drone_ids)
         self.type_ids = tuple(type_ids)
-        self._index = {d: i for i, d in enumerate(self.drone_ids)}
         table = np.array(table, dtype=float)
         if table.shape != (len(self.drone_ids), len(self.drone_ids),
                            len(self.type_ids)):
@@ -172,28 +176,19 @@ class BeliefState:
     @classmethod
     def uniform(cls, scenario) -> "BeliefState":
         """Uniform priors about others; point mass on own true type."""
-        ids, tids = scenario.drone_ids, scenario.type_ids
-        m = len(tids)
-        table = np.full((len(ids), len(ids), m), 1.0 / m)
-        for i, d in enumerate(ids):
-            table[i, i, :] = 0.0
-            table[i, i, tids.index(scenario.drone(d).true_type)] = 1.0
-        return cls(table, ids, tids)
+        d, m = len(scenario.drones), len(scenario.type_set)
+        table = np.full((d, d, m), 1.0 / m)
+        table[range(d), range(d)] = 0.0
+        table[range(d), range(d), scenario.true_columns] = 1.0
+        return cls(table, scenario.drone_ids, scenario.type_ids)
 
     @classmethod
     def point_mass_truth(cls, scenario) -> "BeliefState":
         """Full information: every drone knows every true type."""
-        ids, tids = scenario.drone_ids, scenario.type_ids
-        table = np.zeros((len(ids), len(ids), len(tids)))
-        for j, d in enumerate(ids):
-            table[:, j, tids.index(scenario.drone(d).true_type)] = 1.0
-        return cls(table, ids, tids)
-
-    def rows(self, observer: int, observed) -> list[list[float]]:
-        """Observer's belief vectors about each drone in ``observed``, as
-        Python floats."""
-        table = self.table[self._index[observer]].tolist()
-        return [table[self._index[j]] for j in observed]
+        d, m = len(scenario.drones), len(scenario.type_set)
+        table = np.zeros((d, d, m))
+        table[:, range(d), scenario.true_columns] = 1.0
+        return cls(table, scenario.drone_ids, scenario.type_ids)
 
     def snapshot_hash(self) -> str:
         return hashlib.sha1(self.content_key[-1]).hexdigest()[:16]
@@ -203,11 +198,12 @@ class PayoffEngine:
     """Expected payoffs under belief uncertainty for one scenario, and the
     best-reply decisions read from them, in one ``DecisionTable`` per
     beliefs content key (``tables``), over the scenario's drone and type
-    order.  A payoff a table misses is memoized per (observer, coalition,
-    the observer's rows about the other members), which states that
-    differ only in rows the payoff does not read share.  Every state
-    reuses one rate per (observer, coalition, type-count multiset), filled
-    for every member of a coalition by one batched water-fill."""
+    order, the only axes it reads beliefs by.  A payoff a table misses is
+    memoized per (observer position, coalition mask, the observer's rows
+    about the other members), which states that differ only in rows the
+    payoff does not read share.  Every state reuses one rate per
+    (position, mask, type-count multiset), filled for every member of a
+    coalition by one batched water-fill."""
 
     def __init__(self, scenario):
         self.scenario = scenario
@@ -225,39 +221,41 @@ class PayoffEngine:
 
     def table(self, beliefs: BeliefState) -> "DecisionTable":
         """The decision table of the beliefs' content, made on first use;
-        its columns must be the scenario's types."""
+        its rows must be the scenario's drones and its columns its types."""
         key = beliefs.content_key
         if key not in self.tables:
-            if beliefs.type_ids != self.scenario.type_ids:
-                raise ValueError(f"belief types {beliefs.type_ids} are not "
-                                 f"the scenario's {self.scenario.type_ids}")
+            for what, got, own in (
+                    ("drones", beliefs.drone_ids, self.ids),
+                    ("types", beliefs.type_ids, self.scenario.type_ids)):
+                if got != own:
+                    raise ValueError(f"belief {what} {got} are not the "
+                                     f"scenario's {own}")
             self.tables[key] = DecisionTable(self, beliefs)
         return self.tables[key]
 
     def expected_payoff(self, observer: int, coalition,
                         beliefs: BeliefState) -> float:
-        """Observer's expected rate in the coalition: the belief-weighted
-        average of its allocated rate over all hypothesized type vectors
-        of the other members."""
+        """Observer's expected rate in the coalition, both by drone id:
+        the belief-weighted average of its allocated rate over all
+        hypothesized type vectors of the other members."""
         coalition = frozenset(coalition)
         if observer not in coalition:
             raise ValueError("observer must belong to the coalition")
-        table = self.table(beliefs)
-        return table.payoff(self.ids.index(observer),
-                            sum(map(table.bit.__getitem__, coalition)))
+        return self.table(beliefs).payoff(self.ids.index(observer),
+                                          mask_of(self.ids, coalition))
 
-    def expected_payoff_of(self, observer: int, coalition: frozenset,
+    def expected_payoff_of(self, pos: int, mask: int,
                            beliefs: BeliefState) -> float:
-        """The payoff a table fills on a miss."""
-        rows = beliefs.rows(observer, [d for d in self.ids
-                                       if d in coalition and d != observer])
-        rkey = (observer, coalition, tuple(map(tuple, rows)))
-        if rkey not in self._by_rows:
-            self._by_rows[rkey] = self._compute(observer, coalition, rows)
-        return self._by_rows[rkey]
+        """The payoff a table fills on a miss: the drone at ``pos`` in
+        coalition ``mask``, from its rows about the other members."""
+        row = beliefs.table[pos].tolist()
+        rows = tuple(tuple(row[j]) for j in range(len(row))
+                     if mask >> j & 1 and j != pos)
+        if (pos, mask, rows) not in self._by_rows:
+            self._by_rows[pos, mask, rows] = self._compute(pos, mask, rows)
+        return self._by_rows[pos, mask, rows]
 
-    def _compute(self, observer: int, coalition: frozenset,
-                 rows: list[list[float]]) -> float:
+    def _compute(self, pos: int, mask: int, rows: tuple) -> float:
         """The plain loop's sum, bit for bit: over the m^k type vectors in
         product order, ``(((1.0 * r0) * r1) * ...) * rate`` added left to
         right (the ufuncs' ``accumulate`` is sequential, while ``.sum()``,
@@ -271,18 +269,19 @@ class PayoffEngine:
         m = len(sc.type_set)
         check_type_space(m, len(rows))
         pick, multisets = _type_vectors(m, len(rows))
-        if (observer, coalition) not in self._rates:
+        if (pos, mask) not in self._rates:
             mus = [t.mu for t in sc.type_set]
             others = [[mus[k] for k in ks] for ks in multisets]
-            power = {d: sc.true_power(d) for d in coalition}
-            budgets = {d: [math.fsum([power[d], *o]) for o in others]
-                       for d in coalition}
+            members = [i for i in range(len(self.ids)) if mask >> i & 1]
+            budgets = {i: [math.fsum([mus[sc.true_columns[i]], *o])
+                           for o in others] for i in members}
             filled = self.evaluator.evaluate_budgets(
-                coalition, dict.fromkeys(itertools.chain(*budgets.values())))
-            for d, row in budgets.items():
-                self._rates[d, coalition] = [filled[b][d] for b in row]
+                frozenset(self.ids[i] for i in members),
+                dict.fromkeys(itertools.chain(*budgets.values())))
+            for i, row in budgets.items():
+                self._rates[i, mask] = [filled[b][self.ids[i]] for b in row]
         factors = np.array([1.0, *itertools.chain(*rows),
-                            *self._rates[observer, coalition]])
+                            *self._rates[pos, mask]])
         terms = np.multiply.accumulate(factors[pick])[-1]
         return float(np.add.accumulate(terms)[-1])
 
@@ -318,7 +317,6 @@ class DecisionTable:
         # a proxy: an engine and its tables form no reference cycle
         self.engine, self.beliefs = weakref.proxy(engine), beliefs
         self.ids = engine.ids
-        self.bit = {d: 1 << i for i, d in enumerate(self.ids)}
         self._payoffs: list[dict[int, float]] = [{} for _ in self.ids]
         self._accepts: dict[int, bool] = {}
         self._decisions: dict[CoalitionStructure, tuple] = {}
@@ -328,8 +326,7 @@ class DecisionTable:
         q = self._payoffs[pos].get(mask)
         if q is None:
             q = self._payoffs[pos][mask] = self.engine.expected_payoff_of(
-                self.ids[pos], frozenset([d for d, b in self.bit.items()
-                                          if mask & b]), self.beliefs)
+                pos, mask, self.beliefs)
         return q
 
     def accepts(self, pos: int, target: int) -> bool:
@@ -404,8 +401,8 @@ def admissible(proposer: int, target: tuple[int, ...] | None,
                engine: PayoffEngine, beliefs: BeliefState) -> bool:
     """All members of the target accept (``DecisionTable.accepts``)."""
     table = engine.table(beliefs)
-    return target is None or table.accepts(
-        engine.ids.index(proposer), sum(map(table.bit.__getitem__, target)))
+    return target is None or table.accepts(engine.ids.index(proposer),
+                                           mask_of(engine.ids, target))
 
 
 def candidate_groups(structure: CoalitionStructure, proposer: int,

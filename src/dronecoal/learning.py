@@ -71,8 +71,7 @@ class ObservationLog:
         d = len(ids)
         self.sums = np.zeros((3, d, d))
         self.counts = np.zeros((d, d, len(self.types.ids)), dtype=np.int64)
-        self.counts[range(d), range(d), [self.types.ids.index(
-            scenario.drone(i).true_type) for i in ids]] = 1
+        self.counts[range(d), range(d), scenario.true_columns] = 1
         self.prediction = None
         self.samples: dict[tuple[int, int], list[float]] = {}
 

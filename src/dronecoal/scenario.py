@@ -55,6 +55,9 @@ class TypeSpec:
 
 
 DEFAULT_TYPE_SET = (TypeSpec(0, 12.0, 3.0), TypeSpec(1, 18.0, 3.0))
+AREA_M = 4000.0          # side of the square that generate places users in
+ALTITUDE_M = 1000.0      # altitude of every generated drone
+KMEANS_MAX_ITER = 100    # Lloyd iterations before kmeans_placement stops
 
 
 @dataclass(frozen=True)
@@ -135,6 +138,11 @@ class Scenario:
     def type_ids(self) -> tuple[int, ...]:
         return tuple(t.id for t in self.type_set)
 
+    @cached_property
+    def true_columns(self) -> tuple[int, ...]:
+        """Each drone's true type as its position in ``type_ids``."""
+        return tuple(self.type_ids.index(d.true_type) for d in self.drones)
+
     def drone(self, drone_id: int) -> DroneSpec:
         return self._drone_index[drone_id]
 
@@ -145,10 +153,7 @@ class Scenario:
         return {d.id: d for d in self.drones}
 
     def type_spec(self, type_id: int) -> TypeSpec:
-        for t in self.type_set:
-            if t.id == type_id:
-                return t
-        raise KeyError(type_id)
+        return dict(zip(self.type_ids, self.type_set))[type_id]
 
     def true_power(self, drone_id: int) -> float:
         """Expected available power of a drone: the mean of its true type."""
@@ -248,8 +253,8 @@ class Scenario:
 
 
 def kmeans_placement(points: np.ndarray, k: int, seed,
-                     capacity: int | None = None,
-                     max_iter: int = 100) -> tuple[np.ndarray, np.ndarray]:
+                     capacity: int | None = None
+                     ) -> tuple[np.ndarray, np.ndarray]:
     """Lloyd's algorithm over 2-D points with optional equal-capacity repair.
 
     Returns (centroids, assignment).  Empty clusters are re-seeded at the
@@ -264,7 +269,7 @@ def kmeans_placement(points: np.ndarray, k: int, seed,
     rng = np.random.default_rng(seed)
     centroids = points[rng.choice(n, size=k, replace=False)].copy()
     assignment = np.zeros(n, dtype=int)
-    for it in range(max_iter):
+    for it in range(KMEANS_MAX_ITER):
         dists = np.linalg.norm(points[:, None, :] - centroids[None, :, :],
                                axis=2)
         new_assignment = dists.argmin(axis=1)
@@ -315,8 +320,7 @@ def _repair_capacity(points: np.ndarray, centroids: np.ndarray,
 
 
 def generate(setting: SimulationSetting, env: Environment,
-             type_set=DEFAULT_TYPE_SET, seed: int = 0,
-             area_m: float = 4000.0, altitude_m: float = 1000.0) -> Scenario:
+             type_set=DEFAULT_TYPE_SET, seed: int = 0) -> Scenario:
     """Generate a random scenario: uniform users, drones at capacity-equal
     k-means centroids, sequential channel ownership, uniform true types."""
     if setting.d * setting.users_per_drone != setting.n:
@@ -324,25 +328,24 @@ def generate(setting: SimulationSetting, env: Environment,
     if setting.d * setting.channels_per_drone != setting.q:
         raise ValueError("d * channels_per_drone must equal q")
     rng = np.random.default_rng(seed)
-    pts = rng.uniform(0.0, area_m, size=(setting.n, 2))
+    pts = rng.uniform(0.0, AREA_M, size=(setting.n, 2))
     centroids, assignment = kmeans_placement(
         pts, setting.d, rng, capacity=setting.users_per_drone)
     true_types = rng.integers(0, len(type_set), size=setting.d)
-    type_ids = [t.id for t in type_set]
     drones = tuple(
         DroneSpec(
             id=i,
-            position=Position3D(centroids[i][0], centroids[i][1], altitude_m),
+            position=Position3D(centroids[i][0], centroids[i][1], ALTITUDE_M),
             channels=tuple(range(i * setting.channels_per_drone,
                                  (i + 1) * setting.channels_per_drone)),
-            true_type=type_ids[true_types[i]])
+            true_type=type_set[true_types[i]].id)
         for i in range(setting.d))
     users = tuple(
         UserSpec(id=j, position=Position3D(pts[j][0], pts[j][1], 0.0),
                  baseline_drone=int(assignment[j]))
         for j in range(setting.n))
     return Scenario(drones=drones, users=users, type_set=tuple(type_set),
-                    env=env, area_m=area_m, seed=seed)
+                    env=env, area_m=AREA_M, seed=seed)
 
 
 def baseline_rates(scenario: Scenario, evaluator) -> dict[int, float]:

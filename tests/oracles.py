@@ -379,7 +379,7 @@ def flagged_best_reply(structure: CoalitionStructure, proposer: int,
 def prob(beliefs: BeliefState, observer: int, observed: int,
          type_id: int) -> float:
     """Observer's belief that ``observed`` has type ``type_id``, indexed
-    into the table through its id tuples, not through ``BeliefState.rows``."""
+    into the table through its id tuples, not by the engine's positions."""
     return float(beliefs.table[beliefs.drone_ids.index(observer),
                                beliefs.drone_ids.index(observed),
                                beliefs.type_ids.index(type_id)])

@@ -209,6 +209,10 @@ class TestRun:
         # a repeated type id, refused before any run
         ({"type_set": [{"id": 0, "mu": 12.0, "sigma": 3.0},
                        {"id": 0, "mu": 18.0, "sigma": 3.0}]}, "type_set"),
+        # refused before the batch, not when its outputs are written
+        ({"output_dir": 5}, "output_dir must be a string, got 5"),
+        # refused before the first scenario seed goes negative
+        ({"seed": -1}, "seed must be an integer >= 0, got -1"),
     ])
     def test_malformed_field_rejected_on_load(self, tmp_path, monkeypatch,
                                               capsys, entries, field):

@@ -50,7 +50,9 @@ def test_equal_values():
 class StubEngine(PayoffEngine):
     """Expected payoffs from a table keyed by (observer, coalition), which
     the engine's per-content decision tables fill from, over the drones
-    the table names, and no types."""
+    the table names, and no types.  The stub payoffs ignore ``beliefs``;
+    the engine keys its tables by their content and checks their drones
+    and types against its own."""
 
     evaluator = None
     scenario = SimpleNamespace(type_ids=())
@@ -59,14 +61,12 @@ class StubEngine(PayoffEngine):
         self.payoffs = {(d, frozenset(s)): q for (d, s), q in payoffs.items()}
         self.ids = tuple(sorted({d for _, s in payoffs for d in s}))
         self.tables = {}
+        self.beliefs = SimpleNamespace(content_key="stub",
+                                       drone_ids=self.ids, type_ids=())
 
-    def expected_payoff_of(self, observer, coalition, beliefs):
-        return self.payoffs[(observer, frozenset(coalition))]
-
-
-# the stub payoffs ignore beliefs; the engine keys its tables by their
-# content and checks their types against the scenario's
-BELIEFS = SimpleNamespace(content_key="stub", type_ids=())
+    def expected_payoff_of(self, pos, mask, beliefs):
+        return self.payoffs[(self.ids[pos], frozenset(
+            d for i, d in enumerate(self.ids) if mask >> i & 1))]
 
 
 @pytest.mark.parametrize("base", (1.0, 1e6))
@@ -75,8 +75,8 @@ def test_admissible_accepts_a_loss_inside_the_band(base, rel, accepted):
     # drone 1 loses rel of its payoff when drone 0 joins it
     engine = StubEngine({(1, (1,)): base,
                          (1, (0, 1)): base - gap(base, rel)})
-    assert admissible(0, (1,), engine, BELIEFS) is accepted
-    assert admissible(0, None, engine, BELIEFS)
+    assert admissible(0, (1,), engine, engine.beliefs) is accepted
+    assert admissible(0, None, engine, engine.beliefs)
 
 
 @pytest.mark.parametrize("rel,tied", ((0.5e-12, True), (2e-12, False)))
@@ -88,16 +88,16 @@ def test_payoff_levels_tie_inside_the_band(rel, tied):
     engine = StubEngine({(0, (0,)): 1.0, (0, (0, 1)): 2.0, (0, (0, 2)): q,
                          (1, (1,)): 1.0, (1, (0, 1)): 1.0, (1, (1, 2)): 1.0,
                          (2, (2,)): 1.0, (2, (0, 2)): 1.0, (2, (1, 2)): 1.0})
-    singles = CoalitionStructure.singletons([0, 1, 2])
-    groups = candidate_groups(singles, 0, BELIEFS, engine)
+    singles, beliefs = CoalitionStructure.singletons([0, 1, 2]), engine.beliefs
+    groups = candidate_groups(singles, 0, beliefs, engine)
     if tied:
         assert groups == [(2.0, [(1,), (2,)])]
-        assert best_reply(singles, 0, BELIEFS, engine) == (2.0, [(1,), (2,)])
+        assert best_reply(singles, 0, beliefs, engine) == (2.0, [(1,), (2,)])
     else:
         assert groups == [(2.0, [(1,)]), (q, [(2,)])]
-        assert best_reply(singles, 0, BELIEFS, engine) == (2.0, [(1,)])
+        assert best_reply(singles, 0, beliefs, engine) == (2.0, [(1,)])
     # the witness is the first best-reply target, at the level's gain
-    assert is_nash_stable(singles, BELIEFS, None, engine) == \
+    assert is_nash_stable(singles, beliefs, None, engine) == \
         (False, DeviationWitness(0, (1,), 1.0))
 
 

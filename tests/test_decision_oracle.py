@@ -183,9 +183,10 @@ class TieEngine(PayoffEngine):
     coalition with 4 or 5, who are therefore vetoed: tied and vetoed
     targets, which the scenarios' own payoffs never give."""
 
-    def expected_payoff_of(self, observer, coalition, beliefs):
+    def expected_payoff_of(self, pos, mask, beliefs):
+        coalition = {d for i, d in enumerate(self.ids) if mask >> i & 1}
         return -abs(len(coalition) - 3.0) \
-            - 2.0 * (observer < 2 and not coalition.isdisjoint({4, 5}))
+            - 2.0 * (self.ids[pos] < 2 and not coalition.isdisjoint({4, 5}))
 
 
 @pytest.mark.parametrize("kind", ["uniform", "learned", "ties"])
@@ -285,13 +286,15 @@ def test_memos_answer_by_belief_content(case):
     assert_memos_match(sc, twin, shared)
     assert twin.content_key == beliefs.content_key
     assert_memos_match(sc, beliefs, shared)
-    # the same beliefs with the drone axis in another order
-    assert_memos_match(sc, BeliefState(
-        beliefs.table[np.ix_(dperm, dperm)], [ids[i] for i in dperm], tids),
-        shared)
-    # equal bytes under a relabelled drone axis are other beliefs
-    assert_memos_match(sc, BeliefState(
-        beliefs.table, [ids[i] for i in dperm], tids), shared)
+    # a drone axis out of the scenario's order is refused, whether the
+    # rows were permuted with it (the same beliefs) or not (equal bytes
+    # under a relabelled axis)
+    if list(dperm) != sorted(dperm):
+        for table in (beliefs.table[np.ix_(dperm, dperm)], beliefs.table):
+            other = BeliefState(table, [ids[i] for i in dperm], tids)
+            with pytest.raises(ValueError, match="belief drones"):
+                shared.expected_payoff(ids[0], ids, other)
+            assert other.content_key not in shared.tables
     # a type axis out of the scenario's order is refused, whether its
     # columns were permuted with it or not
     if list(tperm) != sorted(tperm):

@@ -147,7 +147,7 @@ class TestUpdateBeliefs:
         assert prob(beliefs, 0, 1, 0) == pytest.approx(2.0 / 3.0)
         assert prob(beliefs, 0, 1, 1) == pytest.approx(1.0 / 3.0)
         assert prediction[0, 1] == 0
-        assert beliefs.rows(0, [1]) == [[2.0 / 3.0, 1.0 / 3.0]]
+        assert beliefs.table[0, 1].tolist() == [2.0 / 3.0, 1.0 / 3.0]
 
     def test_unanimous_observations(self):
         sc = self._scenario()

@@ -152,7 +152,7 @@ def test_tied_events_predict_the_lowest_id():
     oracles.share(log, {1: 12.0}, [(0, 1)])
     oracles.share(log, {1: 30.0}, [(0, 1)])
     beliefs, prediction = update_beliefs(log)
-    assert beliefs.rows(0, [1]) == [[0.5, 0.5]]
+    assert beliefs.table[0, 1].tolist() == [0.5, 0.5]
     assert prediction[0, 1] == 0
     assert_same_prediction(prediction, oracles.update_beliefs(log)[1], sc)
 

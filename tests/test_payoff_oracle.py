@@ -81,20 +81,24 @@ def payoff_cases(draw):
     kind = draw(st.sampled_from(["point_mass", "uniform", "learned"]))
     beliefs = beliefs_of(sc, kind, draw(st.integers(0, 10_000)),
                          draw(st.integers(1, 6)))
-    if draw(st.booleans()):
-        # the same beliefs with the drone axis in another order
-        dperm = draw(st.permutations(range(len(beliefs.drone_ids))))
-        beliefs = BeliefState(beliefs.table[np.ix_(dperm, dperm)],
-                              [beliefs.drone_ids[i] for i in dperm],
-                              beliefs.type_ids)
-    return sc, beliefs, draw(st.permutations(range(m)))
+    dperm = draw(st.permutations(range(len(beliefs.drone_ids))))
+    return sc, beliefs, dperm, draw(st.permutations(range(m)))
 
 
 @settings(deadline=None, max_examples=60)
 @given(payoff_cases())
 def test_payoffs_equal_per_entry_reference(case):
-    sc, beliefs, tperm = case
+    sc, beliefs, dperm, tperm = case
     assert_all_payoffs_equal_reference(sc, beliefs)
+    # the same beliefs with the drone axis in another order are refused
+    if list(dperm) != sorted(dperm):
+        other = BeliefState(beliefs.table[np.ix_(dperm, dperm)],
+                            [beliefs.drone_ids[i] for i in dperm],
+                            beliefs.type_ids)
+        engine, d = PayoffEngine(sc), sc.drone_ids[0]
+        with pytest.raises(ValueError, match="belief drones"):
+            engine.expected_payoff(d, {d}, other)
+        assert other.content_key not in engine.tables
     # the same beliefs with the type axis in another order are refused
     if list(tperm) != sorted(tperm):
         other = BeliefState(beliefs.table[..., tperm], beliefs.drone_ids,

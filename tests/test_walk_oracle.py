@@ -91,8 +91,8 @@ class SizeEngine(PayoffEngine):
     from ``tie_rng``, which the scenarios above never do.  The engine's
     decision tables fill from them."""
 
-    def expected_payoff_of(self, observer, coalition, beliefs):
-        return -abs(len(coalition) - 2.0)
+    def expected_payoff_of(self, pos, mask, beliefs):
+        return -abs(bin(mask).count("1") - 2.0)
 
 
 @pytest.mark.parametrize("name", ["S3", "S4"])

@@ -130,6 +130,13 @@ def repeated_pin(wl, seed, tmp_path) -> dict:
             "rounds_sha256": rounds.hexdigest()}
 
 
+def by_id(ids, pos, mask, *rest) -> tuple:
+    """A payoff engine's memo key with its (position, mask) as (drone id,
+    sorted member ids)."""
+    return (ids[pos], [d for i, d in enumerate(ids) if mask >> i & 1],
+            *rest)
+
+
 def audit_pin(wl, tmp_path) -> tuple[dict, dict]:
     """The first ten seed-0 ``chain_audit_4type`` audits: absorbing
     states, Nash-stable state indices and formation probabilities per
@@ -158,15 +165,15 @@ def audit_pin(wl, tmp_path) -> tuple[dict, dict]:
             "transition": hashlib.sha256(
                 chain.transition.tobytes()).hexdigest()}
         for (d, coalition), rates in sorted(
-                engine._rates.items(),
-                key=lambda e: (e[0][0], sorted(e[0][1]))):
-            digest.update(f"{unit.name} {d} {sorted(coalition)} "
+                (by_id(engine.ids, *key), v)
+                for key, v in engine._rates.items()):
+            digest.update(f"{unit.name} {d} {coalition} "
                           f"{[r.hex() for r in rates]}\n".encode())
             rate_lists += 1
         for (d, coalition, rows), q in sorted(
-                engine._by_rows.items(),
-                key=lambda e: (e[0][0], sorted(e[0][1]), e[0][2])):
-            digest.update(f"{unit.name} {d} {sorted(coalition)} {rows} "
+                (by_id(engine.ids, *key), v)
+                for key, v in engine._by_rows.items()):
+            digest.update(f"{unit.name} {d} {coalition} {rows} "
                           f"{q.hex()}\n".encode())
             payoffs += 1
     return out, {"audits": len(units), "rate_lists": rate_lists,
