@@ -18,7 +18,8 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .allocation import CoalitionEvaluator
-from .dynamics import DynamicsConfig, run_best_reply, run_repeated_game
+from .dynamics import (DynamicsConfig, RepeatedGameResult, run_best_reply,
+                       run_repeated_game, run_repeated_games)
 from .game import (BeliefState, CoalitionStructure, PayoffEngine,
                    check_type_space, enumerate_structures, weakly_better,
                    PARTITION_CAP)
@@ -99,6 +100,8 @@ class RunManifest:
         if not isinstance(self.output_dir, str):
             raise ValueError(
                 f"output_dir must be a string, got {self.output_dir!r}")
+        if not self.output_dir:
+            raise ValueError("output_dir must not be empty")
         # every run's dynamics settings, checked before any run starts
         DynamicsConfig(self.epsilon, self.init_grand_rounds,
                        self.max_rounds, self.stability_window)
@@ -163,6 +166,30 @@ def stable_set_analysis(scenario, engine: PayoffEngine,
     return stable, totals, prob_map, model
 
 
+def _proposed_config(manifest: RunManifest, seed: int) -> DynamicsConfig:
+    """The manifest's repeated-game settings for the run seeded ``seed``."""
+    return DynamicsConfig(
+        epsilon=manifest.epsilon,
+        init_grand_rounds=manifest.init_grand_rounds,
+        max_rounds=manifest.max_rounds,
+        stability_window=manifest.stability_window,
+        seed=seed)
+
+
+def _proposed_result(scenario, evaluator: CoalitionEvaluator, setting: str,
+                    topology: int, repetition: int,
+                    outcome: RepeatedGameResult) -> RegimeResult:
+    """One repeated game's outcome as the ``proposed`` regime's result."""
+    rates = structure_rates(outcome.structure, scenario, evaluator)
+    return RegimeResult(
+        "proposed", setting, topology, repetition,
+        math.fsum(rates.values()), rates,
+        outcome.structure.to_string(),
+        rounds_to_convergence=len(outcome.rounds),
+        frobenius_series=[r.mean_norm for r in outcome.rounds],
+        note="" if outcome.converged else "non-converged")
+
+
 def run_regime(scenario, regime: str, manifest: RunManifest,
                setting: str, topology: int, repetition: int,
                engine: PayoffEngine | None = None) -> RegimeResult:
@@ -193,21 +220,10 @@ def run_regime(scenario, regime: str, manifest: RunManifest,
             structure_changes=stats.changes)
 
     if regime == "proposed":
-        config = DynamicsConfig(
-            epsilon=manifest.epsilon,
-            init_grand_rounds=manifest.init_grand_rounds,
-            max_rounds=manifest.max_rounds,
-            stability_window=manifest.stability_window,
-            seed=seed)
-        outcome = run_repeated_game(scenario, config, engine)
-        rates = structure_rates(outcome.structure, scenario, evaluator)
-        return RegimeResult(
-            regime, setting, topology, repetition,
-            math.fsum(rates.values()), rates,
-            outcome.structure.to_string(),
-            rounds_to_convergence=len(outcome.rounds),
-            frobenius_series=[r.mean_norm for r in outcome.rounds],
-            note="" if outcome.converged else "non-converged")
+        outcome = run_repeated_game(scenario, _proposed_config(manifest, seed),
+                                    engine)
+        return _proposed_result(scenario, evaluator, setting, topology,
+                               repetition, outcome)
 
     if regime == "social_optimal":
         if len(scenario.drone_ids) > PARTITION_CAP:
@@ -241,7 +257,10 @@ def run_topology(scenario, manifest: RunManifest, setting: str,
                  topology: int) -> list[RegimeResult]:
     """All requested regimes on one topology, sharing one payoff engine
     and one full-information stable-set analysis, which each full_info
-    result gets its own copy of."""
+    result gets its own copy of.  The proposed regime's repetitions play
+    in lockstep (``run_repeated_games``)."""
+    if setting not in manifest.settings:
+        raise ValueError(f"setting {setting!r} is not in the manifest")
     engine = PayoffEngine(scenario)
     totals = probs = None
     if "full_info" in manifest.regimes \
@@ -250,8 +269,17 @@ def run_topology(scenario, manifest: RunManifest, setting: str,
                                                   engine.truth)
     out = []
     for regime in manifest.regimes:
-        reps = manifest.repetitions if regime in ("full_info", "proposed") \
-            else 1
+        if regime == "proposed":
+            reps = range(manifest.repetitions)
+            outcomes = run_repeated_games(scenario, [
+                _proposed_config(manifest, run_seed(
+                    manifest, manifest.settings.index(setting), topology,
+                    rep)) for rep in reps], engine)
+            out.extend(_proposed_result(scenario, engine.evaluator, setting,
+                                       topology, rep, outcome)
+                       for rep, outcome in zip(reps, outcomes))
+            continue
+        reps = manifest.repetitions if regime == "full_info" else 1
         for rep in range(reps):
             result = run_regime(scenario, regime, manifest, setting,
                                 topology, rep, engine)

@@ -177,98 +177,151 @@ def _mates(structure: CoalitionStructure) -> np.ndarray:
     return mates
 
 
-def _share_samples(structure: CoalitionStructure, log: ObservationLog,
-                   rng: np.random.Generator) -> dict[int, float]:
-    """Each drone broadcasts one draw of its available power, truncated at
-    zero Watts, to its coalition mates in one ``log.share`` call; returns
-    the draws.  One ``rng.normal(mus, sigmas)`` call gives the values and
-    generator state of one scalar call per drone in id order, which is
-    also the order of the log's rows and of the true-type columns."""
-    members = structure.members()
-    if members != log.ids:
-        raise ValueError(f"{structure} does not partition {log.ids}")
-    true = log.scenario.true_columns
-    powers = rng.normal(log.types.mu[true, 0], log.types.sigma[true, 0])
-    draws = {d: max(0.0, x) for d, x in zip(members, powers.tolist())}
-    log.share(np.array(list(draws.values())), _mates(structure))
-    return draws
+def _share_samples(structures: list, log: ObservationLog,
+                   rngs: list) -> list:
+    """One round of every game g whose ``structures[g]`` is not None: each
+    drone broadcasts one draw of its available power, truncated at zero
+    Watts, to its coalition mates, in one ``log.share`` call for all
+    games; returns each game's draws, None where it sat out.  Game g's
+    ``rngs[g].standard_normal(D)``, scaled by the true types' deviations
+    and shifted by their means, gives the values and generator state of
+    one scalar ``rng.normal`` call per drone in id order, which is also
+    the order of the log's rows."""
+    d = len(log.ids)
+    z = np.zeros((len(structures), d))
+    pairs = np.zeros((len(structures), d, d), dtype=bool)
+    for g, structure in enumerate(structures):
+        if structure is not None:
+            if structure.members() != log.ids:
+                raise ValueError(f"{structure} does not partition {log.ids}")
+            z[g] = rngs[g].standard_normal(d)
+            pairs[g] = _mates(structure)
+    powers = log.mu + log.sigma * z
+    powers = np.where(powers > 0.0, powers, 0.0)   # max(0.0, x)'s bits
+    log.share(powers, pairs)
+    return [None if s is None else dict(zip(log.ids, row))
+            for s, row in zip(structures, powers.tolist())]
+
+
+class _Game:
+    """One repeated game between lockstep rounds: its four generators, the
+    structure its walks start from, its records and its convergence
+    test."""
+
+    def __init__(self, config: DynamicsConfig, engine: PayoffEngine):
+        self.config, self.engine = config, engine
+        ids = engine.ids
+        root = np.random.SeedSequence(config.seed)
+        self.rng_proposer, self.rng_tie, self.rng_sample, \
+            self.rng_bernoulli = [np.random.default_rng(s)
+                                  for s in root.spawn(4)]
+        self.grand = CoalitionStructure.grand(ids)
+        self.structure = CoalitionStructure.singletons(ids)
+        self.records: list[RoundRecord] = []
+        self.beliefs = self.prediction = None
+        self.last_non_grand: CoalitionStructure | None = None
+        self.stable_streak = 0
+        self.converged = self.done = False
+        self.stall = None
+
+    def propose(self):
+        """This round's (structure, grand_round), or None once the game
+        has ended: a forced grand coalition in the first
+        ``init_grand_rounds`` rounds and with probability epsilon after,
+        else the best-reply walk from the last walk's structure."""
+        config = self.config
+        if self.done:
+            return None
+        if len(self.records) < config.init_grand_rounds \
+                or self.rng_bernoulli.random() < config.epsilon:
+            return self.grand, True
+        try:
+            current, _stats = run_best_reply(
+                self.structure, self.beliefs, self.engine, self.rng_proposer,
+                config.stability_window, tie_rng=self.rng_tie)
+        except NonConvergenceError as exc:
+            # without its traceback, whose frames would hold this game and
+            # the engine in a reference cycle
+            self.stall, self.done = exc.with_traceback(None), True
+            return None
+        self.structure = current
+        return current, False
+
+    def record(self, current: CoalitionStructure, grand_round: bool,
+               draws: dict, beliefs: BeliefState, prediction: np.ndarray,
+               norms: list, mean_norm: float):
+        """Record the round played in ``current`` and test convergence."""
+        config = self.config
+        # each drone's payoff in its own block, read by (position, mask)
+        table = self.engine.table(beliefs)
+        own = {d: (i, m) for m in current.masks
+               for i, d in enumerate(current.ids) if m >> i & 1}
+        self.records.append(RoundRecord(
+            len(self.records), grand_round, current,
+            {d: table.payoff(*own[d]) for d in current.ids},
+            draws, beliefs.snapshot_hash(), tuple(norms), mean_norm))
+        played = len(self.records) - config.init_grand_rounds
+        if played > 0:
+            self.stable_streak = self.stable_streak + 1 \
+                if np.array_equal(prediction, self.prediction) else 1
+            structure_repeats = (not grand_round
+                                 and current == self.last_non_grand)
+            if not grand_round:
+                self.last_non_grand = current
+            self.converged = (self.stable_streak >= config.stability_window
+                              and structure_repeats)
+            self.done = self.converged or played == config.max_rounds
+        self.beliefs, self.prediction = beliefs, prediction
+
+    def result(self) -> RepeatedGameResult:
+        return RepeatedGameResult(
+            structure=self.structure, beliefs=self.beliefs,
+            prediction=self.prediction, rounds=self.records,
+            converged=self.converged, stall=self.stall)
+
+
+def run_repeated_games(scenario, configs: list[DynamicsConfig],
+                       engine: PayoffEngine) -> list[RepeatedGameResult]:
+    """Repeated coalition formation under uncertainty, one game per
+    config, all on one scenario and engine, advancing round by round
+    together.
+
+    A few initial grand-coalition rounds seed each game's observations;
+    then each round either forces the grand coalition (probability
+    epsilon) or runs best-reply dynamics from the game's previous
+    structure, shares samples inside each coalition, and re-learns the
+    beliefs.  Convergence: unchanged per-pair type predictions for
+    ``stability_window`` consecutive rounds and a repeating (non-grand)
+    structure.  A best-reply run that does not stabilise ends its game
+    unconverged, with the last structure that formed and the error as
+    ``stall``.  The games share one ``ObservationLog``, so each round
+    every game still playing shares, learns and is scored in one
+    ``share``, one ``update_beliefs`` and one ``frobenius_convergence``
+    call; each keeps its own generators, walk and records, so it ends as
+    it would alone.
+    """
+    games = [_Game(config, engine) for config in configs]
+    log = ObservationLog(scenario, len(games))
+    rngs = [game.rng_sample for game in games]
+    while True:
+        rounds = [game.propose() for game in games]
+        if not any(rounds):
+            break
+        draws = _share_samples([r and r[0] for r in rounds], log, rngs)
+        beliefs, prediction = update_beliefs(log)
+        norms, means = frobenius_convergence(prediction, scenario)
+        norms, means = norms.tolist(), means.tolist()
+        for g, (game, r) in enumerate(zip(games, rounds)):
+            if r is not None:
+                game.record(*r, draws[g], beliefs[g], prediction[g],
+                            norms[g], means[g])
+    return [game.result() for game in games]
 
 
 def run_repeated_game(scenario, config: DynamicsConfig,
                       engine: PayoffEngine | None = None
                       ) -> RepeatedGameResult:
-    """Repeated coalition formation under uncertainty.
-
-    A few initial grand-coalition rounds seed the observation log; then
-    each round either forces the grand coalition (probability epsilon) or
-    runs best-reply dynamics from the previous structure, shares samples
-    inside each coalition, and re-learns the beliefs.  Convergence:
-    unchanged per-pair type predictions for ``stability_window``
-    consecutive rounds and a repeating (non-grand) structure.  A
-    best-reply run that does not stabilise ends the game unconverged, with
-    the last structure that formed and the error as ``stall``.
-    """
-    engine = engine or PayoffEngine(scenario)
-    ids = scenario.drone_ids
-    root = np.random.SeedSequence(config.seed)
-    rng_proposer, rng_tie, rng_sample, rng_bernoulli = [
-        np.random.default_rng(s) for s in root.spawn(4)]
-
-    log = ObservationLog(scenario)
-    records: list[RoundRecord] = []
-
-    def play(current: CoalitionStructure, grand_round: bool):
-        """Share samples inside ``current``, re-learn and record the round."""
-        draws = _share_samples(current, log, rng_sample)
-        beliefs, prediction = update_beliefs(log)
-        norms, mean_norm = frobenius_convergence(prediction, scenario)
-        # each drone's payoff in its own block, read by (position, mask)
-        table = engine.table(beliefs)
-        own = {d: (i, m) for m in current.masks
-               for i, d in enumerate(current.ids) if m >> i & 1}
-        records.append(RoundRecord(
-            len(records), grand_round, current,
-            {d: table.payoff(*own[d]) for d in ids},
-            draws, beliefs.snapshot_hash(),
-            tuple(float(x) for x in norms), mean_norm))
-        return beliefs, prediction
-
-    grand = CoalitionStructure.grand(ids)
-    for _ in range(config.init_grand_rounds):
-        beliefs, prediction = play(grand, True)
-
-    structure = CoalitionStructure.singletons(ids)
-    last_non_grand: CoalitionStructure | None = None
-    prev_prediction = prediction
-    stable_streak = 0
-    converged = False
-    stall = None
-    for _ in range(config.max_rounds):
-        grand_round = bool(rng_bernoulli.random() < config.epsilon)
-        if grand_round:
-            current = grand
-        else:
-            try:
-                current, _stats = run_best_reply(
-                    structure, beliefs, engine, rng_proposer,
-                    config.stability_window, tie_rng=rng_tie)
-            except NonConvergenceError as exc:
-                stall = exc
-                break
-            structure = current
-        beliefs, prediction = play(current, grand_round)
-
-        stable_streak = stable_streak + 1 \
-            if np.array_equal(prediction, prev_prediction) else 1
-        prev_prediction = prediction
-        structure_repeats = (not grand_round
-                             and last_non_grand is not None
-                             and current == last_non_grand)
-        if not grand_round:
-            last_non_grand = current
-        if stable_streak >= config.stability_window and structure_repeats:
-            converged = True
-            break
-    return RepeatedGameResult(structure=structure, beliefs=beliefs,
-                              prediction=prediction, rounds=records,
-                              converged=converged, stall=stall)
+    """One repeated game (``run_repeated_games``), on a new engine unless
+    one is given."""
+    return run_repeated_games(scenario, [config],
+                              engine or PayoffEngine(scenario))[0]

@@ -145,6 +145,17 @@ def enumerate_structures(drone_ids) -> list[CoalitionStructure]:
     return out
 
 
+def check_belief_rows(table: np.ndarray) -> None:
+    """Refuse belief vectors (the last axis of ``table``) with a negative
+    entry or a sum other than 1."""
+    if np.any(table < 0):
+        raise ValueError("belief probabilities must be non-negative")
+    # np.allclose(sums, 1.0, atol=1e-12) without its overhead; NaN fails
+    sums = table.sum(axis=-1)
+    if not np.all(np.abs(sums - 1.0) <= 1e-12 + 1e-5):
+        raise ValueError("belief vectors must sum to 1")
+
+
 class BeliefState:
     """Per-drone probability tables over the type set, as an immutable
     value.
@@ -157,21 +168,26 @@ class BeliefState:
     """
 
     def __init__(self, table: np.ndarray, drone_ids, type_ids):
+        table = np.array(table, dtype=float)
+        if table.shape != (len(drone_ids), len(drone_ids), len(type_ids)):
+            raise ValueError("belief table has wrong shape")
+        check_belief_rows(table)
+        self._set(table, drone_ids, type_ids)
+
+    def _set(self, table: np.ndarray, drone_ids, type_ids) -> "BeliefState":
         self.drone_ids = tuple(drone_ids)
         self.type_ids = tuple(type_ids)
-        table = np.array(table, dtype=float)
-        if table.shape != (len(self.drone_ids), len(self.drone_ids),
-                           len(self.type_ids)):
-            raise ValueError("belief table has wrong shape")
-        if np.any(table < 0):
-            raise ValueError("belief probabilities must be non-negative")
-        # np.allclose(sums, 1.0, atol=1e-12) without its overhead; NaN fails
-        sums = table.sum(axis=2)
-        if not np.all(np.abs(sums - 1.0) <= 1e-12 + 1e-5):
-            raise ValueError("belief vectors must sum to 1")
         table.setflags(write=False)
         self.table = table
         self.content_key = self.drone_ids, self.type_ids, table.tobytes()
+        return self
+
+    @classmethod
+    def checked(cls, table: np.ndarray, drone_ids, type_ids
+                ) -> "BeliefState":
+        """The state over ``table`` as it is, which its caller owns, has
+        shaped (D, D, m) and has passed to ``check_belief_rows``."""
+        return cls.__new__(cls)._set(table, drone_ids, type_ids)
 
     @classmethod
     def uniform(cls, scenario) -> "BeliefState":

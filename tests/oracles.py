@@ -12,8 +12,9 @@ against them bit for bit.
   since a ``BeliefState`` never changes.
 - ``frobenius_convergence`` builds each type's indicator matrices in a
   Python loop and takes ``np.linalg.norm`` of their difference.
-- ``share`` is not a reference: it feeds samples keyed by drone id to
-  ``ObservationLog.share``, whose arrays follow the scenario's drone order.
+- ``share`` is not a reference: it feeds samples keyed by drone id to a
+  one-game ``ObservationLog.share``, whose arrays follow the scenario's
+  drone order.
 - ``candidate_groups``, ``best_reply_step``, ``is_nash_stable`` and
   ``build_chain`` each make the best-reply decision on their own, with
   the comparisons they used before the library put them behind
@@ -89,18 +90,18 @@ def with_rows(beliefs: BeliefState, rows: dict) -> BeliefState:
 
 
 def share(log: ObservationLog, powers: dict, pairs) -> None:
-    """One ``log.share`` call: observer i takes ``powers[j]`` for every
-    (observer id i, observed id j) in ``pairs``."""
+    """One ``log.share`` call on a one-game log: observer i takes
+    ``powers[j]`` for every (observer id i, observed id j) in ``pairs``."""
     ids = log.scenario.drone_ids
-    mask = np.zeros((len(ids), len(ids)), dtype=bool)
+    mask = np.zeros((1, len(ids), len(ids)), dtype=bool)
     for i, j in pairs:
-        mask[ids.index(i), ids.index(j)] = True
-    log.share(np.array([float(powers.get(d, 0.0)) for d in ids]), mask)
+        mask[0, ids.index(i), ids.index(j)] = True
+    log.share(np.array([[float(powers.get(d, 0.0)) for d in ids]]), mask)
 
 
 def update_beliefs(log: ObservationLog) -> tuple[BeliefState, np.ndarray]:
-    """Recompute beliefs from the observation log over its scenario's
-    type set.
+    """Recompute beliefs from a one-game observation log over its
+    scenario's type set.
 
     For every pair, each logged round contributes one classification event
     (MLE over the history up to that round, then KL classification); the
@@ -115,7 +116,8 @@ def update_beliefs(log: ObservationLog) -> tuple[BeliefState, np.ndarray]:
     types = sorted(scenario.type_set, key=lambda t: t.id)
     m = len(types)
     observed_types: dict[tuple[int, int], int] = {}
-    for (observer, observed), samples in log.samples.items():
+    assert {game for game, _, _ in log.samples} <= {0}
+    for (_, observer, observed), samples in log.samples.items():
         events = _prefix_classifications(np.asarray(samples, dtype=float),
                                          types)
         counts = np.bincount(events, minlength=m).astype(float)

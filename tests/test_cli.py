@@ -213,6 +213,9 @@ class TestRun:
         ({"output_dir": 5}, "output_dir must be a string, got 5"),
         # refused before the first scenario seed goes negative
         ({"seed": -1}, "seed must be an integer >= 0, got -1"),
+        # an empty directory name would fail only after the batch, when
+        # the outputs are written
+        ({"output_dir": ""}, "output_dir must not be empty"),
     ])
     def test_malformed_field_rejected_on_load(self, tmp_path, monkeypatch,
                                               capsys, entries, field):

@@ -29,7 +29,7 @@ def learned_beliefs(sc, rounds: int, seed: int) -> BeliefState:
     """Beliefs after ``rounds`` grand-coalition rounds in which every
     drone shares one draw of its power with every other drone."""
     rng = np.random.default_rng(seed)
-    log = ObservationLog(sc)
+    log = ObservationLog(sc, 1)
     ids = sc.drone_ids
     for _ in range(rounds):
         draws = {}
@@ -38,7 +38,7 @@ def learned_beliefs(sc, rounds: int, seed: int) -> BeliefState:
             draws[j] = max(0.0, float(rng.normal(t.mu, t.sigma)))
         oracles.share(log, draws,
                       [(i, j) for i in ids for j in ids if i != j])
-    beliefs, _ = update_beliefs(log)
+    [beliefs], _ = update_beliefs(log)
     return beliefs
 
 

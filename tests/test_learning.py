@@ -102,22 +102,22 @@ S1 = generate(SETTINGS["S1"], URBAN, type_set=TYPES, seed=30)
 
 class TestObservationLog:
     def test_self_observation_rejected(self):
-        log = ObservationLog(S1)
+        log = ObservationLog(S1, 1)
         counts = log.counts.copy()
         with pytest.raises(ValueError):
             share(log, {0: 12.0, 1: 13.0}, [(0, 0), (0, 1)])
         assert (log.counts == counts).all() and not log.samples
 
     def test_pairs_independent(self):
-        log = ObservationLog(S1)
+        log = ObservationLog(S1, 1)
         share(log, {0: 18.0, 1: 12.0}, [(0, 1), (1, 0)])
         share(log, {0: 19.0, 1: 13.0}, [(0, 1)])
-        assert log.samples == {(0, 1): [12.0, 13.0], (1, 0): [18.0]}
+        assert log.samples == {(0, 0, 1): [12.0, 13.0], (0, 1, 0): [18.0]}
         # one event per sample, and each drone's own type on the diagonal
-        assert (log.counts.sum(axis=2) - np.eye(3)).tolist() == \
-            log.sums[0].tolist() == [[0, 2, 0], [1, 0, 0], [0, 0, 0]]
-        assert log.sums[:, 0, 1].tolist() == [2.0, 25.0, 313.0]
-        assert log.sums[:, 1, 0].tolist() == [1.0, 18.0, 324.0]
+        assert (log.counts[0].sum(axis=2) - np.eye(3)).tolist() == \
+            log.sums[0, 0].tolist() == [[0, 2, 0], [1, 0, 0], [0, 0, 0]]
+        assert log.sums[:, 0, 0, 1].tolist() == [2.0, 25.0, 313.0]
+        assert log.sums[:, 0, 1, 0].tolist() == [1.0, 18.0, 324.0]
 
 
 class TestUpdateBeliefs:
@@ -126,8 +126,8 @@ class TestUpdateBeliefs:
 
     def test_empty_log_keeps_uniform(self):
         sc = self._scenario()
-        log = ObservationLog(sc)
-        beliefs, prediction = update_beliefs(log)
+        log = ObservationLog(sc, 1)
+        [beliefs], [prediction] = update_beliefs(log)
         for i in sc.drone_ids:
             for j in sc.drone_ids:
                 if i != j:
@@ -140,10 +140,10 @@ class TestUpdateBeliefs:
         #  after 2 samples: mean 12 -> type 0
         #  after 3 samples: mean 18, var 72 -> KL favors type 1
         sc = self._scenario()
-        log = ObservationLog(sc)
+        log = ObservationLog(sc, 1)
         for v in [12.0, 12.0, 30.0]:
             share(log, {1: v}, [(0, 1)])
-        beliefs, prediction = update_beliefs(log)
+        [beliefs], [prediction] = update_beliefs(log)
         assert prob(beliefs, 0, 1, 0) == pytest.approx(2.0 / 3.0)
         assert prob(beliefs, 0, 1, 1) == pytest.approx(1.0 / 3.0)
         assert prediction[0, 1] == 0
@@ -151,22 +151,22 @@ class TestUpdateBeliefs:
 
     def test_unanimous_observations(self):
         sc = self._scenario()
-        log = ObservationLog(sc)
+        log = ObservationLog(sc, 1)
         for r in range(5):
             share(log, {1: 18.0 + 0.1 * r}, [(0, 1)])
-        beliefs, prediction = update_beliefs(log)
+        [beliefs], [prediction] = update_beliefs(log)
         assert prob(beliefs, 0, 1, 1) == pytest.approx(1.0)
         assert prediction[0, 1] == 1
 
     def test_simplex_invariant(self):
         sc = self._scenario()
         rng = np.random.default_rng(23)
-        log = ObservationLog(sc)
+        log = ObservationLog(sc, 1)
         ids = sc.drone_ids
         for _ in range(20):
             share(log, dict(zip(ids, rng.normal(15, 5, size=len(ids)))),
                   [(i, j) for i in ids for j in ids if i != j])
-        beliefs, _ = update_beliefs(log)
+        [beliefs], _ = update_beliefs(log)
         assert np.allclose(beliefs.table.sum(axis=2), 1.0)
         assert np.all(beliefs.table >= 0.0)
 
@@ -176,10 +176,10 @@ class TestUpdateBeliefs:
         types = (TypeSpec(1, 18.0, 3.0), TypeSpec(0, 12.0, 3.0))
         sc = generate(SETTINGS["S1"], URBAN, type_set=types, seed=30)
         assert sc.type_set == types[::-1]
-        log = ObservationLog(sc)
+        log = ObservationLog(sc, 1)
         for _ in range(5):
             share(log, {1: 12.0}, [(0, 1)])
-        beliefs, prediction = update_beliefs(log)
+        [beliefs], [prediction] = update_beliefs(log)
         assert prediction[0, 1] == 0
         assert prob(beliefs, 0, 1, 0) == 1.0
         assert prob(beliefs, 0, 1, 1) == 0.0
@@ -187,7 +187,7 @@ class TestUpdateBeliefs:
     def test_true_types_learned_from_sampled_powers(self):
         sc = self._scenario(seed=31)
         rng = np.random.default_rng(24)
-        log = ObservationLog(sc)
+        log = ObservationLog(sc, 1)
         ids = sc.drone_ids
         for _ in range(40):
             draws = {}
@@ -195,7 +195,7 @@ class TestUpdateBeliefs:
                 t = sc.type_spec(sc.drone(j).true_type)
                 draws[j] = max(0.0, float(rng.normal(t.mu, t.sigma)))
             share(log, draws, [(i, j) for i in ids for j in ids if i != j])
-        _, prediction = update_beliefs(log)
+        _, [prediction] = update_beliefs(log)
         truth = [sc.drone(j).true_type for j in ids]
         assert prediction.tolist() == [truth] * len(ids)
 

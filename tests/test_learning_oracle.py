@@ -78,7 +78,7 @@ def assert_same_prediction(got: np.ndarray, ref: np.ndarray, sc):
 @given(learning_cases())
 def test_incremental_beliefs_equal_from_scratch(case):
     sc, rounds = case
-    log = ObservationLog(sc)
+    log = ObservationLog(sc, 1)
     # the last answer and the oracle's, and whether samples that may move
     # the table were logged since
     last = None
@@ -88,7 +88,7 @@ def test_incremental_beliefs_equal_from_scratch(case):
         moved_since = moved_since or not quiet
         if not call:
             continue
-        beliefs, prediction = update_beliefs(log)
+        [beliefs], [prediction] = update_beliefs(log)
         ref_beliefs, ref_prediction = oracles.update_beliefs(log)
         assert beliefs.table.tobytes() == ref_beliefs.table.tobytes()
         assert beliefs.snapshot_hash() == ref_beliefs.snapshot_hash()
@@ -110,20 +110,21 @@ def test_incremental_beliefs_equal_from_scratch(case):
 
 def test_no_new_samples_returns_the_same_state():
     sc = generate(SETTINGS["S4"], URBAN, seed=3)
-    log = ObservationLog(sc)
-    empty, _ = update_beliefs(log)
-    assert update_beliefs(log)[0] is empty
+    log = ObservationLog(sc, 1)
+    [empty], _ = update_beliefs(log)
+    assert update_beliefs(log)[0][0] is empty
     assert empty.content_key == oracles.update_beliefs(log)[0].content_key
     for r in range(3):
         oracles.share(log, {1: 12.0, 3: 30.0 + r}, [(0, 1), (2, 3)])
     # a round without mates shares nothing
     oracles.share(log, {}, [])
-    beliefs, prediction = update_beliefs(log)
-    again, again_prediction = update_beliefs(log)
+    [beliefs], prediction = update_beliefs(log)
+    [again], again_prediction = update_beliefs(log)
     assert again is beliefs
     assert again.content_key == oracles.update_beliefs(log)[0].content_key
-    assert_same_prediction(again_prediction, prediction, sc)
-    # the same read-only prediction comes back until new samples arrive
+    assert_same_prediction(again_prediction[0], prediction[0], sc)
+    # the same read-only (G, D, D) prediction comes back until new samples
+    # arrive
     assert again_prediction is prediction
     assert not prediction.flags.writeable
 
@@ -136,22 +137,22 @@ TWO_TYPES = (TypeSpec(1, 18.0, 3.0), TypeSpec(0, 12.0, 3.0))
 def test_unmoved_rows_return_the_same_state():
     # new samples whose events leave every row where it was
     sc = generate(SETTINGS["S1"], URBAN, type_set=TWO_TYPES, seed=30)
-    log = ObservationLog(sc)
+    log = ObservationLog(sc, 1)
     oracles.share(log, {1: 12.0}, [(0, 1)])
-    beliefs, _ = update_beliefs(log)
+    [beliefs], _ = update_beliefs(log)
     for _ in range(1, 4):
         oracles.share(log, {1: 12.0}, [(0, 1)])
-        assert update_beliefs(log)[0] is beliefs
+        assert update_beliefs(log)[0][0] is beliefs
     oracles.share(log, {1: 30.0}, [(0, 1)])
-    assert update_beliefs(log)[0] is not beliefs
+    assert update_beliefs(log)[0][0] is not beliefs
 
 
 def test_tied_events_predict_the_lowest_id():
     sc = generate(SETTINGS["S1"], URBAN, type_set=TWO_TYPES, seed=30)
-    log = ObservationLog(sc)
+    log = ObservationLog(sc, 1)
     oracles.share(log, {1: 12.0}, [(0, 1)])
     oracles.share(log, {1: 30.0}, [(0, 1)])
-    beliefs, prediction = update_beliefs(log)
+    [beliefs], [prediction] = update_beliefs(log)
     assert beliefs.table[0, 1].tolist() == [0.5, 0.5]
     assert prediction[0, 1] == 0
     assert_same_prediction(prediction, oracles.update_beliefs(log)[1], sc)
@@ -160,12 +161,12 @@ def test_tied_events_predict_the_lowest_id():
 def test_unobserved_rows_keep_the_prior():
     # uniform rows about unobserved drones, point masses on the diagonal
     sc = generate(SETTINGS["S4"], URBAN, seed=3)
-    log = ObservationLog(sc)
+    log = ObservationLog(sc, 1)
     for r in range(4):
         oracles.share(log, {1: 10.0 + 5 * r}, [(0, 1)])
     update_beliefs(log)
     oracles.share(log, {3: 30.0}, [(2, 3)])
-    beliefs, _ = update_beliefs(log)
+    [beliefs], _ = update_beliefs(log)
     uniform = BeliefState.uniform(sc).table
     kept = np.ones(uniform.shape[:2], dtype=bool)
     kept[0, 1] = kept[2, 3] = False

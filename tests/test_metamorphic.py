@@ -70,11 +70,11 @@ def make_beliefs(sc, kind: str, samples: dict, relabel=None):
     if kind == "uniform":
         return BeliefState.uniform(sc)
     relabel = relabel or {d: d for d in sc.drone_ids}
-    log = ObservationLog(sc)
+    log = ObservationLog(sc, 1)
     for (_, j), x in samples.items():
         share(log, {relabel[j]: x},
               [(i, relabel[j]) for i in sc.drone_ids if i != relabel[j]])
-    beliefs, _ = update_beliefs(log)
+    [beliefs], _ = update_beliefs(log)
     return beliefs
 
 

@@ -31,14 +31,14 @@ def learned(sc, rounds: int, seed: int) -> BeliefState:
     """Beliefs learned from power draws that each pair sees in about three
     rounds of four, so some rows stay uniform."""
     rng = np.random.default_rng(seed)
-    log = ObservationLog(sc)
+    log = ObservationLog(sc, 1)
     for _ in range(rounds):
         for i, j in itertools.permutations(sc.drone_ids, 2):
             if rng.random() < 0.75:
                 t = sc.type_spec(sc.drone(j).true_type)
                 x = max(0.0, float(rng.normal(t.mu, t.sigma)))
                 oracles.share(log, {j: x}, [(i, j)])
-    beliefs, _ = update_beliefs(log)
+    [beliefs], _ = update_beliefs(log)
     return beliefs
 
 

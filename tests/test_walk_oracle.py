@@ -150,34 +150,47 @@ def test_shared_samples_are_scalar_draws_truncated_at_zero():
             sc = dataclasses.replace(sc, drones=sc.drones[3:] + sc.drones[:3])
         ids = sorted(sc.drone_ids)
         assert sc.drone_ids == tuple(ids)
-        for structure in (CoalitionStructure.grand(ids),
-                          CoalitionStructure.singletons(ids),
-                          CoalitionStructure.from_string("{0,1,2}{3,4}{5}"),
-                          CoalitionStructure.from_string("{0,4}{1,3,5}{2}")):
-            rng, ref_rng = (np.random.default_rng(seed) for _ in range(2))
-            log = ObservationLog(sc)
-            draws = dynamics._share_samples(structure, log, rng)
-            specs = {d: sc.type_spec(sc.drone(d).true_type) for d in ids}
+        # one round of five games on their own generators, one sitting out
+        structures = [CoalitionStructure.grand(ids),
+                      CoalitionStructure.singletons(ids),
+                      CoalitionStructure.from_string("{0,1,2}{3,4}{5}"),
+                      None,
+                      CoalitionStructure.from_string("{0,4}{1,3,5}{2}")]
+        rngs, ref_rngs = ([np.random.default_rng([seed, g])
+                           for g in range(len(structures))]
+                          for _ in range(2))
+        log = ObservationLog(sc, len(structures))
+        draws = dynamics._share_samples(structures, log, rngs)
+        specs = {d: sc.type_spec(sc.drone(d).true_type) for d in ids}
+        pos = {d: k for k, d in enumerate(sc.drone_ids)}
+        for g, structure in enumerate(structures):
+            rng, ref_rng = rngs[g], ref_rngs[g]
+            samples = {(i, j): v for (h, i, j), v in log.samples.items()
+                       if h == g}
+            if structure is None:
+                assert draws[g] is None and samples == {}
+                assert not log.sums[:, g].any()
+                assert rng.bit_generator.state == ref_rng.bit_generator.state
+                continue
             raw = {d: float(ref_rng.normal(t.mu, t.sigma))
                    for d, t in specs.items()}
             negatives += sum(x < 0.0 for x in raw.values())
-            assert draws == {d: max(0.0, x) for d, x in raw.items()}
+            assert draws[g] == {d: max(0.0, x) for d, x in raw.items()}
             expected = {(i, j): max(0.0, raw[j])
                         for block in structure.blocks
                         for j in block for i in block if i != j}
-            record = dynamics.RoundRecord(0, False, structure, {}, draws, "")
+            record = dynamics.RoundRecord(0, False, structure, {}, draws[g],
+                                          "")
             assert json.loads(record.to_json())["shared_samples"] == {
                 f"{i}->{j}": x for (i, j), x in expected.items()}
-            assert log.samples == {pair: [x] for pair, x in expected.items()}
-            pos = {d: k for k, d in enumerate(sc.drone_ids)}
+            assert samples == {pair: [x] for pair, x in expected.items()}
             assert {(sc.drone_ids[a], sc.drone_ids[b]) for a, b
-                    in zip(*log.sums[0].nonzero())} == \
+                    in zip(*log.sums[0, g].nonzero())} == \
                 set(expected)
-            assert all(log.sums[1, pos[i], pos[j]] == x
+            assert all(log.sums[1, g, pos[i], pos[j]] == x
                        for (i, j), x in expected.items())
             assert rng.bit_generator.state == ref_rng.bit_generator.state
     assert negatives > 0
-
 
 
 def test_structure_over_other_drones_refused_by_share():
@@ -185,10 +198,10 @@ def test_structure_over_other_drones_refused_by_share():
     # scenario's, so a round over other drones would credit its samples
     # to the wrong pairs
     sc = generate(SETTINGS["S1"], URBAN, seed=0)
-    log = ObservationLog(sc)
+    log = ObservationLog(sc, 1)
     for structure in (CoalitionStructure.grand([1, 2]),
                       CoalitionStructure.grand([0, 1, 2, 3])):
         with pytest.raises(ValueError):
-            dynamics._share_samples(structure, log,
-                                    np.random.default_rng(0))
+            dynamics._share_samples([structure], log,
+                                    [np.random.default_rng(0)])
     assert log.samples == {} and not log.sums.any()
