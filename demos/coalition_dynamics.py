@@ -41,7 +41,8 @@ final, stats = run_best_reply(singles, beliefs, engine,
 print(f"final structure: {final.to_string()} "
       f"({stats.changes} changes over {stats.proposals} proposals)")
 for d in scenario.drone_ids:
-    q = engine.expected_payoff(d, frozenset(final.block_of(d)), beliefs)
+    block = next(b for b in final.blocks if d in b)
+    q = engine.expected_payoff(d, block, beliefs)
     delta = q - base[d]
     print(f"  drone {d}: {q:.3f} vs baseline {base[d]:.3f} "
           f"({'+' if delta >= 0 else ''}{delta:.3f})")

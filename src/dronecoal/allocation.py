@@ -89,17 +89,17 @@ class CoalitionEvaluator:
     The link table is built once, from the mean path loss of every
     (drone, user) pair: a matching weight (inverse linear loss) and an
     SINR slope per pair, indexed by the pair's positions in
-    ``scenario.drones`` and ``scenario.users``.  A coalition's matching
-    reads only the weights, so it is cached per coalition together with
-    its links' slopes; rates additionally depend only on the pooled power
-    budget, so they are cached per (coalition, budget), and the budgets
-    missing from that cache are water-filled in one batched call.
+    ``scenario.drones`` and ``scenario.users``.  A coalition is a bitmask
+    over the drone positions (bit i is ``scenario.drones[i]``) and its
+    rates are keyed by drone position.  A coalition's matching reads only
+    the weights, so it is cached per mask together with its links'
+    slopes; rates additionally depend only on the pooled power budget, so
+    they are cached per (mask, budget), and the budgets missing from that
+    cache are water-filled in one batched call.
     """
 
     def __init__(self, scenario):
         self.scenario = scenario
-        self._row = {d.id: i for i, d in enumerate(scenario.drones)}
-        self._col = {u.id: j for j, u in enumerate(scenario.users)}
         losses = [[propagation.path_loss(d.position, u.position,
                                          scenario.env).mean_loss_db
                    for u in scenario.users] for d in scenario.drones]
@@ -109,61 +109,60 @@ class CoalitionEvaluator:
                                  for x in row] for row in losses])
         self.weights.setflags(write=False)
         self.slopes.setflags(write=False)
-        self._matchings: dict[frozenset, tuple] = {}
-        self._results: dict[tuple[frozenset, float], dict[int, float]] = {}
+        # per drone position, the positions of its baseline users
+        self._users = [[j for j, u in enumerate(scenario.users)
+                        if u.baseline_drone == d.id] for d in scenario.drones]
+        self._matchings: dict[int, tuple] = {}
+        self._results: dict[tuple[int, float], dict[int, float]] = {}
 
-    def _matched(self, coalition: frozenset) -> tuple:
-        if coalition not in self._matchings:
-            if not coalition:
-                raise ValueError("coalition must be non-empty")
-            sc = self.scenario
-            channels = sorted((q, d) for d in coalition
-                              for q in sc.drone(d).channels)
-            users = sorted(u for d in coalition for u in sc.baseline_users(d))
-            rows = [self._row[d] for _, d in channels]
-            cols = [self._col[u] for u in users]
+    def _matched(self, mask: int) -> tuple:
+        if mask not in self._matchings:
+            if not 0 < mask < 1 << len(self._users):
+                raise ValueError(f"coalition mask {mask} is not a non-empty "
+                                 f"set of the {len(self._users)} drones")
+            drones = self.scenario.drones
+            members = [i for i in range(len(drones)) if mask >> i & 1]
+            # ids are sorted, so positions sort as the channels and users do
+            rows = [i for _, i in sorted((q, i) for i in members
+                                         for q in drones[i].channels)]
+            cols = sorted(j for i in members for j in self._users[i])
             pairs = max_weight_matching(self.weights[np.ix_(rows, cols)])
-            links = tuple((channels[r][1], users[c]) for r, c in pairs)
-            slopes = self.slopes[[rows[r] for r, _ in pairs],
-                                 [cols[c] for _, c in pairs]]
-            self._matchings[coalition] = links, slopes
-        return self._matchings[coalition]
+            owners = [rows[r] for r, _ in pairs]
+            slopes = self.slopes[owners, [cols[c] for _, c in pairs]]
+            self._matchings[mask] = members, owners, slopes
+        return self._matchings[mask]
 
-    def matching(self, coalition: frozenset) -> tuple[tuple[int, int], ...]:
-        """The coalition's matched links as (drone id, user id) pairs, in
-        channel order."""
-        return self._matched(coalition)[0]
-
-    def evaluate(self, coalition: frozenset, powers) -> dict[int, float]:
-        """Each member's rate when the members' assumed powers, one per
-        member in any order, are pooled into the coalition's budget.  The
-        dict is cached and shared, so callers must not mutate it."""
-        if len(powers) != len(coalition):
-            raise ValueError(f"expected {len(coalition)} assumed powers, "
+    def evaluate(self, mask: int, powers) -> dict[int, float]:
+        """Each member's rate, by drone position, when the members' assumed
+        powers, one per member in any order, are pooled into the
+        coalition's budget.  The dict is cached and shared, so callers must
+        not mutate it."""
+        if len(powers) != mask.bit_count():
+            raise ValueError(f"expected {mask.bit_count()} assumed powers, "
                              f"got {len(powers)}")
         # fsum is correctly rounded, so the budget, and with it the cache
         # key, does not depend on the order of the powers
         budget = math.fsum(powers)
-        return self.evaluate_budgets(coalition, [budget])[budget]
+        return self.evaluate_budgets(mask, [budget])[budget]
 
-    def evaluate_budgets(self, coalition: frozenset,
+    def evaluate_budgets(self, mask: int,
                          budgets) -> dict[float, dict[int, float]]:
         """``evaluate``'s rates for each of the given pooled budgets, keyed
         by budget, from the same cache."""
         missing = [b for b in dict.fromkeys(budgets)
-                   if (coalition, b) not in self._results]
+                   if (mask, b) not in self._results]
         if missing:
-            self._evaluate(coalition, missing)
-        return {b: self._results[coalition, b] for b in budgets}
+            self._evaluate(mask, missing)
+        return {b: self._results[mask, b] for b in budgets}
 
-    def _evaluate(self, coalition: frozenset, budgets: list[float]) -> None:
+    def _evaluate(self, mask: int, budgets: list[float]) -> None:
         """Cache each member's rate at each budget, from one water-fill
         over all of them: each link's ``bandwidth * math.log2(1.0 + p * g)``,
         summed per drone from 0.0 in link order."""
-        links, gains = self._matched(coalition)
+        members, owners, gains = self._matched(mask)
         powers, _ = waterfill(gains, np.array(budgets))
         bandwidth = self.scenario.env.bandwidth_hz
         for b, row in zip(budgets, (1.0 + powers * gains).tolist()):
-            rates = self._results[coalition, b] = dict.fromkeys(coalition, 0.0)
-            for (d, _), x in zip(links, row):
-                rates[d] += bandwidth * math.log2(x)
+            rates = self._results[mask, b] = dict.fromkeys(members, 0.0)
+            for i, x in zip(owners, row):
+                rates[i] += bandwidth * math.log2(x)

@@ -142,10 +142,15 @@ def run_seed(manifest: RunManifest, setting_index: int, topology: int,
 def structure_rates(structure: CoalitionStructure, scenario,
                     evaluator: CoalitionEvaluator) -> dict[int, float]:
     """Per-drone rates of a structure under the true expected powers."""
+    ids = scenario.drone_ids
+    if structure.ids != ids:
+        raise ValueError(f"{structure} does not partition {ids}")
     rates: dict[int, float] = {}
-    for block in structure.blocks:
-        rates.update(evaluator.evaluate(
-            frozenset(block), [scenario.true_power(d) for d in block]))
+    for mask in structure.masks:
+        powers = [scenario.true_power(d) for i, d in enumerate(ids)
+                  if mask >> i & 1]
+        rates.update((ids[i], r)
+                     for i, r in evaluator.evaluate(mask, powers).items())
     return rates
 
 

@@ -18,7 +18,7 @@ import numpy as np
 # candidate_groups is not called here, but the benchmark's tracer looks it
 # up in this module and then wraps it wherever dronecoal holds it
 from .game import (BeliefState, CoalitionStructure, PayoffEngine,
-                   best_reply, candidate_groups)
+                   candidate_groups, moved)
 from .learning import ObservationLog, frobenius_convergence, update_beliefs
 
 STEP_CAP = 10_000
@@ -54,16 +54,18 @@ class DynamicsConfig:
 def best_reply_step(structure: CoalitionStructure, proposer: int,
                     beliefs: BeliefState, engine: PayoffEngine,
                     rng: np.random.Generator) -> CoalitionStructure:
-    """One proposal: the proposer moves to one of its best-reply targets
-    (``game.best_reply``), drawn uniformly at random when there are
-    several; with no best reply the structure is unchanged.
+    """One proposal: the proposer moves to one of its best-reply target
+    masks (``DecisionTable.decisions``), drawn uniformly at random when
+    there are several; with no best reply the structure is unchanged.
     """
-    _, targets = best_reply(structure, proposer, beliefs, engine)
+    pos = engine.ids.index(proposer)
+    _, targets = engine.table(beliefs).decisions(structure)[pos]
     if not targets:
         return structure
     target = targets[int(rng.integers(len(targets)))] \
         if len(targets) > 1 else targets[0]
-    return structure.move(proposer, target)
+    return CoalitionStructure.from_masks(
+        structure.ids, moved(structure.masks, 1 << pos, target))
 
 
 @dataclass
@@ -170,8 +172,8 @@ class RepeatedGameResult:
 def _mates(structure: CoalitionStructure) -> np.ndarray:
     """Read-only (D, D) bool mask over ``structure.ids``: [a, b] is set
     when the drones at a and b are distinct members of one block."""
-    owner = {d: k for k, block in enumerate(structure.blocks) for d in block}
-    block = np.array([owner[d] for d in structure.ids])
+    block = np.array([next(k for k, m in enumerate(structure.masks)
+                           if m >> i & 1) for i in range(len(structure.ids))])
     mates = (block[:, None] == block) & ~np.eye(len(block), dtype=bool)
     mates.setflags(write=False)
     return mates

@@ -53,20 +53,6 @@ class CoalitionStructure:
     def grand(cls, drone_ids) -> "CoalitionStructure":
         return cls([tuple(drone_ids)])
 
-    def block_of(self, drone_id: int) -> tuple[int, ...]:
-        for b in self.blocks:
-            if drone_id in b:
-                return b
-        raise KeyError(drone_id)
-
-    def move(self, drone_id: int,
-             target: tuple[int, ...] | None) -> "CoalitionStructure":
-        """Structure after drone_id leaves its block and joins target
-        (None means going singleton)."""
-        mask = 0 if target is None else self.masks[self.blocks.index(target)]
-        return CoalitionStructure.from_masks(self.ids, moved(
-            self.masks, 1 << self.ids.index(drone_id), mask))
-
     def members(self) -> tuple[int, ...]:
         return self.ids
 
@@ -288,14 +274,13 @@ class PayoffEngine:
         if (pos, mask) not in self._rates:
             mus = [t.mu for t in sc.type_set]
             others = [[mus[k] for k in ks] for ks in multisets]
-            members = [i for i in range(len(self.ids)) if mask >> i & 1]
             budgets = {i: [math.fsum([mus[sc.true_columns[i]], *o])
-                           for o in others] for i in members}
+                           for o in others]
+                       for i in range(len(self.ids)) if mask >> i & 1}
             filled = self.evaluator.evaluate_budgets(
-                frozenset(self.ids[i] for i in members),
-                dict.fromkeys(itertools.chain(*budgets.values())))
+                mask, dict.fromkeys(itertools.chain(*budgets.values())))
             for i, row in budgets.items():
-                self._rates[i, mask] = [filled[b][self.ids[i]] for b in row]
+                self._rates[i, mask] = [filled[b][i] for b in row]
         factors = np.array([1.0, *itertools.chain(*rows),
                             *self._rates[pos, mask]])
         terms = np.multiply.accumulate(factors[pick])[-1]
@@ -381,9 +366,8 @@ class DecisionTable:
         return levels
 
     def decisions(self, structure: CoalitionStructure) -> tuple:
-        """Per drone position, (payoff, targets, top): the accepted
-        targets of the best level not wholly vetoed, with its payoff, or
-        (None, ()); and the top level's targets, vetoed ones as None."""
+        """Per drone position, (payoff, targets): the accepted targets of
+        the best level not wholly vetoed, with its payoff, or (None, ())."""
         out = self._decisions.get(structure)
         if out is None:
             out = self._decisions[structure] = tuple(
@@ -391,14 +375,11 @@ class DecisionTable:
         return out
 
     def _decide(self, structure: CoalitionStructure, pos: int) -> tuple:
-        levels = self.levels(structure, pos)
-        top = tuple(m if self.accepts(pos, m) else None
-                    for m in levels[0][1]) if levels else ()
-        for q, level in levels:
+        for q, level in self.levels(structure, pos):
             targets = tuple(m for m in level if self.accepts(pos, m))
             if targets:
-                return q, targets, top
-        return None, (), top
+                return q, targets
+        return None, ()
 
 
 @dataclass(frozen=True)
@@ -430,16 +411,6 @@ def candidate_groups(structure: CoalitionStructure, proposer: int,
     return [(q, [blocks.get(m) for m in level]) for q, level in levels]
 
 
-def best_reply(structure: CoalitionStructure, proposer: int,
-               beliefs: BeliefState, engine: PayoffEngine
-               ) -> tuple[float | None, list]:
-    """The admissible targets of the best level of candidate_groups not
-    wholly vetoed, and its payoff, or ``(None, [])``, as a fresh list."""
-    decisions = engine.table(beliefs).decisions(structure)
-    q, targets, _ = decisions[engine.ids.index(proposer)]
-    return q, [_blocks(structure).get(m) for m in targets]
-
-
 def is_nash_stable(structure: CoalitionStructure, beliefs: BeliefState,
                    scenario, engine: PayoffEngine
                    ) -> tuple[bool, DeviationWitness | None]:
@@ -447,7 +418,7 @@ def is_nash_stable(structure: CoalitionStructure, beliefs: BeliefState,
     the witness is the first such drone, its first target and the gain.
     ``scenario`` is unread; callers pass it positionally."""
     table = engine.table(beliefs)
-    for pos, (q, targets, _) in enumerate(table.decisions(structure)):
+    for pos, (q, targets) in enumerate(table.decisions(structure)):
         if targets:
             current = next(m for m in structure.masks if m >> pos & 1)
             return False, DeviationWitness(

@@ -55,16 +55,26 @@ def build_chain(scenario, beliefs: BeliefState,
     share = 1.0 / len(ids)
     t = np.zeros((len(states), len(states)))
     for i, w in enumerate(states):
-        decisions = table.decisions(w)
+        if veto_self_loop:
+            rows = [_top_level(table, w, pos) for pos in range(len(ids))]
+        else:
+            rows = [targets for _, targets in table.decisions(w)]
         # in proposer order: two proposers can reach the same structure
-        for pos in range(len(ids)):
-            chosen = decisions[pos][2 if veto_self_loop else 1]
+        for pos, chosen in enumerate(rows):
             if not chosen:
                 t[i, i] += share
             for m in chosen:
                 j = i if m is None else index[moved(w.masks, 1 << pos, m)]
                 t[i, j] += share / len(chosen)
     return MarkovModel(states=states, transition=t)
+
+
+def _top_level(table, structure: CoalitionStructure, pos: int) -> list:
+    """The top payoff level's targets of the drone at ``pos``, vetoed ones
+    as None (the share stays put)."""
+    levels = table.levels(structure, pos)
+    return [m if table.accepts(pos, m) else None
+            for m in levels[0][1]] if levels else []
 
 
 def absorbing_states(model: MarkovModel) -> tuple[int, ...]:

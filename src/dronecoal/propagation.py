@@ -2,18 +2,17 @@
 
 Elevation-dependent path loss (free-space term plus LoS/NLoS excess loss),
 line-of-sight probability, shadowing statistics, Rician K factor, SINR and
-Shannon rate.  The mean-path-loss mode averages the conditional LoS/NLoS
-losses by the LoS probability and is the default for all payoff
-computations; the sampled mode draws shadowing and small-scale fading and
-exists for channel-model validation.
+Shannon rate.  The link budget is the mean path loss: the conditional
+LoS/NLoS losses at their mean excess loss, averaged by the LoS
+probability, which every payoff reads.  The shadowing deviation and the
+Rician K factor complete the paper's channel model; the channel-model demo
+draws sampled losses from them.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, asdict
-
-import numpy as np
 
 SPEED_OF_LIGHT = 3.0e8  # m/s
 
@@ -166,48 +165,19 @@ def free_space_loss_db(distance_m: float, env: Environment) -> float:
         4.0 * math.pi * env.carrier_hz * distance_m / SPEED_OF_LIGHT)
 
 
-def _sample_rician_power(k: float, rng: np.random.Generator) -> float:
-    # |h|^2 with h = sqrt(K/(K+1)) + CN(0, 1/(K+1)); unit mean power.
-    s = math.sqrt(k / (k + 1.0))
-    scale = math.sqrt(1.0 / (2.0 * (k + 1.0)))
-    re = s + scale * rng.standard_normal()
-    im = scale * rng.standard_normal()
-    return re * re + im * im
-
-
-def path_loss(drone: Position3D, user: Position3D, env: Environment,
-              mode: str = "mean",
-              rng: np.random.Generator | None = None) -> LinkBudget:
-    """Link budget between a drone and a user.
-
-    mode="mean": conditional losses use the mean excess loss and a 0 dB
-    small-scale term; the reported mean loss averages them by the LoS
-    probability.  mode="sampled": shadowing is drawn from the
-    elevation-dependent normal law and the small-scale term from a
-    unit-mean Rician (LoS) or Rayleigh (NLoS) power distribution.
-    """
+def path_loss(drone: Position3D, user: Position3D,
+              env: Environment) -> LinkBudget:
+    """Link budget between a drone and a user: the conditional losses use
+    the mean excess loss and a 0 dB small-scale term, and the mean loss
+    averages them by the LoS probability."""
     d = distance(drone, user)
     if d == 0:
         raise ValueError("drone and user positions coincide")
     theta = elevation_angle(drone, user)
     p_los = los_probability(theta, env)
     fspl = free_space_loss_db(d, env)
-
-    if mode == "mean":
-        loss_los = fspl + env.mu_los
-        loss_nlos = fspl + env.mu_nlos
-    elif mode == "sampled":
-        if rng is None:
-            raise ValueError("sampled mode requires an rng")
-        zeta_los = rng.normal(env.mu_los, shadow_std(theta, env, los=True))
-        zeta_nlos = rng.normal(env.mu_nlos, shadow_std(theta, env, los=False))
-        omega_los = _sample_rician_power(rician_k(theta, env), rng)
-        omega_nlos = _sample_rician_power(0.0, rng)
-        loss_los = fspl + zeta_los + 10.0 * math.log10(omega_los)
-        loss_nlos = fspl + zeta_nlos + 10.0 * math.log10(omega_nlos)
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
-
+    loss_los = fspl + env.mu_los
+    loss_nlos = fspl + env.mu_nlos
     mean_loss = p_los * loss_los + (1.0 - p_los) * loss_nlos
     return LinkBudget(distance_m=d, elevation_rad=theta, p_los=p_los,
                       loss_los_db=loss_los, loss_nlos_db=loss_nlos,

@@ -190,12 +190,16 @@ class Scenario:
         if not isinstance(d, dict):
             raise ValueError("a scenario must be a JSON object, got "
                              f"{type(d).__name__}")
-        for key in ("drones", "users", "type_set"):
+        check_keys(d, cls, "scenario key")
+        for key, spec, what in (("drones", DroneSpec, "drone key"),
+                                ("users", UserSpec, "user key"),
+                                ("type_set", TypeSpec, "type key")):
             if not isinstance(d[key], list) \
                     or not all(isinstance(e, dict) for e in d[key]):
                 raise ValueError(f"{key} must be a list of JSON objects, "
                                  f"got {d[key]!r}")
             for e in d[key]:
+                check_keys(e, spec, what)
                 if type(e["id"]) is not int:
                     raise ValueError(f"ids of {key} must be distinct "
                                      f"integers, got {e['id']!r}")
@@ -352,8 +356,5 @@ def baseline_rates(scenario: Scenario, evaluator) -> dict[int, float]:
     """Per-drone aggregate rate when every drone serves its own users with
     its own channels and expected power, from the scenario's
     ``CoalitionEvaluator``."""
-    rates = {}
-    for d in scenario.drones:
-        rates[d.id] = evaluator.evaluate(
-            frozenset([d.id]), [scenario.true_power(d.id)])[d.id]
-    return rates
+    return {d.id: evaluator.evaluate(1 << i, [scenario.true_power(d.id)])[i]
+            for i, d in enumerate(scenario.drones)}

@@ -18,9 +18,11 @@ against them bit for bit.
 - ``candidate_groups``, ``best_reply_step``, ``is_nash_stable`` and
   ``build_chain`` each make the best-reply decision on their own, with
   the comparisons they used before the library put them behind
-  ``game.best_reply``, ``strictly_better`` and ``weakly_better``: a
-  relative 1e-12 tolerance for improving moves and payoff ties, and an
-  exact comparison in ``admissible``.
+  ``DecisionTable.decisions``, ``strictly_better`` and ``weakly_better``:
+  a relative 1e-12 tolerance for improving moves and payoff ties, and an
+  exact comparison in ``admissible``.  They name coalitions by their
+  blocks of drone ids and move a drone with ``move``, which builds the
+  new structure from blocks, where the library moves bitmasks.
 - ``flagged_candidate_groups`` and ``flagged_best_reply`` are the one
   decision as it was made before ``candidate_groups`` left the vetoes to
   its readers: every payoff level's targets carry their ``admissible``
@@ -168,9 +170,26 @@ def frobenius_convergence(prediction: np.ndarray, scenario
 
 # -- the best-reply decision, as each caller made it on its own -------------
 
+def block_of(structure: CoalitionStructure, drone: int) -> tuple[int, ...]:
+    """The block of ``structure`` that holds ``drone``."""
+    return next(b for b in structure.blocks if drone in b)
+
+
+def move(structure: CoalitionStructure, drone: int,
+         target: tuple[int, ...] | None) -> CoalitionStructure:
+    """The structure, built anew from blocks, after ``drone`` leaves its
+    block and joins the block ``target`` (None: goes singleton)."""
+    blocks = [[d for d in b if d != drone] for b in structure.blocks]
+    if target is None:
+        blocks.append([drone])
+    else:
+        blocks[structure.blocks.index(target)].append(drone)
+    return CoalitionStructure(blocks)
+
+
 def deviation_candidates(structure: CoalitionStructure, proposer: int):
     """Blocks the proposer could join, plus the singleton option (None)."""
-    current = structure.block_of(proposer)
+    current = block_of(structure, proposer)
     targets: list[tuple[int, ...] | None] = [
         b for b in structure.blocks if b != current]
     if len(current) > 1:
@@ -257,7 +276,7 @@ def best_reply_step(structure: CoalitionStructure, proposer: int,
         ok = [target for target, admitted in entries if admitted]
         if ok:
             target = ok[int(rng.integers(len(ok)))] if len(ok) > 1 else ok[0]
-            return structure.move(proposer, target)
+            return move(structure, proposer, target)
     return structure
 
 
@@ -323,13 +342,14 @@ def build_chain(scenario, beliefs: BeliefState,
                     # picks stay put
                     k = len(entries)
                     for target, admitted in entries:
-                        j = index[w.move(proposer, target)] if admitted else i
+                        j = index[move(w, proposer, target)] if admitted \
+                            else i
                         t[i, j] += share / k
                     placed = True
                     break
                 if ok:
                     for target in ok:
-                        t[i, index[w.move(proposer, target)]] += \
+                        t[i, index[move(w, proposer, target)]] += \
                             share / len(ok)
                     placed = True
                     break
@@ -392,6 +412,8 @@ def expected_payoff(scenario, evaluator, observer: int, coalition: frozenset,
     """Observer's expected rate in the coalition, one type vector of the
     other members at a time."""
     others = sorted(coalition - {observer})
+    ids = scenario.drone_ids
+    mask = sum(1 << ids.index(d) for d in coalition)
     own_power = scenario.true_power(observer)
     type_ids = [t.id for t in scenario.type_set]
     mus = {t.id: t.mu for t in scenario.type_set}
@@ -405,8 +427,8 @@ def expected_payoff(scenario, evaluator, observer: int, coalition: frozenset,
         if weight == 0.0:
             continue
         rates = evaluator.evaluate(
-            coalition, [powers[d] for d in sorted(coalition)])
-        total += weight * rates[observer]
+            mask, [powers[d] for d in sorted(coalition)])
+        total += weight * rates[ids.index(observer)]
     return total
 
 
@@ -435,13 +457,13 @@ def waterfill(gains: np.ndarray, budget: float) -> tuple[np.ndarray, float]:
     return p, float(mu)
 
 
-def rates(coalition, links, gains, budget: float,
+def rates(members, owners, gains, budget: float,
           bandwidth: float) -> dict[int, float]:
-    """Each member's rate at one budget: its links' rates in link order,
-    added to 0.0."""
+    """Each member's rate at one budget: the rates of the links it owns
+    (``owners[k]`` owns link k), in link order, added to 0.0."""
     powers, _ = waterfill(gains, budget)
-    per_drone = {d: 0.0 for d in coalition}
-    for (d, _), p, g in zip(links, powers, gains):
+    per_drone = {d: 0.0 for d in members}
+    for d, p, g in zip(owners, powers, gains):
         per_drone[d] += bandwidth * math.log2(1.0 + p * g)
     return per_drone
 

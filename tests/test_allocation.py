@@ -26,6 +26,34 @@ def _table_index(sc, drone_id, user_id):
             [u.id for u in sc.users].index(user_id))
 
 
+def _reference_links(sc, ev, members):
+    """The matched links of the coalition of drone ids ``members``, from
+    ``max_weight_matching`` over the link table's weights: the sorted
+    (channel, owner id) rows, the sorted user ids, the weight matrix, and
+    each matched link's owner position and SINR slope in channel order."""
+    channels = sorted((q, d) for d in members for q in sc.drone(d).channels)
+    users = sorted(u for d in members for u in sc.baseline_users(d))
+    w = np.array([[ev.weights[_table_index(sc, d, u)] for u in users]
+                  for _, d in channels])
+    pairs = max_weight_matching(w)
+    owners = [sc.drone_ids.index(channels[r][1]) for r, _ in pairs]
+    slopes = [ev.slopes[_table_index(sc, channels[r][1], users[c])]
+              for r, c in pairs]
+    return channels, users, w, owners, slopes
+
+
+def _mask(sc, members) -> int:
+    """The coalition bitmask of the drone ids ``members``."""
+    return sum(1 << sc.drone_ids.index(d) for d in members)
+
+
+def _links(ev, mask):
+    """The evaluator's cached links of ``mask``: each link's owner
+    position and SINR slope, in channel order."""
+    _, owners, slopes = ev._matched(mask)
+    return owners, slopes.tolist()
+
+
 def _brute_force_matching_value(weights):
     n_rows, n_cols = weights.shape
     best = -math.inf
@@ -173,25 +201,18 @@ class TestWeightMatrix:
         # for each of the owner's channels; the matching reads that matrix
         sc = generate(SETTINGS["S1"], URBAN, seed=14)
         ev = CoalitionEvaluator(sc)
-        coalition = frozenset([0, 1])
-        channels = sorted((q, d) for d in coalition
-                          for q in sc.drone(d).channels)
-        users = sorted(u for d in coalition for u in sc.baseline_users(d))
-        w = np.array([[ev.weights[_table_index(sc, d, u)] for u in users]
-                      for _, d in channels])
-        owners = [d for _, d in channels]
-        for i in range(1, len(owners)):
-            if owners[i] == owners[i - 1]:
+        channels, _, w, owners, slopes = _reference_links(sc, ev, [0, 1])
+        for i in range(1, len(channels)):
+            if channels[i][1] == channels[i - 1][1]:
                 assert np.array_equal(w[i], w[i - 1])
-        assert ev.matching(coalition) == tuple(
-            (owners[r], users[c]) for r, c in max_weight_matching(w))
+        assert _links(ev, _mask(sc, [0, 1])) == (owners, slopes)
 
     def test_empty_coalition_rejected(self):
         sc = generate(SETTINGS["S1"], URBAN, seed=14)
         with pytest.raises(ValueError):
-            CoalitionEvaluator(sc).matching(frozenset())
+            CoalitionEvaluator(sc).evaluate_budgets(0, [12.0])
         with pytest.raises(ValueError):
-            CoalitionEvaluator(sc).evaluate(frozenset(), [])
+            CoalitionEvaluator(sc).evaluate(0, [])
 
     def test_table_is_propagation_bit_for_bit(self):
         sc = generate(SETTINGS["S2"], URBAN, seed=20)
@@ -209,32 +230,41 @@ class TestEvaluateCoalition:
     def test_singleton_matches_baseline(self):
         sc = generate(SETTINGS["S1"], URBAN, seed=15)
         base = baseline_rates(sc, CoalitionEvaluator(sc))
-        for d in sc.drone_ids:
-            rates = CoalitionEvaluator(sc).evaluate(
-                frozenset([d]), [sc.true_power(d)])
-            assert rates == {d: pytest.approx(base[d])}
+        for i, d in enumerate(sc.drone_ids):
+            rates = CoalitionEvaluator(sc).evaluate(1 << i,
+                                                    [sc.true_power(d)])
+            assert rates == {i: pytest.approx(base[d])}
 
     def test_missing_power_rejected(self):
         sc = generate(SETTINGS["S1"], URBAN, seed=15)
         with pytest.raises(ValueError):
-            CoalitionEvaluator(sc).evaluate(frozenset([0, 1]), [12.0])
+            CoalitionEvaluator(sc).evaluate(0b11, [12.0])
         with pytest.raises(ValueError):
-            CoalitionEvaluator(sc).evaluate(frozenset([0, 1]),
-                                            [12.0, 12.0, 12.0])
+            CoalitionEvaluator(sc).evaluate(0b11, [12.0, 12.0, 12.0])
+
+    def test_mask_outside_the_drones_rejected(self):
+        # S1 has three drones: bits 0-2 are the only coalition members
+        sc = generate(SETTINGS["S1"], URBAN, seed=15)
+        ev = CoalitionEvaluator(sc)
+        with pytest.raises(ValueError):
+            ev.evaluate(0, [])
+        for mask in (1 << 3, 0b1001, 1 << 10):
+            with pytest.raises(ValueError):
+                ev.evaluate(mask, [12.0] * mask.bit_count())
+        assert not ev._results and not ev._matchings
 
     def test_total_rate_is_sum(self):
         # the member rates add up to the rate of the water-filled matched
         # links, which spend at most the pooled budget
         sc = generate(SETTINGS["S1"], URBAN, seed=15)
         ev = CoalitionEvaluator(sc)
-        coalition = frozenset([0, 1, 2])
         powers = [sc.true_power(d) for d in sc.drone_ids]
-        rates = ev.evaluate(coalition, powers)
-        assert set(rates) == coalition
-        matched = ev.matching(coalition)
-        assert len(matched) == 9
-        gains = np.array([ev.slopes[_table_index(sc, d, u)]
-                          for d, u in matched])
+        rates = ev.evaluate(0b111, powers)
+        assert set(rates) == {0, 1, 2}
+        _, _, _, owners, slopes = _reference_links(sc, ev, [0, 1, 2])
+        assert len(owners) == 9
+        assert _links(ev, 0b111) == (owners, slopes)
+        gains = np.array(slopes)
         p, _ = waterfill(gains, math.fsum(powers))
         assert math.fsum(p) <= math.fsum(powers) + 1e-9
         total = sc.env.bandwidth_hz * math.fsum(np.log2(1.0 + p * gains))
@@ -243,21 +273,21 @@ class TestEvaluateCoalition:
     def test_monotone_in_budget(self):
         sc = generate(SETTINGS["S1"], URBAN, seed=16)
         ev = CoalitionEvaluator(sc)
-        lo = ev.evaluate(frozenset([0, 1]), [6.0, 6.0])
-        hi = ev.evaluate(frozenset([0, 1]), [12.0, 12.0])
+        lo = ev.evaluate(0b11, [6.0, 6.0])
+        hi = ev.evaluate(0b11, [12.0, 12.0])
         assert math.fsum(hi.values()) > math.fsum(lo.values())
 
     def test_deterministic_across_evaluators(self):
         sc = generate(SETTINGS["S2"], URBAN, seed=17)
         powers = [sc.true_power(d) for d in sc.drone_ids]
-        grand = frozenset(sc.drone_ids)
+        grand = _mask(sc, sc.drone_ids)
         a, b = CoalitionEvaluator(sc), CoalitionEvaluator(sc)
         rates_a = a.evaluate(grand, powers)
         # the powers pool into one budget, so their order does not matter
         rates_b = b.evaluate(grand, powers[::-1])
         assert np.array_equal(a.weights, b.weights)
         assert np.array_equal(a.slopes, b.slopes)
-        assert a.matching(grand) == b.matching(grand)
+        assert _links(a, grand) == _links(b, grand)
         assert list(rates_a.items()) == list(rates_b.items())
 
     def test_independent_recomputation_two_drones(self):
@@ -267,7 +297,7 @@ class TestEvaluateCoalition:
         ev = CoalitionEvaluator(sc)
         coalition = frozenset([0, 2])
         powers = {0: sc.true_power(0), 2: sc.true_power(2)}
-        rates = ev.evaluate(coalition, list(powers.values()))
+        rates = ev.evaluate(_mask(sc, coalition), list(powers.values()))
 
         channels = sorted((q, d) for d in coalition
                           for q in sc.drone(d).channels)
@@ -288,8 +318,7 @@ class TestEvaluateCoalition:
 
     def test_matching_independent_of_power(self):
         sc = generate(SETTINGS["S1"], URBAN, seed=19)
-        coalition = frozenset([0, 1])
         a, b = CoalitionEvaluator(sc), CoalitionEvaluator(sc)
-        a.evaluate(coalition, [12.0, 18.0])
-        b.evaluate(coalition, [1.0, 2.0])
-        assert a.matching(coalition) == b.matching(coalition)
+        a.evaluate(0b11, [12.0, 18.0])
+        b.evaluate(0b11, [1.0, 2.0])
+        assert _links(a, 0b11) == _links(b, 0b11)

@@ -15,8 +15,8 @@ from dronecoal.bench import (REGIMES, RegimeResult, RunManifest, aggregate,
 from dronecoal.game import (BeliefState, CoalitionStructure, PayoffEngine,
                             enumerate_structures, is_nash_stable)
 from dronecoal.propagation import ENVIRONMENTS
-from dronecoal.scenario import (SETTINGS, SimulationSetting, baseline_rates,
-                                generate)
+from dronecoal.scenario import (SETTINGS, Scenario, SimulationSetting,
+                                baseline_rates, generate)
 
 URBAN = ENVIRONMENTS["urban"]
 
@@ -77,6 +77,32 @@ class TestStructureRates:
         for s in enumerate_structures(sc.drone_ids):
             rates = structure_rates(s, sc, engine.evaluator)
             assert set(rates) == set(sc.drone_ids)
+
+    def test_rates_keyed_by_drone_id_whatever_the_ids(self):
+        # spaced ids in reverse order, so no drone's id is its position:
+        # every structure's rates, and the baseline's, map across
+        sc = generate(SETTINGS["S2"], URBAN, seed=8)
+        relabel = {d: 10 + 7 * (len(sc.drones) - 1 - d) for d in sc.drone_ids}
+        data = sc.to_dict()
+        for drone in data["drones"]:
+            drone["id"] = relabel[drone["id"]]
+        for user in data["users"]:
+            user["baseline_drone"] = relabel[user["baseline_drone"]]
+        other = Scenario.from_dict(data)
+        ev, other_ev = CoalitionEvaluator(sc), CoalitionEvaluator(other)
+        assert baseline_rates(other, other_ev) == {
+            relabel[d]: r for d, r in baseline_rates(sc, ev).items()}
+        for s in enumerate_structures(sc.drone_ids):
+            mapped = CoalitionStructure([[relabel[d] for d in b]
+                                         for b in s.blocks])
+            assert structure_rates(mapped, other, other_ev) == {
+                relabel[d]: r for d, r in structure_rates(s, sc, ev).items()}
+
+    def test_structure_over_other_drones_refused(self):
+        sc = generate(SETTINGS["S1"], URBAN, seed=8)
+        other = CoalitionStructure.singletons([d + 1 for d in sc.drone_ids])
+        with pytest.raises(ValueError, match="does not partition"):
+            structure_rates(other, sc, CoalitionEvaluator(sc))
 
 
 @pytest.fixture(scope="module")

@@ -343,11 +343,24 @@ class TestMarkov:
         (lambda d: d["env"].update(carrier_hz=0.0),
          "carrier_hz must be positive, got 0.0"),
         (lambda d: d.update(seed=0.5), "seed must be an integer, got 0.5"),
+        (lambda d: {k: v for k, v in d.items() if k != "users"},
+         "missing scenario key(s): users"),
+        (lambda d: d["drones"][0].pop("channels") and d,
+         "missing drone key(s): channels"),
+        (lambda d: d.update(name="x"), "unknown scenario key(s): name"),
+        (lambda d: d["drones"][2].update(speed=1.0),
+         "unknown drone key(s): speed"),
+        (lambda d: d["users"][0].update(channels=[]),
+         "unknown user key(s): channels"),
+        (lambda d: d["type_set"][1].update(label="high"),
+         "unknown type key(s): label"),
     ], ids=["mu", "channels", "array", "position", "true_type", "area_m",
             "user_position", "baseline_drone_str", "baseline_drone_id",
             "drone_id", "duplicate_drone", "duplicate_user",
             "baseline_drone_bool", "bandwidth_hz",
-            "mu_inf", "channel_ids", "env_key", "carrier_hz", "seed"])
+            "mu_inf", "channel_ids", "env_key", "carrier_hz", "seed",
+            "missing_users", "missing_channels", "scenario_key", "drone_key",
+            "user_key", "type_key"])
     def test_malformed_scenario(self, tmp_path, capsys, edit, message):
         scenario_path = tmp_path / "scenario.json"
         main(["generate", "--setting", "S1", "--out", str(scenario_path)])

@@ -8,8 +8,8 @@ import pytest
 from dronecoal import bench
 from dronecoal.bench import RunManifest, run_regime
 from dronecoal.game import (CoalitionStructure, DeviationWitness,
-                            PayoffEngine, admissible, best_reply,
-                            candidate_groups, is_nash_stable,
+                            PayoffEngine, admissible, candidate_groups,
+                            is_nash_stable,
                             strictly_better, weakly_better)
 
 BASES = (0.0, 1.0, 1e6)
@@ -90,12 +90,14 @@ def test_payoff_levels_tie_inside_the_band(rel, tied):
                          (2, (2,)): 1.0, (2, (0, 2)): 1.0, (2, (1, 2)): 1.0})
     singles, beliefs = CoalitionStructure.singletons([0, 1, 2]), engine.beliefs
     groups = candidate_groups(singles, 0, beliefs, engine)
+    # drone 0's targets as masks: bit i is drone i
+    decision = engine.table(beliefs).decisions(singles)[0]
     if tied:
         assert groups == [(2.0, [(1,), (2,)])]
-        assert best_reply(singles, 0, beliefs, engine) == (2.0, [(1,), (2,)])
+        assert decision == (2.0, (0b010, 0b100))
     else:
         assert groups == [(2.0, [(1,)]), (q, [(2,)])]
-        assert best_reply(singles, 0, beliefs, engine) == (2.0, [(1,)])
+        assert decision == (2.0, (0b010,))
     # the witness is the first best-reply target, at the level's gain
     assert is_nash_stable(singles, beliefs, None, engine) == \
         (False, DeviationWitness(0, (1,), 1.0))

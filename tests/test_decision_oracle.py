@@ -1,5 +1,5 @@
-"""Differential tests: the one best-reply decision (``game.best_reply``
-and the chain, both read from a ``DecisionTable`` behind
+"""Differential tests: the one best-reply decision (``DecisionTable.decisions``
+over bitmasks, which the walk's step and the chain read, behind
 ``strictly_better`` / ``weakly_better``) against the per-caller decisions
 in ``oracles.py``, under point-mass, uniform and learned beliefs.  The
 table decides from its own veto memo, so the library never calls
@@ -67,6 +67,15 @@ def decision_cases(draw):
     return sc, draw_beliefs(draw, sc), draw(st.integers(0, 2**32 - 1))
 
 
+def decision(s, d, beliefs, engine):
+    """The table's best reply of drone ``d`` in ``s``, (payoff, targets),
+    with its target masks read as blocks (None: going singleton), as the
+    references name them."""
+    q, targets = engine.table(beliefs).decisions(s)[engine.ids.index(d)]
+    blocks = dict(zip(s.masks, s.blocks))
+    return q, [blocks.get(m) for m in targets]
+
+
 def bits(groups):
     return [(q.hex(), level) for q, level in groups]
 
@@ -113,7 +122,7 @@ def test_one_decision_equals_the_per_caller_decisions(case):
                 assert bits(game.candidate_groups(*args)) == \
                     unflagged(oracles.flagged_candidate_groups(*args)) == \
                     unflagged(oracles.candidate_groups(*args))
-                got, n = admissible_calls(calls, game.best_reply, *args)
+                got, n = admissible_calls(calls, decision, *args)
                 ref, n_ref = admissible_calls(calls,
                                               oracles.flagged_best_reply,
                                               *args)
@@ -152,11 +161,12 @@ def test_one_decision_equals_the_per_caller_decisions(case):
         d, target = witness.drone, witness.target
         joined = frozenset(target) | {d} if target else frozenset([d])
         q_new = engine.expected_payoff(d, joined, beliefs)
-        q_old = engine.expected_payoff(d, frozenset(s.block_of(d)), beliefs)
+        q_old = engine.expected_payoff(d, frozenset(oracles.block_of(s, d)),
+                                       beliefs)
         assert game.strictly_better(q_new, q_old)
         assert game.admissible(d, target, engine, beliefs)
         # it is the drone's first best-reply target, at that level's gain
-        q_best, targets = game.best_reply(s, d, beliefs, engine)
+        q_best, targets = decision(s, d, beliefs, engine)
         assert (target, witness.payoff_gain) == (targets[0], q_best - q_old)
         assert witness.payoff_gain > 0
     assert absorbing_states(build_chain(sc, beliefs, engine)) == \
@@ -210,7 +220,7 @@ def test_six_drone_chain_and_scan_equal_the_references(seed, kind):
         ref_ok, ref_witness = oracles.is_nash_stable(s, beliefs, sc,
                                                      ref_engine)
         assert ok == ref_ok, s
-        replies = {d: game.best_reply(s, d, beliefs, engine)
+        replies = {d: decision(s, d, beliefs, engine)
                    for d in sc.drone_ids}
         for d, reply in replies.items():
             assert reply == reference_reply(s, d, beliefs, ref_engine), (s, d)
@@ -253,7 +263,7 @@ def wrong_point_masses(beliefs: BeliefState, sc) -> BeliefState:
 def assert_memos_match(sc, beliefs, shared):
     """Payoffs and decisions of ``shared`` under ``beliefs`` equal a fresh
     engine's and the references', and no caller can change a memoized
-    target list."""
+    decision: each is a tuple of (payoff, target tuple) rows."""
     fresh, evaluator = PayoffEngine(sc), CoalitionEvaluator(sc)
     ids = sorted(sc.drone_ids)
     for k in range(1, len(ids) + 1):
@@ -268,10 +278,13 @@ def assert_memos_match(sc, beliefs, shared):
     for s in enumerate_structures(ids):
         for d in ids:
             ref = oracles.flagged_best_reply(s, d, beliefs, fresh)
-            got = game.best_reply(s, d, beliefs, shared)
-            assert got == game.best_reply(s, d, beliefs, fresh) == ref
+            got = decision(s, d, beliefs, shared)
+            assert got == decision(s, d, beliefs, fresh) == ref
             got[1].append(got[1][0] if got[1] else None)
-            assert game.best_reply(s, d, beliefs, shared) == ref
+            assert decision(s, d, beliefs, shared) == ref
+        rows = shared.table(beliefs).decisions(s)
+        assert isinstance(rows, tuple)
+        assert all(isinstance(targets, tuple) for _, targets in rows)
 
 
 @settings(deadline=None, max_examples=40)

@@ -14,6 +14,7 @@ from dronecoal.propagation import ENVIRONMENTS, Position3D
 from dronecoal.scenario import (DEFAULT_TYPE_SET, SETTINGS, DroneSpec,
                                 Scenario, TypeSpec, UserSpec, baseline_rates,
                                 generate)
+from oracles import block_of, move
 
 URBAN = ENVIRONMENTS["urban"]
 
@@ -112,7 +113,7 @@ class TestBestReplyStep:
         assert new != structure
         taken = [t for _, level in groups[1:] for t in level
                  if admissible(1, t, engine, beliefs)]
-        expected = {structure.move(1, t) for t in taken}
+        expected = {move(structure, 1, t) for t in taken}
         assert new in expected
 
     def test_vetoed_move_never_taken(self):
@@ -125,13 +126,14 @@ class TestBestReplyStep:
                 new = best_reply_step(s, d, beliefs, engine, rng)
                 if new == s:
                     continue
-                target = tuple(x for x in new.block_of(d) if x != d) or None
+                target = tuple(x for x in block_of(new, d) if x != d) \
+                    or None
                 assert admissible(d, target, engine, beliefs)
                 # and the move strictly improves the proposer
                 q_old = engine.expected_payoff(
-                    d, frozenset(s.block_of(d)), beliefs)
+                    d, frozenset(block_of(s, d)), beliefs)
                 q_new = engine.expected_payoff(
-                    d, frozenset(new.block_of(d)), beliefs)
+                    d, frozenset(block_of(new, d)), beliefs)
                 assert q_new > q_old
 
 
@@ -179,7 +181,7 @@ class TestRunBestReply:
                 engine, np.random.default_rng(0))
             for d in sc.drone_ids:
                 q = engine.expected_payoff(
-                    d, frozenset(final.block_of(d)), beliefs)
+                    d, frozenset(block_of(final, d)), beliefs)
                 assert q >= base[d] - 1e-9 * max(1.0, base[d])
 
     def test_step_cap_raises(self, monkeypatch):
@@ -273,7 +275,7 @@ class TestRepeatedGame:
         for record in result.rounds:
             for pair in json.loads(record.to_json())["shared_samples"]:
                 observer, observed = map(int, pair.split("->"))
-                block = record.structure.block_of(observed)
+                block = block_of(record.structure, observed)
                 assert observer in block
                 assert observer != observed
 

@@ -4,18 +4,28 @@ import math
 import numpy as np
 import pytest
 
+import oracles
 from dronecoal import game
 from dronecoal.game import (BeliefState, CoalitionStructure, PayoffEngine,
                             admissible, enumerate_structures, is_nash_stable)
 from dronecoal.allocation import CoalitionEvaluator
+from dronecoal.dynamics import best_reply_step
 from dronecoal.markov import build_chain
 from dronecoal.propagation import ENVIRONMENTS
 from dronecoal.scenario import SETTINGS, baseline_rates, generate
-from oracles import deviation_candidates, prob, with_rows
+from oracles import block_of, deviation_candidates, prob, with_rows
 
 URBAN = ENVIRONMENTS["urban"]
 
 BELL = {1: 1, 2: 2, 3: 5, 4: 15, 5: 52, 6: 203}
+
+
+def move(s: CoalitionStructure, drone: int, target) -> CoalitionStructure:
+    """``s`` after ``drone`` joins the block ``target`` (None: goes
+    singleton), moved by mask with ``game.moved``."""
+    mask = 0 if target is None else s.masks[s.blocks.index(target)]
+    return CoalitionStructure.from_masks(
+        s.ids, game.moved(s.masks, 1 << s.ids.index(drone), mask))
 
 
 @pytest.fixture(scope="module")
@@ -48,20 +58,23 @@ class TestCoalitionStructure:
 
     def test_move_join(self):
         s = CoalitionStructure.singletons([0, 1, 2])
-        moved = s.move(0, (1,))
+        moved = move(s, 0, (1,))
         assert moved.blocks == ((0, 1), (2,))
+        assert moved.masks == (0b011, 0b100)
 
     def test_move_to_singleton(self):
         s = CoalitionStructure([(0, 1), (2,)])
-        moved = s.move(1, None)
+        moved = move(s, 1, None)
         assert moved.blocks == ((0,), (1,), (2,))
+        assert moved.masks == (0b001, 0b010, 0b100)
 
     def test_move_preserves_membership(self):
         s = CoalitionStructure([(0, 1, 2), (3, 4)])
         for d in s.members():
             cur, targets = deviation_candidates(s, d)
             for t in targets:
-                assert s.move(d, t).members() == s.members()
+                assert move(s, d, t).members() == s.members()
+                assert move(s, d, t) == oracles.move(s, d, t)
 
     def test_string_round_trip(self):
         for blocks in [[(0,)], [(0, 2), (1,)], [(0, 1, 2, 3)]]:
@@ -78,7 +91,7 @@ class TestCoalitionStructure:
         assert s.ids == (2, 5, 9)
         assert s.masks == (0b101, 0b010)
         assert s.blocks == ((2, 9), (5,))
-        joined = s.move(5, (2, 9))
+        joined = move(s, 5, (2, 9))
         assert (joined.masks, joined.blocks) == ((0b111,), ((2, 5, 9),))
         # equal masks over other drones are another structure
         assert CoalitionStructure.singletons([0, 1]) != \
@@ -152,8 +165,8 @@ class TestBeliefState:
         def answers(engine):
             payoffs = [engine.expected_payoff(d, c, b).hex()
                        for c in coalitions for d in sorted(c)]
-            replies = [game.best_reply(s, d, b, engine)
-                       for s in enumerate_structures(ids) for d in ids]
+            replies = [engine.table(b).decisions(s)
+                       for s in enumerate_structures(ids)]
             return payoffs, replies
 
         before = answers(warm)
@@ -181,10 +194,11 @@ class TestPayoffEngine:
             assert q == pytest.approx(base[d])
 
     def test_point_mass_equals_deterministic(self, s1, s1_engine):
+        # a generated drone's id is its position, its bit and its rate key
         b = BeliefState.point_mass_truth(s1)
         coalition = frozenset([0, 1])
         rates = CoalitionEvaluator(s1).evaluate(
-            coalition, [s1.true_power(d) for d in coalition])
+            0b11, [s1.true_power(d) for d in coalition])
         for d in coalition:
             q = s1_engine.expected_payoff(d, coalition, b)
             assert q == pytest.approx(rates[d])
@@ -198,7 +212,7 @@ class TestPayoffEngine:
         expected = 0.0
         for t, w in ((0, 0.5), (1, 0.5)):
             rates = CoalitionEvaluator(s1).evaluate(
-                coalition, [s1.true_power(0), mus[t]])
+                0b11, [s1.true_power(0), mus[t]])
             expected += w * rates[0]
         assert s1_engine.expected_payoff(0, coalition, b) == \
             pytest.approx(expected)
@@ -208,7 +222,7 @@ class TestPayoffEngine:
         mus = {t.id: t.mu for t in s1.type_set}
         coalition = frozenset([0, 1])
         expected = sum(w * CoalitionEvaluator(s1).evaluate(
-            coalition, [s1.true_power(0), mus[t]])[0]
+            0b11, [s1.true_power(0), mus[t]])[0]
             for t, w in ((0, 0.9), (1, 0.1)))
         assert s1_engine.expected_payoff(0, coalition, b) == \
             pytest.approx(expected)
@@ -223,7 +237,9 @@ class TestPayoffEngine:
         b = BeliefState.uniform(s1)
         other = CoalitionStructure.singletons([d + 1 for d in s1.drone_ids])
         with pytest.raises(ValueError):
-            game.best_reply(other, 1, b, s1_engine)
+            s1_engine.table(b).decisions(other)
+        with pytest.raises(ValueError):
+            best_reply_step(other, 1, b, s1_engine, np.random.default_rng(0))
         with pytest.raises(ValueError):
             is_nash_stable(other, b, s1, s1_engine)
 
@@ -270,7 +286,7 @@ def _independent_stability_scan(structure, beliefs, scenario, engine):
     """Literal re-derivation of the deviation scan from the expected
     payoffs, without using is_nash_stable."""
     for d in structure.members():
-        current = structure.block_of(d)
+        current = block_of(structure, d)
         q_cur = engine.expected_payoff(d, frozenset(current), beliefs)
         options = [b for b in structure.blocks if b != current]
         if len(current) > 1:
@@ -306,7 +322,7 @@ class TestNashStability:
             if witness.target else frozenset([witness.drone])
         q_new = s1_engine.expected_payoff(witness.drone, joined, b)
         q_old = s1_engine.expected_payoff(
-            witness.drone, frozenset(singles.block_of(witness.drone)), b)
+            witness.drone, frozenset(block_of(singles, witness.drone)), b)
         assert q_new - q_old == pytest.approx(witness.payoff_gain)
         assert admissible(witness.drone, witness.target, s1_engine, b)
 

@@ -110,42 +110,6 @@ class TestPathLoss:
                                 URBAN).mean_loss_db for x in r]
             assert all(b >= a - 1e-9 for a, b in zip(losses, losses[1:]))
 
-    def test_sampled_requires_rng(self):
-        with pytest.raises(ValueError):
-            path_loss(Position3D(0, 0, 1000), Position3D(1, 0, 0), URBAN,
-                      mode="sampled")
-
-    def test_sampled_shadow_mean(self):
-        # mean of the sampled conditional-loss excess over the free-space
-        # term matches the configured means within 3 standard errors
-        rng = np.random.default_rng(2)
-        drone, user = Position3D(0, 0, 1000), Position3D(1500, 0, 0)
-        theta = elevation_angle(drone, user)
-        fspl = free_space_loss_db(path_loss(drone, user, URBAN).distance_m,
-                                  URBAN)
-        n = 100_000
-        los_excess = np.empty(n)
-        for i in range(n):
-            lb = path_loss(drone, user, URBAN, mode="sampled", rng=rng)
-            los_excess[i] = lb.loss_los_db - fspl
-        # excess = zeta + 10 log10(omega); E[zeta] = mu_los, E[10 log10 omega] < 0
-        # isolate the shadow term by subtracting the small-scale mean
-        sigma = shadow_std(theta, URBAN, los=True)
-        k = rician_k(theta, URBAN)
-        omega_db = np.array([10 * math.log10(
-            _rician_sample(k, rng)) for _ in range(n)])
-        shadow_mean = los_excess.mean() - omega_db.mean()
-        se = math.sqrt(sigma ** 2 / n + omega_db.var() / n * 2)
-        assert abs(shadow_mean - URBAN.mu_los) < 3 * max(se, 0.05)
-
-
-def _rician_sample(k, rng):
-    s = math.sqrt(k / (k + 1.0))
-    scale = math.sqrt(1.0 / (2.0 * (k + 1.0)))
-    re = s + scale * rng.standard_normal()
-    im = scale * rng.standard_normal()
-    return re * re + im * im
-
 
 class TestRate:
     def test_zero_power(self):

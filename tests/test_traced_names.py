@@ -8,6 +8,8 @@ import pkgutil
 import sys
 from pathlib import Path
 
+import numpy as np
+
 TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
 
 
@@ -107,3 +109,29 @@ def test_traced_repeated_game_counts_every_sample():
     assert summary["learning.update_beliefs.calls"] == len(result.rounds)
     assert summary["learning.frobenius_convergence.calls"] == \
         len(result.rounds)
+
+
+def test_traced_walk_counts_one_step_span_per_change():
+    # the walk runs best_reply_step only for a proposer that moves, so
+    # the step's span counts the walk's structure changes
+    tracer = _tracer()
+    dynamics = importlib.import_module("dronecoal.dynamics")
+    game = importlib.import_module("dronecoal.game")
+    scenario = importlib.import_module("dronecoal.scenario")
+    propagation = importlib.import_module("dronecoal.propagation")
+    sc = scenario.generate(scenario.SETTINGS["S3"],
+                           propagation.ENVIRONMENTS["urban"], seed=4)
+    engine = game.PayoffEngine(sc)
+    spans = tracer.Tracer()
+    spans.install()
+    try:
+        final, stats = dynamics.run_best_reply(
+            game.CoalitionStructure.singletons(sc.drone_ids),
+            game.BeliefState.uniform(sc), engine, np.random.default_rng(3))
+    finally:
+        spans.uninstall()
+    summary = spans.summary()
+    assert stats.changes > 1
+    assert summary["dynamics.run_best_reply.calls"] == 1
+    assert summary["dynamics.best_reply_step.calls"] == stats.changes
+    assert final != game.CoalitionStructure.singletons(sc.drone_ids)

@@ -67,13 +67,13 @@ def test_batched_fill_equals_one_budget_loop(case):
     # the evaluator's rate code on the drawn links: its matching cache is
     # seeded, so the rates come from gains no scenario makes
     evaluator = CoalitionEvaluator(SCENARIO)
-    coalition = frozenset(SCENARIO.drone_ids)
-    links = tuple((SCENARIO.drone_ids[o], u) for u, o in enumerate(owners))
-    evaluator._matchings[coalition] = links, gains
-    rates = evaluator.evaluate_budgets(coalition, budgets)
+    members = list(range(len(SCENARIO.drones)))
+    grand = (1 << len(members)) - 1
+    evaluator._matchings[grand] = members, owners, gains
+    rates = evaluator.evaluate_budgets(grand, budgets)
     bandwidth = SCENARIO.env.bandwidth_hz
     for b in budgets:
-        ref = oracles.rates(coalition, links, gains, b, bandwidth)
+        ref = oracles.rates(members, owners, gains, b, bandwidth)
         assert list(rates[b]) == list(ref)
         assert hexes(rates[b].values()) == hexes(ref.values())
 
@@ -85,17 +85,13 @@ def test_every_coalition_rates_equal_one_budget_loop(setting):
     # ``math.log2`` path
     sc = generate(SETTINGS[setting], URBAN, seed=3)
     evaluator = CoalitionEvaluator(sc)
-    row = {d.id: i for i, d in enumerate(sc.drones)}
-    col = {u.id: j for j, u in enumerate(sc.users)}
     budgets = np.linspace(0.0, 240.0, 97).tolist()
     for k in range(1, len(sc.drone_ids) + 1):
-        for members in itertools.combinations(sc.drone_ids, k):
-            coalition = frozenset(members)
-            links = evaluator.matching(coalition)
-            gains = np.array([evaluator.slopes[row[d], col[u]]
-                              for d, u in links])
-            rates = evaluator.evaluate_budgets(coalition, budgets)
+        for members in itertools.combinations(range(len(sc.drones)), k):
+            mask = sum(1 << i for i in members)
+            rates = evaluator.evaluate_budgets(mask, budgets)
+            _, owners, gains = evaluator._matched(mask)
             for b in budgets:
-                ref = oracles.rates(coalition, links, gains, b,
+                ref = oracles.rates(members, owners, gains, b,
                                     sc.env.bandwidth_hz)
                 assert hexes(rates[b].values()) == hexes(ref.values())
