@@ -16,13 +16,12 @@ from dronecoal.scenario import SETTINGS, baseline_rates, generate
 scenario = generate(SETTINGS["S1"], ENVIRONMENTS["urban"], seed=8)
 engine = PayoffEngine(scenario)
 beliefs = BeliefState.point_mass_truth(scenario)
-base = baseline_rates(scenario, engine.evaluator)
+base = baseline_rates(engine.evaluator)
 
 print("=== scenario ===")
-for d in scenario.drones:
-    print(f"drone {d.id}: type {d.true_type} "
-          f"(mu={scenario.true_power(d.id)} W), "
-          f"users {scenario.baseline_users(d.id)}, "
+for d, mu in zip(scenario.drones, scenario.true_mus):
+    users = tuple(u.id for u in scenario.users if u.baseline_drone == d.id)
+    print(f"drone {d.id}: type {d.true_type} (mu={mu} W), users {users}, "
           f"baseline rate {base[d.id]:.3f}")
 
 print()
@@ -40,9 +39,9 @@ final, stats = run_best_reply(singles, beliefs, engine,
                               np.random.default_rng(0))
 print(f"final structure: {final.to_string()} "
       f"({stats.changes} changes over {stats.proposals} proposals)")
-for d in scenario.drone_ids:
-    block = next(b for b in final.blocks if d in b)
-    q = engine.expected_payoff(d, block, beliefs)
+table = engine.table(beliefs)
+for pos, d in enumerate(scenario.drone_ids):
+    q = table.payoff(pos, next(m for m in final.masks if m >> pos & 1))
     delta = q - base[d]
     print(f"  drone {d}: {q:.3f} vs baseline {base[d]:.3f} "
           f"({'+' if delta >= 0 else ''}{delta:.3f})")

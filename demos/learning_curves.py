@@ -7,6 +7,7 @@ both, illustrating how type overlap slows identification.
 """
 
 from dronecoal.dynamics import DynamicsConfig, run_repeated_game
+from dronecoal.game import PayoffEngine
 from dronecoal.propagation import ENVIRONMENTS
 from dronecoal.scenario import SETTINGS, TypeSpec, generate
 
@@ -18,7 +19,7 @@ runs = {}
 for label, types in (("sigma=3", SHARP), ("sigma=6", OVERLAP)):
     scenario = generate(SETTINGS["S1"], ENVIRONMENTS["urban"],
                         type_set=types, seed=0)
-    runs[label] = run_repeated_game(scenario, config)
+    runs[label] = run_repeated_game(config, PayoffEngine(scenario))
 
 print("=== mean Frobenius norm per round (0 = all types identified) ===")
 print(f"{'round':>5} {'sigma=3':>8} {'sigma=6':>8}")

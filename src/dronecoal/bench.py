@@ -23,10 +23,10 @@ from .dynamics import (DynamicsConfig, RepeatedGameResult, run_best_reply,
 from .game import (BeliefState, CoalitionStructure, PayoffEngine,
                    check_type_space, enumerate_structures, weakly_better,
                    PARTITION_CAP)
-from .markov import MarkovModel, build_chain, formation_probabilities
+from .markov import build_chain, formation_probabilities
 from .propagation import ENVIRONMENTS
-from .scenario import (DEFAULT_TYPE_SET, SETTINGS, Scenario, TypeSpec,
-                       baseline_rates, check_keys, generate, is_number)
+from .scenario import (DEFAULT_TYPE_SET, SETTINGS, TypeSpec, baseline_rates,
+                       check_keys, generate, is_int, is_number)
 
 REGIMES = ("baseline", "full_info", "proposed", "social_optimal")
 
@@ -78,7 +78,7 @@ class RunManifest:
         if not isinstance(self.type_set, (list, tuple)):
             raise ValueError(f"type_set must be a list, got {self.type_set!r}")
         for t in self.type_set:
-            if not isinstance(t, dict) or type(t.get("id")) is not int \
+            if not isinstance(t, dict) or not is_int(t.get("id")) \
                     or not all(is_number(t.get(k)) for k in ("mu", "sigma")):
                 raise ValueError("type_set entries need an integer id and "
                                  f"numeric mu and sigma, got {t!r}")
@@ -93,8 +93,7 @@ class RunManifest:
                 f"unknown aggregate_mode {self.aggregate_mode!r}")
         for name, low in (("topologies", 1), ("repetitions", 1), ("seed", 0)):
             value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, int) \
-                    or value < low:
+            if not is_int(value) or value < low:
                 raise ValueError(
                     f"{name} must be an integer >= {low}, got {value!r}")
         if not isinstance(self.output_dir, str):
@@ -139,33 +138,33 @@ def run_seed(manifest: RunManifest, setting_index: int, topology: int,
             + repetition + 1)
 
 
-def structure_rates(structure: CoalitionStructure, scenario,
+def structure_rates(structure: CoalitionStructure,
                     evaluator: CoalitionEvaluator) -> dict[int, float]:
-    """Per-drone rates of a structure under the true expected powers."""
-    ids = scenario.drone_ids
+    """Per-drone rates of a structure under the true expected powers, from
+    its scenario's ``CoalitionEvaluator``."""
+    ids, mus = evaluator.scenario.drone_ids, evaluator.scenario.true_mus
     if structure.ids != ids:
         raise ValueError(f"{structure} does not partition {ids}")
     rates: dict[int, float] = {}
     for mask in structure.masks:
-        powers = [scenario.true_power(d) for i, d in enumerate(ids)
-                  if mask >> i & 1]
+        powers = [mu for i, mu in enumerate(mus) if mask >> i & 1]
         rates.update((ids[i], r)
                      for i, r in evaluator.evaluate(mask, powers).items())
     return rates
 
 
-def stable_set_analysis(scenario, engine: PayoffEngine,
-                        beliefs: BeliefState):
-    """All Nash-stable structures, their true-power totals, and the
-    analytic formation probabilities from the all-singletons start."""
-    model = build_chain(scenario, beliefs, engine)
+def stable_set_analysis(engine: PayoffEngine, beliefs: BeliefState):
+    """All Nash-stable structures of the engine's scenario, their
+    true-power totals, and the analytic formation probabilities from the
+    all-singletons start."""
+    model = build_chain(engine.scenario, beliefs, engine)
     probs = formation_probabilities(model)
     # a state keeps all its mass exactly when no proposer has a best reply,
     # which is is_nash_stable's definition
     stable = [model.states[i] for i in model.absorbing]
     totals = {}
     for s in stable:
-        rates = structure_rates(s, scenario, engine.evaluator)
+        rates = structure_rates(s, engine.evaluator)
         totals[s.to_string()] = math.fsum(rates.values())
     prob_map = {model.states[i].to_string(): p for i, p in probs.items()}
     return stable, totals, prob_map, model
@@ -181,11 +180,11 @@ def _proposed_config(manifest: RunManifest, seed: int) -> DynamicsConfig:
         seed=seed)
 
 
-def _proposed_result(scenario, evaluator: CoalitionEvaluator, setting: str,
-                    topology: int, repetition: int,
-                    outcome: RepeatedGameResult) -> RegimeResult:
+def _proposed_result(evaluator: CoalitionEvaluator, setting: str,
+                     topology: int, repetition: int,
+                     outcome: RepeatedGameResult) -> RegimeResult:
     """One repeated game's outcome as the ``proposed`` regime's result."""
-    rates = structure_rates(outcome.structure, scenario, evaluator)
+    rates = structure_rates(outcome.structure, evaluator)
     return RegimeResult(
         "proposed", setting, topology, repetition,
         math.fsum(rates.values()), rates,
@@ -197,19 +196,21 @@ def _proposed_result(scenario, evaluator: CoalitionEvaluator, setting: str,
 
 def run_regime(scenario, regime: str, manifest: RunManifest,
                setting: str, topology: int, repetition: int,
-               engine: PayoffEngine | None = None) -> RegimeResult:
-    """One regime on one (topology, repetition).  run_topology adds the
-    topology-only stable-set analysis to full_info results."""
+               engine: PayoffEngine) -> RegimeResult:
+    """One regime on one (topology, repetition), on the scenario's payoff
+    engine.  run_topology adds the topology-only stable-set analysis to
+    full_info results."""
     if setting not in manifest.settings:
         raise ValueError(f"setting {setting!r} is not in the manifest")
-    engine = engine or PayoffEngine(scenario)
+    if engine.scenario != scenario:
+        raise ValueError("the payoff engine is not the scenario's")
     evaluator = engine.evaluator
     singles = CoalitionStructure.singletons(scenario.drone_ids)
     seed = run_seed(manifest, manifest.settings.index(setting), topology,
                     repetition)
 
     if regime == "baseline":
-        base = baseline_rates(scenario, evaluator)
+        base = baseline_rates(evaluator)
         return RegimeResult(regime, setting, topology, repetition,
                             math.fsum(base.values()), base,
                             singles.to_string())
@@ -218,28 +219,27 @@ def run_regime(scenario, regime: str, manifest: RunManifest,
         rng = np.random.default_rng(np.random.SeedSequence(seed))
         final, stats = run_best_reply(
             singles, engine.truth, engine, rng, manifest.stability_window)
-        rates = structure_rates(final, scenario, evaluator)
+        rates = structure_rates(final, evaluator)
         return RegimeResult(
             regime, setting, topology, repetition,
             math.fsum(rates.values()), rates, final.to_string(),
             structure_changes=stats.changes)
 
     if regime == "proposed":
-        outcome = run_repeated_game(scenario, _proposed_config(manifest, seed),
-                                    engine)
-        return _proposed_result(scenario, evaluator, setting, topology,
-                               repetition, outcome)
+        outcome = run_repeated_game(_proposed_config(manifest, seed), engine)
+        return _proposed_result(evaluator, setting, topology, repetition,
+                                outcome)
 
     if regime == "social_optimal":
         if len(scenario.drone_ids) > PARTITION_CAP:
             return RegimeResult(regime, setting, topology, repetition,
                                 float("nan"), {}, "",
                                 note="skipped: enumeration cap exceeded")
-        base = baseline_rates(scenario, evaluator)
+        base = baseline_rates(evaluator)
         best_total, best_struct, best_rates = -math.inf, None, None
         unconstrained = (-math.inf, None, None)
         for s in enumerate_structures(scenario.drone_ids):
-            rates = structure_rates(s, scenario, evaluator)
+            rates = structure_rates(s, evaluator)
             total = math.fsum(rates.values())
             if total > unconstrained[0]:
                 unconstrained = (total, s, rates)
@@ -270,18 +270,17 @@ def run_topology(scenario, manifest: RunManifest, setting: str,
     totals = probs = None
     if "full_info" in manifest.regimes \
             and len(scenario.drone_ids) <= PARTITION_CAP:
-        _, totals, probs, _ = stable_set_analysis(scenario, engine,
-                                                  engine.truth)
+        _, totals, probs, _ = stable_set_analysis(engine, engine.truth)
     out = []
     for regime in manifest.regimes:
         if regime == "proposed":
             reps = range(manifest.repetitions)
-            outcomes = run_repeated_games(scenario, [
+            outcomes = run_repeated_games([
                 _proposed_config(manifest, run_seed(
                     manifest, manifest.settings.index(setting), topology,
                     rep)) for rep in reps], engine)
-            out.extend(_proposed_result(scenario, engine.evaluator, setting,
-                                       topology, rep, outcome)
+            out.extend(_proposed_result(engine.evaluator, setting, topology,
+                                        rep, outcome)
                        for rep, outcome in zip(reps, outcomes))
             continue
         reps = manifest.repetitions if regime == "full_info" else 1

@@ -15,7 +15,7 @@ from .game import BeliefState, PayoffEngine
 from .markov import build_chain, formation_probabilities
 from .propagation import ENVIRONMENTS
 from .scenario import (DEFAULT_TYPE_SET, SETTINGS, Scenario, TypeSpec,
-                       check_keys, generate, is_number)
+                       check_keys, generate, is_int, is_number)
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -41,10 +41,15 @@ def cmd_generate(args) -> int:
 
 def cmd_run(args) -> int:
     manifest = RunManifest.load(args.manifest)
-    out_dir = os.environ.get("DRONECOAL_OUT", args.out or manifest.output_dir)
+    out_dir = args.out or manifest.output_dir
+    # a bad output path fails here, before the batch runs
+    made = not os.path.isdir(out_dir)
+    os.makedirs(out_dir, exist_ok=True)
     try:
         results = run_manifest(manifest, strict=args.strict)
     except RuntimeError as e:
+        if made:
+            os.rmdir(out_dir)
         print(f"error: {e}", file=sys.stderr)
         return EXIT_NON_CONVERGENCE
     files = emit_outputs(results, manifest, out_dir)
@@ -73,10 +78,6 @@ def cmd_markov(args) -> int:
     return EXIT_OK
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
 def _numbers(value) -> bool:
     """A JSON object whose values are numbers."""
     return isinstance(value, dict) and all(map(is_number, value.values()))
@@ -88,15 +89,15 @@ RESULT_FIELDS = (
      "be one of " + ", ".join(REGIMES)),
     ("setting", lambda v: isinstance(v, str) and v in SETTINGS,
      "be one of " + ", ".join(SETTINGS)),
-    ("topology", _is_int, "be an integer"),
-    ("repetition", _is_int, "be an integer"),
+    ("topology", is_int, "be an integer"),
+    ("repetition", is_int, "be an integer"),
     ("total_rate", is_number, "be a number"),
     ("per_drone", lambda v: _numbers(v) and all(map(str.isdigit, v)),
      "map drone ids to rates"),
     ("structure", lambda v: isinstance(v, str), "be a string"),
-    ("rounds_to_convergence", lambda v: v is None or _is_int(v),
+    ("rounds_to_convergence", lambda v: v is None or is_int(v),
      "be an integer or null"),
-    ("structure_changes", lambda v: v is None or _is_int(v),
+    ("structure_changes", lambda v: v is None or is_int(v),
      "be an integer or null"),
     ("frobenius_series", lambda v: isinstance(v, list)
      and all(map(is_number, v)), "be a list of numbers"),
@@ -148,8 +149,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("run", help="execute a run manifest")
     p.add_argument("--manifest", required=True)
     p.add_argument("--out", default=None,
-                   help="output directory (overrides the manifest; the "
-                        "DRONECOAL_OUT environment variable wins)")
+                   help="output directory (overrides the manifest)")
     p.add_argument("--strict", action="store_true",
                    help="also exit 3 if a repeated-game run ends "
                         "non-converged (a run that raises exits 3 either "
@@ -182,7 +182,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, KeyError, FileNotFoundError) as e:
+    except (ValueError, KeyError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_VALIDATION
 

@@ -20,6 +20,7 @@ import numpy as np
 from .game import (BeliefState, CoalitionStructure, PayoffEngine,
                    candidate_groups, moved)
 from .learning import ObservationLog, frobenius_convergence, update_beliefs
+from .scenario import is_int
 
 STEP_CAP = 10_000
 
@@ -45,8 +46,7 @@ class DynamicsConfig:
             raise ValueError(f"epsilon must be a probability, got {eps!r}")
         for name in ("init_grand_rounds", "max_rounds", "stability_window"):
             value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, int) \
-                    or value < 1:
+            if not is_int(value) or value < 1:
                 raise ValueError(
                     f"{name} must be an integer >= 1, got {value!r}")
 
@@ -282,10 +282,10 @@ class _Game:
             converged=self.converged, stall=self.stall)
 
 
-def run_repeated_games(scenario, configs: list[DynamicsConfig],
+def run_repeated_games(configs: list[DynamicsConfig],
                        engine: PayoffEngine) -> list[RepeatedGameResult]:
     """Repeated coalition formation under uncertainty, one game per
-    config, all on one scenario and engine, advancing round by round
+    config, all on the engine's scenario, advancing round by round
     together.
 
     A few initial grand-coalition rounds seed each game's observations;
@@ -302,6 +302,7 @@ def run_repeated_games(scenario, configs: list[DynamicsConfig],
     call; each keeps its own generators, walk and records, so it ends as
     it would alone.
     """
+    scenario = engine.scenario
     games = [_Game(config, engine) for config in configs]
     log = ObservationLog(scenario, len(games))
     rngs = [game.rng_sample for game in games]
@@ -320,10 +321,7 @@ def run_repeated_games(scenario, configs: list[DynamicsConfig],
     return [game.result() for game in games]
 
 
-def run_repeated_game(scenario, config: DynamicsConfig,
-                      engine: PayoffEngine | None = None
-                      ) -> RepeatedGameResult:
-    """One repeated game (``run_repeated_games``), on a new engine unless
-    one is given."""
-    return run_repeated_games(scenario, [config],
-                              engine or PayoffEngine(scenario))[0]
+def run_repeated_game(config: DynamicsConfig,
+                      engine: PayoffEngine) -> RepeatedGameResult:
+    """One repeated game (``run_repeated_games``)."""
+    return run_repeated_games([config], engine)[0]

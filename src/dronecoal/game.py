@@ -235,17 +235,6 @@ class PayoffEngine:
             self.tables[key] = DecisionTable(self, beliefs)
         return self.tables[key]
 
-    def expected_payoff(self, observer: int, coalition,
-                        beliefs: BeliefState) -> float:
-        """Observer's expected rate in the coalition, both by drone id:
-        the belief-weighted average of its allocated rate over all
-        hypothesized type vectors of the other members."""
-        coalition = frozenset(coalition)
-        if observer not in coalition:
-            raise ValueError("observer must belong to the coalition")
-        return self.table(beliefs).payoff(self.ids.index(observer),
-                                          mask_of(self.ids, coalition))
-
     def expected_payoff_of(self, pos: int, mask: int,
                            beliefs: BeliefState) -> float:
         """The payoff a table fills on a miss: the drone at ``pos`` in
@@ -274,9 +263,8 @@ class PayoffEngine:
         if (pos, mask) not in self._rates:
             mus = [t.mu for t in sc.type_set]
             others = [[mus[k] for k in ks] for ks in multisets]
-            budgets = {i: [math.fsum([mus[sc.true_columns[i]], *o])
-                           for o in others]
-                       for i in range(len(self.ids)) if mask >> i & 1}
+            budgets = {i: [math.fsum([mu, *o]) for o in others]
+                       for i, mu in enumerate(sc.true_mus) if mask >> i & 1}
             filled = self.evaluator.evaluate_budgets(
                 mask, dict.fromkeys(itertools.chain(*budgets.values())))
             for i, row in budgets.items():

@@ -6,17 +6,22 @@ from __future__ import annotations
 import json
 import math
 import numbers
-from dataclasses import MISSING, dataclass, field, fields
+from dataclasses import MISSING, dataclass, fields
 from functools import cached_property
 
 import numpy as np
 
-from .propagation import ENVIRONMENTS, Environment, Position3D
+from .propagation import Environment, Position3D
 
 
 def is_number(value) -> bool:
     """A real number that is not a bool."""
     return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def is_int(value) -> bool:
+    """An int that is not a bool."""
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def is_finite(value) -> bool:
@@ -120,8 +125,9 @@ class Scenario:
             if d.true_type not in self.type_ids:
                 raise ValueError(f"drone {d.id} has unknown type {d.true_type}")
         counts: dict[int, int] = {}
+        ids = self.drone_ids
         for u in self.users:
-            if u.baseline_drone not in self._drone_index:
+            if u.baseline_drone not in ids:
                 raise ValueError(f"baseline_drone of user {u.id} must be a "
                                  f"drone id, got {u.baseline_drone!r}")
             counts[u.baseline_drone] = counts.get(u.baseline_drone, 0) + 1
@@ -143,24 +149,10 @@ class Scenario:
         """Each drone's true type as its position in ``type_ids``."""
         return tuple(self.type_ids.index(d.true_type) for d in self.drones)
 
-    def drone(self, drone_id: int) -> DroneSpec:
-        return self._drone_index[drone_id]
-
     @cached_property
-    def _drone_index(self) -> dict[int, DroneSpec]:
-        # built on first lookup and kept in the instance __dict__; equality
-        # and hashing stay on the fields
-        return {d.id: d for d in self.drones}
-
-    def type_spec(self, type_id: int) -> TypeSpec:
-        return dict(zip(self.type_ids, self.type_set))[type_id]
-
-    def true_power(self, drone_id: int) -> float:
-        """Expected available power of a drone: the mean of its true type."""
-        return self.type_spec(self.drone(drone_id).true_type).mu
-
-    def baseline_users(self, drone_id: int) -> tuple[int, ...]:
-        return tuple(u.id for u in self.users if u.baseline_drone == drone_id)
+    def true_mus(self) -> tuple[float, ...]:
+        """Each drone's expected available power: its true type's mean."""
+        return tuple(self.type_set[c].mu for c in self.true_columns)
 
     # serialization -------------------------------------------------------
 
@@ -200,7 +192,7 @@ class Scenario:
                                  f"got {d[key]!r}")
             for e in d[key]:
                 check_keys(e, spec, what)
-                if type(e["id"]) is not int:
+                if not is_int(e["id"]):
                     raise ValueError(f"ids of {key} must be distinct "
                                      f"integers, got {e['id']!r}")
         for kind, e in [("drone", e) for e in d["drones"]] \
@@ -211,18 +203,18 @@ class Scenario:
                     ("position", isinstance(p, list) and 2 <= len(p) <= 3
                      and all(map(is_finite, p)), "a list of 2 or 3 numbers"),
                     ("channels", isinstance(c, list), "a list"),
-                    ("channels", isinstance(c, list) and all(
-                        type(q) is int for q in c), "a list of integers"),
+                    ("channels", isinstance(c, list) and all(map(is_int, c)),
+                     "a list of integers"),
                     ("true_type", kind == "user"
-                     or type(e["true_type"]) is int, "an integer"),
+                     or is_int(e["true_type"]), "an integer"),
                     ("baseline_drone", kind == "drone"
-                     or type(b) is int, "a drone id")):
+                     or is_int(b), "a drone id")):
                 if not ok:
                     raise ValueError(f"{name} of {kind} {e['id']} must be "
                                      f"{what}, got {e[name]!r}")
         if not is_number(d["area_m"]) or not d["area_m"] > 0:
             raise ValueError(f"area_m must be positive, got {d['area_m']!r}")
-        if type(d["seed"]) is not int:
+        if not is_int(d["seed"]):
             raise ValueError(f"seed must be an integer, got {d['seed']!r}")
         check_keys(d["env"], Environment, "env key")
         for f in fields(Environment)[1:]:   # every field but the name
@@ -352,9 +344,10 @@ def generate(setting: SimulationSetting, env: Environment,
                     env=env, area_m=AREA_M, seed=seed)
 
 
-def baseline_rates(scenario: Scenario, evaluator) -> dict[int, float]:
+def baseline_rates(evaluator) -> dict[int, float]:
     """Per-drone aggregate rate when every drone serves its own users with
-    its own channels and expected power, from the scenario's
+    its own channels and expected power, from its scenario's
     ``CoalitionEvaluator``."""
-    return {d.id: evaluator.evaluate(1 << i, [scenario.true_power(d.id)])[i]
-            for i, d in enumerate(scenario.drones)}
+    sc = evaluator.scenario
+    return {d.id: evaluator.evaluate(1 << i, [mu])[i]
+            for i, (d, mu) in enumerate(zip(sc.drones, sc.true_mus))}

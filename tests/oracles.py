@@ -15,6 +15,11 @@ against them bit for bit.
 - ``share`` is not a reference: it feeds samples keyed by drone id to a
   one-game ``ObservationLog.share``, whose arrays follow the scenario's
   drone order.
+- ``payoff`` is not a reference either: it reads an engine's payoff by
+  drone ids, from the decision table's (position, mask) entry.
+  ``drone``, ``baseline_users`` and ``true_spec`` find a drone, its
+  baseline users and its true type by scanning the scenario, where the
+  library reads them by position.
 - ``candidate_groups``, ``best_reply_step``, ``is_nash_stable`` and
   ``build_chain`` each make the best-reply decision on their own, with
   the comparisons they used before the library put them behind
@@ -101,6 +106,31 @@ def share(log: ObservationLog, powers: dict, pairs) -> None:
     log.share(np.array([[float(powers.get(d, 0.0)) for d in ids]]), mask)
 
 
+def payoff(engine: PayoffEngine, observer: int, coalition,
+           beliefs: BeliefState) -> float:
+    """The engine's expected payoff of drone ``observer`` in the coalition
+    of drone ids ``coalition``: its decision table's entry."""
+    ids = engine.ids
+    return engine.table(beliefs).payoff(ids.index(observer),
+                                        game.mask_of(ids, coalition))
+
+
+def drone(scenario, drone_id: int):
+    """The ``DroneSpec`` with id ``drone_id``."""
+    return next(d for d in scenario.drones if d.id == drone_id)
+
+
+def baseline_users(scenario, drone_id: int) -> tuple[int, ...]:
+    """The ids of the users whose baseline drone is ``drone_id``."""
+    return tuple(u.id for u in scenario.users if u.baseline_drone == drone_id)
+
+
+def true_spec(scenario, drone_id: int):
+    """The ``TypeSpec`` of the true type of the drone with id ``drone_id``."""
+    t = drone(scenario, drone_id).true_type
+    return next(spec for spec in scenario.type_set if spec.id == t)
+
+
 def update_beliefs(log: ObservationLog) -> tuple[BeliefState, np.ndarray]:
     """Recompute beliefs from a one-game observation log over its
     scenario's type set.
@@ -135,7 +165,7 @@ def update_beliefs(log: ObservationLog) -> tuple[BeliefState, np.ndarray]:
     # unobserved pairs predict by the uniform-prior argmax (lowest id)
     ids = scenario.drone_ids
     prediction = np.array([
-        [scenario.drone(j).true_type if i == j
+        [true_spec(scenario, j).id if i == j
          else observed_types.get((i, j), types[0].id) for j in ids]
         for i in ids])
     return beliefs, prediction
@@ -155,7 +185,7 @@ def frobenius_convergence(prediction: np.ndarray, scenario
     types = sorted(scenario.type_set, key=lambda t: t.id)
     d = len(ids)
     norms = np.zeros(len(types))
-    truth = {i: scenario.drone(i).true_type for i in ids}
+    truth = {i: true_spec(scenario, i).id for i in ids}
     for k, t in enumerate(types):
         pred = np.zeros((d, d))
         true = np.zeros((d, d))
@@ -205,8 +235,8 @@ def admissible(proposer: int, target: tuple[int, ...] | None,
         return True
     joined = frozenset(target) | {proposer}
     for j in target:
-        before = engine.expected_payoff(j, frozenset(target), beliefs)
-        after = engine.expected_payoff(j, joined, beliefs)
+        before = payoff(engine, j, target, beliefs)
+        after = payoff(engine, j, joined, beliefs)
         if after < before:
             return False
     return True
@@ -219,10 +249,10 @@ def is_nash_stable(structure: CoalitionStructure, beliefs: BeliefState,
     profitable move that every member of the target coalition accepts."""
     for d in structure.members():
         current, targets = deviation_candidates(structure, d)
-        q_current = engine.expected_payoff(d, frozenset(current), beliefs)
+        q_current = payoff(engine, d, current, beliefs)
         for target in targets:
             joined = frozenset(target) | {d} if target else frozenset([d])
-            q_new = engine.expected_payoff(d, joined, beliefs)
+            q_new = payoff(engine, d, joined, beliefs)
             if q_new <= q_current + _tol(q_current):
                 continue
             if admissible(d, target, engine, beliefs):
@@ -244,12 +274,12 @@ def candidate_groups(structure: CoalitionStructure, proposer: int,
     (target_block_or_None, admissible) entries at one payoff level.
     """
     current, targets = deviation_candidates(structure, proposer)
-    q_current = engine.expected_payoff(proposer, frozenset(current), beliefs)
+    q_current = payoff(engine, proposer, current, beliefs)
     scored = []
     for target in targets:
         joined = frozenset(target) | {proposer} if target \
             else frozenset([proposer])
-        q = engine.expected_payoff(proposer, joined, beliefs)
+        q = payoff(engine, proposer, joined, beliefs)
         if q > q_current + _tol(q_current):
             scored.append((q, target))
     scored.sort(key=lambda e: -e[0])
@@ -365,12 +395,12 @@ def flagged_candidate_groups(structure: CoalitionStructure, proposer: int,
     admissible), ...]); a target joins the last group unless that group's
     payoff is strictly better than its own."""
     current, targets = deviation_candidates(structure, proposer)
-    q_current = engine.expected_payoff(proposer, frozenset(current), beliefs)
+    q_current = payoff(engine, proposer, current, beliefs)
     scored = []
     for target in targets:
         joined = frozenset(target) | {proposer} if target \
             else frozenset([proposer])
-        q = engine.expected_payoff(proposer, joined, beliefs)
+        q = payoff(engine, proposer, joined, beliefs)
         if game.strictly_better(q, q_current):
             scored.append((q, target))
     scored.sort(key=lambda e: -e[0])
@@ -414,7 +444,7 @@ def expected_payoff(scenario, evaluator, observer: int, coalition: frozenset,
     others = sorted(coalition - {observer})
     ids = scenario.drone_ids
     mask = sum(1 << ids.index(d) for d in coalition)
-    own_power = scenario.true_power(observer)
+    own_power = true_spec(scenario, observer).mu
     type_ids = [t.id for t in scenario.type_set]
     mus = {t.id: t.mu for t in scenario.type_set}
     total = 0.0

@@ -228,14 +228,14 @@ def test_criterion_8_learning_convergence():
     for seed in range(topologies):
         config = DynamicsConfig(epsilon=0.1, max_rounds=100, seed=seed)
         sc = generate(SETTINGS["S1"], URBAN, type_set=sharp, seed=seed)
-        result = run_repeated_game(sc, config)
+        result = run_repeated_game(config, PayoffEngine(sc))
         norms = [r.mean_norm for r in result.rounds]
         if any(n == 0.0 for n in norms):
             reached_zero += 1
         final_sharp.append(norms[-1])
         sc6 = generate(SETTINGS["S1"], URBAN, type_set=overlap, seed=seed)
-        final_overlap.append(
-            run_repeated_game(sc6, config).rounds[-1].mean_norm)
+        result6 = run_repeated_game(config, PayoffEngine(sc6))
+        final_overlap.append(result6.rounds[-1].mean_norm)
     frac = reached_zero / topologies
     mean_sharp = float(np.mean(final_sharp))
     mean_overlap = float(np.mean(final_overlap))

@@ -9,6 +9,7 @@ from dronecoal.allocation import (CoalitionEvaluator, max_weight_matching,
 from dronecoal.propagation import (ENVIRONMENTS, path_loss, sinr_slope,
                                    to_linear)
 from dronecoal.scenario import SETTINGS, baseline_rates, generate
+from oracles import baseline_users, drone, true_spec
 
 URBAN = ENVIRONMENTS["urban"]
 
@@ -16,7 +17,7 @@ URBAN = ENVIRONMENTS["urban"]
 def _mean_loss_db(sc, drone_id, user_id):
     """A pair's mean path loss, straight from the propagation model."""
     user = next(u for u in sc.users if u.id == user_id)
-    return path_loss(sc.drone(drone_id).position, user.position,
+    return path_loss(drone(sc, drone_id).position, user.position,
                      sc.env).mean_loss_db
 
 
@@ -31,8 +32,9 @@ def _reference_links(sc, ev, members):
     ``max_weight_matching`` over the link table's weights: the sorted
     (channel, owner id) rows, the sorted user ids, the weight matrix, and
     each matched link's owner position and SINR slope in channel order."""
-    channels = sorted((q, d) for d in members for q in sc.drone(d).channels)
-    users = sorted(u for d in members for u in sc.baseline_users(d))
+    channels = sorted((q, d) for d in members
+                      for q in drone(sc, d).channels)
+    users = sorted(u for d in members for u in baseline_users(sc, d))
     w = np.array([[ev.weights[_table_index(sc, d, u)] for u in users]
                   for _, d in channels])
     pairs = max_weight_matching(w)
@@ -191,7 +193,7 @@ class TestWeightMatrix:
         sc = generate(SETTINGS["S1"], URBAN, seed=14)
         ev = CoalitionEvaluator(sc)
         assert ev.weights.shape == (3, 9)
-        for u in sc.baseline_users(0):
+        for u in baseline_users(sc, 0):
             expected = 1.0 / to_linear(_mean_loss_db(sc, 0, u))
             assert ev.weights[_table_index(sc, 0, u)] == \
                 pytest.approx(expected)
@@ -229,10 +231,10 @@ class TestWeightMatrix:
 class TestEvaluateCoalition:
     def test_singleton_matches_baseline(self):
         sc = generate(SETTINGS["S1"], URBAN, seed=15)
-        base = baseline_rates(sc, CoalitionEvaluator(sc))
+        base = baseline_rates(CoalitionEvaluator(sc))
         for i, d in enumerate(sc.drone_ids):
             rates = CoalitionEvaluator(sc).evaluate(1 << i,
-                                                    [sc.true_power(d)])
+                                                    [true_spec(sc, d).mu])
             assert rates == {i: pytest.approx(base[d])}
 
     def test_missing_power_rejected(self):
@@ -258,7 +260,7 @@ class TestEvaluateCoalition:
         # links, which spend at most the pooled budget
         sc = generate(SETTINGS["S1"], URBAN, seed=15)
         ev = CoalitionEvaluator(sc)
-        powers = [sc.true_power(d) for d in sc.drone_ids]
+        powers = [true_spec(sc, d).mu for d in sc.drone_ids]
         rates = ev.evaluate(0b111, powers)
         assert set(rates) == {0, 1, 2}
         _, _, _, owners, slopes = _reference_links(sc, ev, [0, 1, 2])
@@ -279,7 +281,7 @@ class TestEvaluateCoalition:
 
     def test_deterministic_across_evaluators(self):
         sc = generate(SETTINGS["S2"], URBAN, seed=17)
-        powers = [sc.true_power(d) for d in sc.drone_ids]
+        powers = [true_spec(sc, d).mu for d in sc.drone_ids]
         grand = _mask(sc, sc.drone_ids)
         a, b = CoalitionEvaluator(sc), CoalitionEvaluator(sc)
         rates_a = a.evaluate(grand, powers)
@@ -296,12 +298,12 @@ class TestEvaluateCoalition:
         sc = generate(SETTINGS["S1"], URBAN, seed=18)
         ev = CoalitionEvaluator(sc)
         coalition = frozenset([0, 2])
-        powers = {0: sc.true_power(0), 2: sc.true_power(2)}
+        powers = {0: true_spec(sc, 0).mu, 2: true_spec(sc, 2).mu}
         rates = ev.evaluate(_mask(sc, coalition), list(powers.values()))
 
         channels = sorted((q, d) for d in coalition
-                          for q in sc.drone(d).channels)
-        users = sorted(u for d in coalition for u in sc.baseline_users(d))
+                          for q in drone(sc, d).channels)
+        users = sorted(u for d in coalition for u in baseline_users(sc, d))
         w = np.array([[1.0 / to_linear(_mean_loss_db(sc, d, u))
                        for u in users] for _, d in channels])
         best_val = _brute_force_matching_value(w)

@@ -27,11 +27,11 @@ def fingerprint(result) -> tuple:
 
 
 def assert_batch_equals_lone_runs(sc, configs):
-    batch = run_repeated_games(sc, configs, PayoffEngine(sc))
+    batch = run_repeated_games(configs, PayoffEngine(sc))
     assert len(batch) == len(configs)
     for config, result in zip(configs, batch):
         assert fingerprint(result) == \
-            fingerprint(run_repeated_game(sc, config))
+            fingerprint(run_repeated_game(config, PayoffEngine(sc)))
     return batch
 
 

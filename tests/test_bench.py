@@ -66,8 +66,8 @@ class TestStructureRates:
         sc = generate(SETTINGS["S1"], URBAN, seed=8)
         engine = PayoffEngine(sc)
         rates = structure_rates(CoalitionStructure.singletons(sc.drone_ids),
-                                sc, engine.evaluator)
-        base = baseline_rates(sc, CoalitionEvaluator(sc))
+                                engine.evaluator)
+        base = baseline_rates(CoalitionEvaluator(sc))
         for d in sc.drone_ids:
             assert rates[d] == pytest.approx(base[d])
 
@@ -75,7 +75,7 @@ class TestStructureRates:
         sc = generate(SETTINGS["S1"], URBAN, seed=8)
         engine = PayoffEngine(sc)
         for s in enumerate_structures(sc.drone_ids):
-            rates = structure_rates(s, sc, engine.evaluator)
+            rates = structure_rates(s, engine.evaluator)
             assert set(rates) == set(sc.drone_ids)
 
     def test_rates_keyed_by_drone_id_whatever_the_ids(self):
@@ -90,19 +90,19 @@ class TestStructureRates:
             user["baseline_drone"] = relabel[user["baseline_drone"]]
         other = Scenario.from_dict(data)
         ev, other_ev = CoalitionEvaluator(sc), CoalitionEvaluator(other)
-        assert baseline_rates(other, other_ev) == {
-            relabel[d]: r for d, r in baseline_rates(sc, ev).items()}
+        assert baseline_rates(other_ev) == {
+            relabel[d]: r for d, r in baseline_rates(ev).items()}
         for s in enumerate_structures(sc.drone_ids):
             mapped = CoalitionStructure([[relabel[d] for d in b]
                                          for b in s.blocks])
-            assert structure_rates(mapped, other, other_ev) == {
-                relabel[d]: r for d, r in structure_rates(s, sc, ev).items()}
+            assert structure_rates(mapped, other_ev) == {
+                relabel[d]: r for d, r in structure_rates(s, ev).items()}
 
     def test_structure_over_other_drones_refused(self):
         sc = generate(SETTINGS["S1"], URBAN, seed=8)
         other = CoalitionStructure.singletons([d + 1 for d in sc.drone_ids])
         with pytest.raises(ValueError, match="does not partition"):
-            structure_rates(other, sc, CoalitionEvaluator(sc))
+            structure_rates(other, CoalitionEvaluator(sc))
 
 
 @pytest.fixture(scope="module")
@@ -121,9 +121,9 @@ def topology_regimes(sc):
 class TestRunRegime:
     def test_baseline(self, s1):
         m = tiny_manifest()
-        r = run_regime(s1, "baseline", m, "S1", 0, 0)
+        r = run_regime(s1, "baseline", m, "S1", 0, 0, PayoffEngine(s1))
         assert r.structure == "{0}{1}{2}"
-        base = baseline_rates(s1, CoalitionEvaluator(s1))
+        base = baseline_rates(CoalitionEvaluator(s1))
         assert r.total_rate == pytest.approx(math.fsum(base.values()))
 
     def test_full_info_reports_stable_set(self, s1):
@@ -133,12 +133,12 @@ class TestRunRegime:
         assert r.best_stable_total == max(r.stable_totals.values())
         assert sum(r.formation_probs.values()) == pytest.approx(1.0)
         assert r.structure in r.stable_totals
-        base = baseline_rates(s1, CoalitionEvaluator(s1))
+        base = baseline_rates(CoalitionEvaluator(s1))
         assert r.total_rate >= math.fsum(base.values()) - 1e-9
 
     def test_proposed_records_series(self, s1):
         m = tiny_manifest()
-        r = run_regime(s1, "proposed", m, "S1", 0, 0)
+        r = run_regime(s1, "proposed", m, "S1", 0, 0, PayoffEngine(s1))
         assert r.rounds_to_convergence == len(r.frobenius_series)
         assert r.note == ""
         assert r.frobenius_series[-1] == 0.0
@@ -157,7 +157,7 @@ class TestRunRegime:
             return outcomes[-1]
 
         monkeypatch.setattr(bench, "run_repeated_game", recording)
-        r = run_regime(sc, "proposed", m, "S4", 2, 23)
+        r = run_regime(sc, "proposed", m, "S4", 2, 23, PayoffEngine(sc))
         assert r.note == "non-converged"
         assert CoalitionStructure.from_string(r.structure).members() == \
             tuple(sorted(sc.drone_ids))
@@ -183,15 +183,24 @@ class TestRunRegime:
 
     def test_unknown_regime(self, s1):
         with pytest.raises(ValueError):
-            run_regime(s1, "magic", tiny_manifest(), "S1", 0, 0)
+            run_regime(s1, "magic", tiny_manifest(), "S1", 0, 0,
+                       PayoffEngine(s1))
 
     def test_unknown_setting(self, s1):
         # a setting outside the manifest has no seeds of its own
         with pytest.raises(ValueError, match="not in the manifest"):
-            run_regime(s1, "baseline", tiny_manifest(), "S2", 0, 0)
+            run_regime(s1, "baseline", tiny_manifest(), "S2", 0, 0,
+                       PayoffEngine(s1))
+
+    def test_engine_of_another_scenario_refused(self, s1):
+        other = generate(SETTINGS["S1"], URBAN, seed=9)
+        with pytest.raises(ValueError, match="not the scenario's"):
+            run_regime(s1, "baseline", tiny_manifest(), "S1", 0, 0,
+                       PayoffEngine(other))
 
     def test_full_info_leaves_analysis_to_run_topology(self, s1):
-        r = run_regime(s1, "full_info", tiny_manifest(), "S1", 0, 0)
+        r = run_regime(s1, "full_info", tiny_manifest(), "S1", 0, 0,
+                       PayoffEngine(s1))
         assert r.stable_totals == {}
         assert r.formation_probs == {}
         assert r.best_stable_total is None
@@ -202,7 +211,7 @@ class TestRunRegime:
         m = tiny_manifest()
         totals = {}
         for regime in REGIMES:
-            r = run_regime(sc, regime, m, "S1", 0, 0)
+            r = run_regime(sc, regime, m, "S1", 0, 0, PayoffEngine(sc))
             totals[regime] = r.total_rate
         ref = totals["baseline"]
         for regime, total in totals.items():
@@ -215,7 +224,7 @@ class TestStableSetAnalysis:
         engine = PayoffEngine(sc)
         for beliefs in (BeliefState.point_mass_truth(sc),
                         BeliefState.uniform(sc)):
-            stable, totals, probs, model = stable_set_analysis(sc, engine,
+            stable, totals, probs, model = stable_set_analysis(engine,
                                                                beliefs)
             # the chain's absorbing states are the Nash-stable structures,
             # in enumeration order
@@ -231,7 +240,7 @@ class TestRunTopology:
         calls = []
 
         def counting(*args, **kwargs):
-            calls.append(args[0])
+            calls.append(args[0].scenario)
             return stable_set_analysis(*args, **kwargs)
 
         monkeypatch.setattr(bench, "stable_set_analysis", counting)
@@ -247,7 +256,7 @@ class TestRunTopology:
         full = [r for r in results if r.regime == "full_info"]
         assert len(full) == 3
         _, totals, probs, _ = stable_set_analysis(
-            s1, PayoffEngine(s1), BeliefState.point_mass_truth(s1))
+            PayoffEngine(s1), BeliefState.point_mass_truth(s1))
         for r in full:
             assert r.stable_totals == totals
             assert r.formation_probs == probs

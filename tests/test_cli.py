@@ -98,15 +98,44 @@ class TestRun:
             assert (out_a / name).read_bytes() == \
                 (out_b / name).read_bytes(), name
 
-    def test_env_var_overrides_out(self, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("env", ["", "env_out"])
+    def test_every_output_lands_under_out(self, tmp_path, monkeypatch, env):
+        # --out wins over the manifest's output_dir, and no environment
+        # variable moves any of the five files
         manifest_path = tmp_path / "manifest.json"
-        _write_manifest(manifest_path, regimes=["baseline"])
-        target = tmp_path / "env_out"
-        monkeypatch.setenv("DRONECOAL_OUT", str(target))
+        _write_manifest(manifest_path)
+        cwd = tmp_path / "cwd"
+        cwd.mkdir()
+        monkeypatch.chdir(cwd)
+        monkeypatch.setenv("DRONECOAL_OUT", env)
+        target = tmp_path / "target"
         assert main(["run", "--manifest", str(manifest_path),
-                     "--out", str(tmp_path / "ignored")]) == EXIT_OK
-        assert (target / "summary.csv").exists()
-        assert not (tmp_path / "ignored").exists()
+                     "--out", str(target)]) == EXIT_OK
+        assert sorted(os.listdir(target)) == sorted([
+            "convergence.csv", "manifest_echo.json", "per_drone.csv",
+            "results.json", "summary.csv"])
+        assert sorted(os.listdir(tmp_path)) == [
+            "cwd", "manifest.json", "target"]
+        assert os.listdir(cwd) == []
+
+    @pytest.mark.parametrize("manifest, out", [
+        ("manifest.json", "file"),
+        ("manifest.json", "file/sub"),
+        ("dir", "out"),
+    ])
+    def test_bad_path_exits_2_before_the_batch(self, tmp_path, monkeypatch,
+                                               capsys, manifest, out):
+        _write_manifest(tmp_path / "manifest.json")
+        (tmp_path / "file").write_text("")
+        (tmp_path / "dir").mkdir()
+        monkeypatch.setattr(cli, "run_manifest", lambda *a, **k: pytest.fail(
+            "the batch started"))
+        assert main(["run", "--manifest", str(tmp_path / manifest),
+                     "--out", str(tmp_path / out)]) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert (tmp_path / "file").read_text() == ""
+        assert not (tmp_path / "out").exists()
 
     def test_missing_manifest(self, tmp_path):
         assert main(["run", "--manifest", str(tmp_path / "nope.json")]) == \

@@ -111,11 +111,12 @@ def test_social_optimum_feasibility_inside_the_band(monkeypatch, rel,
     base = {0: 10.0, 1: 1e6}
     rates = {"{0,1}": {0: 20.0, 1: base[1] - gap(base[1], rel)},
              "{0}{1}": dict(base)}
-    monkeypatch.setattr(bench, "baseline_rates", lambda sc, ev: dict(base))
+    monkeypatch.setattr(bench, "baseline_rates", lambda ev: dict(base))
     monkeypatch.setattr(bench, "structure_rates",
-                        lambda s, sc, ev: dict(rates[s.to_string()]))
-    scenario = SimpleNamespace(drone_ids=(0, 1))
-    result = run_regime(scenario, "social_optimal", RunManifest(), "S1", 0,
-                        0, StubEngine({}))
+                        lambda s, ev: dict(rates[s.to_string()]))
+    engine = StubEngine({})
+    engine.scenario = SimpleNamespace(drone_ids=(0, 1))
+    result = run_regime(engine.scenario, "social_optimal", RunManifest(),
+                        "S1", 0, 0, engine)
     assert result.structure == ("{0,1}" if feasible else "{0}{1}")
     assert result.note == ""

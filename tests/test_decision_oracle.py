@@ -34,7 +34,7 @@ def learned_beliefs(sc, rounds: int, seed: int) -> BeliefState:
     for _ in range(rounds):
         draws = {}
         for j in ids:
-            t = sc.type_spec(sc.drone(j).true_type)
+            t = oracles.true_spec(sc, j)
             draws[j] = max(0.0, float(rng.normal(t.mu, t.sigma)))
         oracles.share(log, draws,
                       [(i, j) for i in ids for j in ids if i != j])
@@ -160,9 +160,8 @@ def test_one_decision_equals_the_per_caller_decisions(case):
         assert witness.drone == ref_witness.drone
         d, target = witness.drone, witness.target
         joined = frozenset(target) | {d} if target else frozenset([d])
-        q_new = engine.expected_payoff(d, joined, beliefs)
-        q_old = engine.expected_payoff(d, frozenset(oracles.block_of(s, d)),
-                                       beliefs)
+        q_new = oracles.payoff(engine, d, joined, beliefs)
+        q_old = oracles.payoff(engine, d, oracles.block_of(s, d), beliefs)
         assert game.strictly_better(q_new, q_old)
         assert game.admissible(d, target, engine, beliefs)
         # it is the drone's first best-reply target, at that level's gain
@@ -255,7 +254,8 @@ def wrong_point_masses(beliefs: BeliefState, sc) -> BeliefState:
         for j in sc.drone_ids:
             if i != j:
                 row = np.zeros(len(tids))
-                row[(tids.index(sc.drone(j).true_type) + 1) % len(tids)] = 1.0
+                t = tids.index(oracles.true_spec(sc, j).id)
+                row[(t + 1) % len(tids)] = 1.0
                 rows[(i, j)] = row
     return oracles.with_rows(beliefs, rows)
 
@@ -270,9 +270,9 @@ def assert_memos_match(sc, beliefs, shared):
         for members in itertools.combinations(ids, k):
             coalition = frozenset(members)
             for d in members:
-                got = shared.expected_payoff(d, coalition, beliefs).hex()
+                got = oracles.payoff(shared, d, coalition, beliefs).hex()
                 assert got == \
-                    fresh.expected_payoff(d, coalition, beliefs).hex() == \
+                    oracles.payoff(fresh, d, coalition, beliefs).hex() == \
                     oracles.expected_payoff(sc, evaluator, d, coalition,
                                             beliefs).hex()
     for s in enumerate_structures(ids):
@@ -306,7 +306,7 @@ def test_memos_answer_by_belief_content(case):
         for table in (beliefs.table[np.ix_(dperm, dperm)], beliefs.table):
             other = BeliefState(table, [ids[i] for i in dperm], tids)
             with pytest.raises(ValueError, match="belief drones"):
-                shared.expected_payoff(ids[0], ids, other)
+                oracles.payoff(shared, ids[0], ids, other)
             assert other.content_key not in shared.tables
     # a type axis out of the scenario's order is refused, whether its
     # columns were permuted with it or not
@@ -314,7 +314,7 @@ def test_memos_answer_by_belief_content(case):
         for table in (beliefs.table[..., tperm], beliefs.table):
             other = BeliefState(table, ids, [tids[k] for k in tperm])
             with pytest.raises(ValueError, match="belief types"):
-                shared.expected_payoff(ids[0], ids, other)
+                oracles.payoff(shared, ids[0], ids, other)
             assert other.content_key not in shared.tables
     # a state built from one the memos have seen, with every row about
     # another drone reset, gets its own answers

@@ -14,7 +14,7 @@ from dronecoal.propagation import ENVIRONMENTS, Position3D
 from dronecoal.scenario import (DEFAULT_TYPE_SET, SETTINGS, DroneSpec,
                                 Scenario, TypeSpec, UserSpec, baseline_rates,
                                 generate)
-from oracles import block_of, move
+from oracles import block_of, move, payoff, true_spec
 
 URBAN = ENVIRONMENTS["urban"]
 
@@ -66,7 +66,7 @@ class TestCandidateGroups:
         q, level = groups[0]
         assert level == [(1,)]
         assert admissible(0, (1,), engine, beliefs)
-        assert q > engine.expected_payoff(0, frozenset([0]), beliefs)
+        assert q > payoff(engine, 0, [0], beliefs)
 
     def test_descending_payoff_order(self):
         sc = generate(SETTINGS["S2"], URBAN, seed=0)
@@ -130,10 +130,8 @@ class TestBestReplyStep:
                     or None
                 assert admissible(d, target, engine, beliefs)
                 # and the move strictly improves the proposer
-                q_old = engine.expected_payoff(
-                    d, frozenset(block_of(s, d)), beliefs)
-                q_new = engine.expected_payoff(
-                    d, frozenset(block_of(new, d)), beliefs)
+                q_old = payoff(engine, d, block_of(s, d), beliefs)
+                q_new = payoff(engine, d, block_of(new, d), beliefs)
                 assert q_new > q_old
 
 
@@ -175,13 +173,12 @@ class TestRunBestReply:
             sc = generate(SETTINGS["S1"], URBAN, seed=seed)
             engine = PayoffEngine(sc)
             beliefs = BeliefState.point_mass_truth(sc)
-            base = baseline_rates(sc, engine.evaluator)
+            base = baseline_rates(engine.evaluator)
             final, _ = run_best_reply(
                 CoalitionStructure.singletons(sc.drone_ids), beliefs,
                 engine, np.random.default_rng(0))
             for d in sc.drone_ids:
-                q = engine.expected_payoff(
-                    d, frozenset(block_of(final, d)), beliefs)
+                q = payoff(engine, d, block_of(final, d), beliefs)
                 assert q >= base[d] - 1e-9 * max(1.0, base[d])
 
     def test_step_cap_raises(self, monkeypatch):
@@ -220,7 +217,7 @@ class TestRepeatedGame:
     def _run(self, seed=42, **kw):
         sc = generate(SETTINGS["S1"], URBAN, seed=8)
         config = DynamicsConfig(seed=seed, **kw)
-        return sc, run_repeated_game(sc, config)
+        return sc, run_repeated_game(config, PayoffEngine(sc))
 
     def test_converges_and_is_stable(self):
         sc, result = self._run()
@@ -256,7 +253,7 @@ class TestRepeatedGame:
     def test_epsilon_one_always_grand(self):
         sc = generate(SETTINGS["S1"], URBAN, seed=8)
         config = DynamicsConfig(epsilon=1.0, max_rounds=20, seed=0)
-        result = run_repeated_game(sc, config)
+        result = run_repeated_game(config, PayoffEngine(sc))
         assert all(r.grand_coalition for r in result.rounds)
         assert not result.converged   # a repeating non-grand never occurs
 
@@ -266,7 +263,7 @@ class TestRepeatedGame:
         one_type = (TypeSpec(0, 15.0, 3.0),)
         sc = generate(SETTINGS["S1"], URBAN, type_set=one_type, seed=8)
         config = DynamicsConfig(seed=0, max_rounds=50)
-        result = run_repeated_game(sc, config)
+        result = run_repeated_game(config, PayoffEngine(sc))
         assert result.converged
         assert all(r.mean_norm == 0.0 for r in result.rounds)
 
@@ -281,7 +278,7 @@ class TestRepeatedGame:
 
     def test_learning_reaches_truth(self):
         sc, result = self._run()
-        truth = [sc.drone(j).true_type for j in sc.drone_ids]
+        truth = [true_spec(sc, j).id for j in sc.drone_ids]
         assert result.prediction.tolist() == [truth] * len(truth)
         assert result.rounds[-1].mean_norm == 0.0
 

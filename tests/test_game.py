@@ -12,10 +12,15 @@ from dronecoal.allocation import CoalitionEvaluator
 from dronecoal.dynamics import best_reply_step
 from dronecoal.markov import build_chain
 from dronecoal.propagation import ENVIRONMENTS
-from dronecoal.scenario import SETTINGS, baseline_rates, generate
-from oracles import block_of, deviation_candidates, prob, with_rows
+from dronecoal.bench import structure_rates
+from dronecoal.scenario import (DEFAULT_TYPE_SET, SETTINGS, TypeSpec,
+                                baseline_rates, generate)
+from oracles import (block_of, deviation_candidates, payoff, prob,
+                     true_spec, with_rows)
 
 URBAN = ENVIRONMENTS["urban"]
+FOUR_TYPES = tuple(TypeSpec(k, mu, 3.0)
+                   for k, mu in enumerate((12.0, 18.0, 24.0, 30.0)))
 
 BELL = {1: 1, 2: 2, 3: 5, 4: 15, 5: 52, 6: 203}
 
@@ -128,7 +133,7 @@ class TestBeliefState:
         for i in s1.drone_ids:
             for j in s1.drone_ids:
                 if i == j:
-                    assert prob(b, i, i, s1.drone(i).true_type) == 1.0
+                    assert prob(b, i, i, true_spec(s1, i).id) == 1.0
                 else:
                     for t in s1.type_set:
                         assert prob(b, i, j, t.id) == pytest.approx(0.5)
@@ -137,7 +142,7 @@ class TestBeliefState:
         b = BeliefState.point_mass_truth(s1)
         for i in s1.drone_ids:
             for j in s1.drone_ids:
-                assert prob(b, i, j, s1.drone(j).true_type) == 1.0
+                assert prob(b, i, j, true_spec(s1, j).id) == 1.0
 
     def test_table_sums_checked(self, s1):
         ids, tids = s1.drone_ids, [t.id for t in s1.type_set]
@@ -163,7 +168,7 @@ class TestBeliefState:
                       for c in itertools.combinations(ids, k)]
 
         def answers(engine):
-            payoffs = [engine.expected_payoff(d, c, b).hex()
+            payoffs = [payoff(engine, d, c, b).hex()
                        for c in coalitions for d in sorted(c)]
             replies = [engine.table(b).decisions(s)
                        for s in enumerate_structures(ids)]
@@ -187,21 +192,31 @@ class TestBeliefState:
 
 class TestPayoffEngine:
     def test_singleton_equals_baseline(self, s1, s1_engine):
-        base = baseline_rates(s1, CoalitionEvaluator(s1))
+        base = baseline_rates(CoalitionEvaluator(s1))
         b = BeliefState.uniform(s1)
         for d in s1.drone_ids:
-            q = s1_engine.expected_payoff(d, frozenset([d]), b)
+            q = payoff(s1_engine, d, [d], b)
             assert q == pytest.approx(base[d])
 
-    def test_point_mass_equals_deterministic(self, s1, s1_engine):
-        # a generated drone's id is its position, its bit and its rate key
-        b = BeliefState.point_mass_truth(s1)
-        coalition = frozenset([0, 1])
-        rates = CoalitionEvaluator(s1).evaluate(
-            0b11, [s1.true_power(d) for d in coalition])
-        for d in coalition:
-            q = s1_engine.expected_payoff(d, coalition, b)
-            assert q == pytest.approx(rates[d])
+    def test_point_mass_equals_deterministic(self):
+        # full-information payoffs are the true-power rates bit for bit, so
+        # the full_info walk decides on the numbers its results report
+        pairs = 0
+        for types in (DEFAULT_TYPE_SET, FOUR_TYPES):
+            for name in ("S1", "S2", "S3", "S4"):
+                for seed in range(6):
+                    sc = generate(SETTINGS[name], URBAN, types, seed=seed)
+                    engine = PayoffEngine(sc)
+                    table = engine.table(engine.truth)
+                    for s in enumerate_structures(sc.drone_ids):
+                        rates = structure_rates(s, engine.evaluator)
+                        for mask in s.masks:
+                            for pos, d in enumerate(sc.drone_ids):
+                                if mask >> pos & 1:
+                                    assert rates[d].hex() == \
+                                        table.payoff(pos, mask).hex()
+                                    pairs += 1
+        assert pairs == 18_636
 
     def test_uniform_two_drone_expansion(self, s1, s1_engine):
         # a two-member coalition under uniform beliefs averages the rates
@@ -212,9 +227,9 @@ class TestPayoffEngine:
         expected = 0.0
         for t, w in ((0, 0.5), (1, 0.5)):
             rates = CoalitionEvaluator(s1).evaluate(
-                0b11, [s1.true_power(0), mus[t]])
+                0b11, [true_spec(s1, 0).mu, mus[t]])
             expected += w * rates[0]
-        assert s1_engine.expected_payoff(0, coalition, b) == \
+        assert payoff(s1_engine, 0, coalition, b) == \
             pytest.approx(expected)
 
     def test_skewed_beliefs_weighting(self, s1, s1_engine):
@@ -222,15 +237,10 @@ class TestPayoffEngine:
         mus = {t.id: t.mu for t in s1.type_set}
         coalition = frozenset([0, 1])
         expected = sum(w * CoalitionEvaluator(s1).evaluate(
-            0b11, [s1.true_power(0), mus[t]])[0]
+            0b11, [true_spec(s1, 0).mu, mus[t]])[0]
             for t, w in ((0, 0.9), (1, 0.1)))
-        assert s1_engine.expected_payoff(0, coalition, b) == \
+        assert payoff(s1_engine, 0, coalition, b) == \
             pytest.approx(expected)
-
-    def test_membership_required(self, s1, s1_engine):
-        b = BeliefState.uniform(s1)
-        with pytest.raises(ValueError):
-            s1_engine.expected_payoff(0, frozenset([1, 2]), b)
 
     def test_structure_over_other_drones_refused(self, s1, s1_engine):
         # an engine's bitmasks are over its scenario's drones
@@ -258,7 +268,7 @@ class TestPayoffEngine:
                  [b.drone_ids[i] for i in perm], b.type_ids, "drones")):
             other = BeliefState(table, dids, tids)
             with pytest.raises(ValueError, match=f"belief {what}"):
-                engine.expected_payoff(0, frozenset([0, 1]), other)
+                payoff(engine, 0, [0, 1], other)
             with pytest.raises(ValueError, match=f"belief {what}"):
                 engine.table(other)
             with pytest.raises(ValueError, match=f"belief {what}"):
@@ -271,14 +281,14 @@ class TestPayoffEngine:
         engine = PayoffEngine(s1)
         b = BeliefState.uniform(s1)
         with pytest.raises(ValueError):
-            engine.expected_payoff(0, frozenset(s1.drone_ids), b)
+            payoff(engine, 0, s1.drone_ids, b)
 
     def test_memoization_respects_belief_version(self, s1, s1_engine):
         b = BeliefState.uniform(s1)
         coalition = frozenset([0, 1])
-        before = s1_engine.expected_payoff(0, coalition, b)
+        before = payoff(s1_engine, 0, coalition, b)
         b = with_rows(b, {(0, 1): [1.0, 0.0]})
-        after = s1_engine.expected_payoff(0, coalition, b)
+        after = payoff(s1_engine, 0, coalition, b)
         assert before != after
 
 
@@ -287,21 +297,20 @@ def _independent_stability_scan(structure, beliefs, scenario, engine):
     payoffs, without using is_nash_stable."""
     for d in structure.members():
         current = block_of(structure, d)
-        q_cur = engine.expected_payoff(d, frozenset(current), beliefs)
+        q_cur = payoff(engine, d, current, beliefs)
         options = [b for b in structure.blocks if b != current]
         if len(current) > 1:
             options.append(None)
         for target in options:
             joined = frozenset(target) | {d} if target else frozenset([d])
-            q_new = engine.expected_payoff(d, joined, beliefs)
+            q_new = payoff(engine, d, joined, beliefs)
             if q_new <= q_cur + 1e-12 * max(1.0, abs(q_cur)):
                 continue
             vetoed = False
             if target is not None:
                 for j in target:
-                    if engine.expected_payoff(j, joined, beliefs) < \
-                            engine.expected_payoff(j, frozenset(target),
-                                                   beliefs):
+                    if payoff(engine, j, joined, beliefs) < \
+                            payoff(engine, j, target, beliefs):
                         vetoed = True
                         break
             if not vetoed:
@@ -320,9 +329,9 @@ class TestNashStability:
         # the witnessed move must be strictly profitable and admissible
         joined = frozenset(witness.target) | {witness.drone} \
             if witness.target else frozenset([witness.drone])
-        q_new = s1_engine.expected_payoff(witness.drone, joined, b)
-        q_old = s1_engine.expected_payoff(
-            witness.drone, frozenset(block_of(singles, witness.drone)), b)
+        q_new = payoff(s1_engine, witness.drone, joined, b)
+        q_old = payoff(s1_engine, witness.drone,
+                       block_of(singles, witness.drone), b)
         assert q_new - q_old == pytest.approx(witness.payoff_gain)
         assert admissible(witness.drone, witness.target, s1_engine, b)
 

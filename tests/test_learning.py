@@ -7,7 +7,8 @@ from dronecoal.learning import (ObservationLog, frobenius_convergence,
                                 update_beliefs)
 from dronecoal.propagation import ENVIRONMENTS
 from dronecoal.scenario import SETTINGS, TypeSpec, generate
-from oracles import classify, kl_gaussian, mle_gaussian, prob, share
+from oracles import (classify, kl_gaussian, mle_gaussian, prob, share,
+                     true_spec)
 
 URBAN = ENVIRONMENTS["urban"]
 TYPES = (TypeSpec(0, 12.0, 3.0), TypeSpec(1, 18.0, 3.0))
@@ -192,11 +193,11 @@ class TestUpdateBeliefs:
         for _ in range(40):
             draws = {}
             for j in ids:
-                t = sc.type_spec(sc.drone(j).true_type)
+                t = true_spec(sc, j)
                 draws[j] = max(0.0, float(rng.normal(t.mu, t.sigma)))
             share(log, draws, [(i, j) for i in ids for j in ids if i != j])
         _, [prediction] = update_beliefs(log)
-        truth = [sc.drone(j).true_type for j in ids]
+        truth = [true_spec(sc, j).id for j in ids]
         assert prediction.tolist() == [truth] * len(ids)
 
 
@@ -206,7 +207,7 @@ class TestFrobeniusConvergence:
 
     def _prediction(self, sc, overrides=None):
         # S1 lists drones 0..2 in id order, so ids are positions
-        prediction = np.array([[sc.drone(j).true_type for j in sc.drone_ids]
+        prediction = np.array([[true_spec(sc, j).id for j in sc.drone_ids]
                                for _ in sc.drone_ids])
         for (i, j), t in (overrides or {}).items():
             prediction[i, j] = t
@@ -222,7 +223,7 @@ class TestFrobeniusConvergence:
         # one wrong cross-prediction flips one entry in each of the two
         # type-indicator matrices: norm 1 per type, mean 1
         sc = self._scenario()
-        wrong = 1 - sc.drone(1).true_type
+        wrong = 1 - true_spec(sc, 1).id
         prediction = self._prediction(sc, {(0, 1): wrong})
         norms, mean = frobenius_convergence(prediction, sc)
         assert np.allclose(norms, 1.0)
@@ -231,8 +232,8 @@ class TestFrobeniusConvergence:
     def test_two_errors(self):
         sc = self._scenario()
         prediction = self._prediction(sc, {
-            (0, 1): 1 - sc.drone(1).true_type,
-            (2, 0): 1 - sc.drone(0).true_type})
+            (0, 1): 1 - true_spec(sc, 1).id,
+            (2, 0): 1 - true_spec(sc, 0).id})
         norms, mean = frobenius_convergence(prediction, sc)
         assert np.allclose(norms, math.sqrt(2.0))
         assert mean == pytest.approx(math.sqrt(2.0))
@@ -247,7 +248,7 @@ class TestFrobeniusConvergence:
                     if i != j and rng.random() < 0.3:
                         overrides[(i, j)] = int(rng.integers(2))
             prediction = self._prediction(sc, overrides)
-            wrong = any(prediction[i, j] != sc.drone(j).true_type
+            wrong = any(prediction[i, j] != true_spec(sc, j).id
                         for i in sc.drone_ids for j in sc.drone_ids
                         if i != j)
             _, mean = frobenius_convergence(prediction, sc)

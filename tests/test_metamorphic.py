@@ -33,7 +33,7 @@ from dronecoal.markov import (TrappedClassError, absorbing_states,
 from dronecoal.propagation import ENVIRONMENTS
 from dronecoal.scenario import (DEFAULT_TYPE_SET, SETTINGS, Scenario,
                                 TypeSpec, generate)
-from oracles import prob, share
+from oracles import payoff, prob, share, true_spec
 
 URBAN = ENVIRONMENTS["urban"]
 REL = 1e-12
@@ -57,7 +57,7 @@ def draw_samples(sc, rounds: int, seed: int) -> dict:
     out = {}
     for r in range(rounds):
         for j in sc.drone_ids:
-            t = sc.type_spec(sc.drone(j).true_type)
+            t = true_spec(sc, j)
             out[(r, j)] = max(0.0, float(rng.normal(t.mu, t.sigma)))
     return out
 
@@ -125,8 +125,8 @@ def payoffs(sc, beliefs, engine, relabel=None) -> dict:
         for coalition in itertools.combinations(ids, k):
             mapped = tuple(sorted(relabel[d] for d in coalition))
             for d in coalition:
-                out[(relabel[d], mapped)] = engine.expected_payoff(
-                    d, frozenset(coalition), beliefs)
+                out[(relabel[d], mapped)] = payoff(engine, d, coalition,
+                                                   beliefs)
     return out
 
 

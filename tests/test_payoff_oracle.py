@@ -35,7 +35,7 @@ def learned(sc, rounds: int, seed: int) -> BeliefState:
     for _ in range(rounds):
         for i, j in itertools.permutations(sc.drone_ids, 2):
             if rng.random() < 0.75:
-                t = sc.type_spec(sc.drone(j).true_type)
+                t = oracles.true_spec(sc, j)
                 x = max(0.0, float(rng.normal(t.mu, t.sigma)))
                 oracles.share(log, {j: x}, [(i, j)])
     [beliefs], _ = update_beliefs(log)
@@ -58,7 +58,7 @@ def assert_all_payoffs_equal_reference(sc, beliefs):
         for members in itertools.combinations(ids, k):
             coalition = frozenset(members)
             for d in members:
-                got = engine.expected_payoff(d, coalition, beliefs)
+                got = oracles.payoff(engine, d, coalition, beliefs)
                 ref = oracles.expected_payoff(sc, evaluator, d, coalition,
                                               beliefs)
                 assert got.hex() == ref.hex(), (d, members)
@@ -97,7 +97,7 @@ def test_payoffs_equal_per_entry_reference(case):
                             beliefs.type_ids)
         engine, d = PayoffEngine(sc), sc.drone_ids[0]
         with pytest.raises(ValueError, match="belief drones"):
-            engine.expected_payoff(d, {d}, other)
+            oracles.payoff(engine, d, {d}, other)
         assert other.content_key not in engine.tables
     # the same beliefs with the type axis in another order are refused
     if list(tperm) != sorted(tperm):
@@ -105,7 +105,7 @@ def test_payoffs_equal_per_entry_reference(case):
                             [beliefs.type_ids[k] for k in tperm])
         d = sc.drone_ids[0]
         with pytest.raises(ValueError, match="belief types"):
-            PayoffEngine(sc).expected_payoff(d, {d}, other)
+            oracles.payoff(PayoffEngine(sc), d, {d}, other)
 
 
 @pytest.mark.parametrize("kind", ["point_mass", "uniform", "learned"])
@@ -131,13 +131,13 @@ def test_second_belief_state_reads_the_filled_rate_table(monkeypatch):
                         fills.append(budgets) or waterfill(gains, budgets))
     payoffs = []
     for beliefs, ref in zip(states, refs):
-        payoffs.append(engine.expected_payoff(observer, grand, beliefs))
+        payoffs.append(oracles.payoff(engine, observer, grand, beliefs))
         assert payoffs[-1].hex() == ref.hex()
         # one batched fill, made for the first state only
         assert len(fills) == 1
     # its rows are the coalition's distinct budgets: each member's power
     # plus the powers of a type-count multiset of the five others
-    budgets = {math.fsum([sc.true_power(d), *others])
+    budgets = {math.fsum([oracles.true_spec(sc, d).mu, *others])
                for d in grand
                for others in itertools.combinations_with_replacement(
                    [t.mu for t in AUDIT_TYPES], len(grand) - 1)}
@@ -146,5 +146,5 @@ def test_second_belief_state_reads_the_filled_rate_table(monkeypatch):
     assert payoffs[0] != payoffs[1]
     # the fill also holds every other member's rates
     for d in grand - {observer}:
-        engine.expected_payoff(d, grand, states[0])
+        oracles.payoff(engine, d, grand, states[0])
     assert len(fills) == 1

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy.optimize import linear_sum_assignment
 
+import oracles
 from dronecoal import propagation
 from dronecoal.allocation import CoalitionEvaluator
 from dronecoal.propagation import ENVIRONMENTS, Position3D
@@ -93,7 +94,8 @@ class TestGenerate:
             channels = sorted(q for d in sc.drones for q in d.channels)
             assert channels == list(range(setting.q))
             for d in sc.drones:
-                assert len(sc.baseline_users(d.id)) == setting.users_per_drone
+                assert len(oracles.baseline_users(sc, d.id)) == \
+                    setting.users_per_drone
                 assert len(d.channels) == setting.channels_per_drone
                 assert d.position.z == 1000.0
             for u in sc.users:
@@ -135,8 +137,7 @@ class TestScenarioValidation:
     def test_valid(self):
         sc = self._mini()
         assert sc.drone_ids == (0, 1)
-        assert sc.true_power(0) == 12.0
-        assert sc.true_power(1) == 18.0
+        assert sc.true_mus == (12.0, 18.0)
 
     def test_duplicate_channels_rejected(self):
         with pytest.raises(ValueError):
@@ -198,15 +199,14 @@ class TestScenarioValidation:
         for key in ("drones", "users", "type_set"):
             assert [e["id"] for e in raw[key]] == [0, 1]
 
-    def test_drone_lookup_keeps_field_equality(self):
+    def test_cached_true_mus_keep_field_equality(self):
         sc = generate(SETTINGS["S1"], URBAN, seed=9)
         fresh = Scenario.from_dict(sc.to_dict())
-        for d in sc.drones:
-            assert sc.drone(d.id) is d
-        with pytest.raises(KeyError):
-            sc.drone(99)
-        # the cached id index is not a field: equality and hashing still
+        mus = {t.id: t.mu for t in sc.type_set}
+        assert sc.true_mus == tuple(mus[d.true_type] for d in sc.drones)
+        # the cached means are not a field: equality and hashing still
         # compare the fields only
+        assert "true_mus" in vars(sc) and "true_mus" not in vars(fresh)
         assert sc == fresh
         assert hash(sc) == hash(fresh)
 
@@ -216,7 +216,7 @@ def _independent_baseline(scenario):
     linear loss weights, scipy matching, bisection water-filling."""
     rates = {}
     for d in scenario.drones:
-        users = scenario.baseline_users(d.id)
+        users = [u.id for u in scenario.users if u.baseline_drone == d.id]
         w = np.array([[1.0 / 10 ** (propagation.path_loss(
             d.position, next(u for u in scenario.users if u.id == uid).position,
             scenario.env).mean_loss_db / 10.0) for uid in users]
@@ -227,7 +227,8 @@ def _independent_baseline(scenario):
             d.position,
             next(u for u in scenario.users if u.id == uid).position,
             scenario.env).mean_loss_db, scenario.env) for uid in served])
-        budget = scenario.true_power(d.id)
+        budget = next(t.mu for t in scenario.type_set
+                      if t.id == d.true_type)
         # bisection on the water level
         lo, hi = 0.0, budget + (1.0 / gains).max()
         for _ in range(200):
@@ -245,7 +246,7 @@ def _independent_baseline(scenario):
 class TestBaselineRates:
     def test_matches_independent_recomputation(self):
         sc = generate(SETTINGS["S1"], URBAN, seed=13)
-        got = baseline_rates(sc, CoalitionEvaluator(sc))
+        got = baseline_rates(CoalitionEvaluator(sc))
         expected = _independent_baseline(sc)
         for d in sc.drone_ids:
             assert got[d] == pytest.approx(expected[d], rel=1e-6)
@@ -254,10 +255,10 @@ class TestBaselineRates:
     def test_vanishing_power_gives_vanishing_rates(self):
         tiny = (TypeSpec(0, 1e-12, 1.0),)
         sc = generate(SETTINGS["S1"], URBAN, type_set=tiny, seed=1)
-        rates = baseline_rates(sc, CoalitionEvaluator(sc))
+        rates = baseline_rates(CoalitionEvaluator(sc))
         assert all(abs(r) < 1e-9 for r in rates.values())
 
     def test_deterministic(self):
         sc = generate(SETTINGS["S2"], URBAN, seed=21)
-        assert baseline_rates(sc, CoalitionEvaluator(sc)) == \
-            baseline_rates(sc, CoalitionEvaluator(sc))
+        assert baseline_rates(CoalitionEvaluator(sc)) == \
+            baseline_rates(CoalitionEvaluator(sc))

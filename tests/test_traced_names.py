@@ -84,16 +84,18 @@ def test_traced_repeated_game_counts_every_sample():
     # call, which comes once per round after that round's sharing
     tracer = _tracer()
     dynamics = importlib.import_module("dronecoal.dynamics")
+    game = importlib.import_module("dronecoal.game")
     scenario = importlib.import_module("dronecoal.scenario")
     propagation = importlib.import_module("dronecoal.propagation")
     sc = scenario.generate(scenario.SETTINGS["S3"],
                            propagation.ENVIRONMENTS["urban"], seed=4)
+    engine = game.PayoffEngine(sc)
     before = _held_names(tracer.SPANS)
     spans = tracer.Tracer()
     spans.install()
     try:
         result = dynamics.run_repeated_game(
-            sc, dynamics.DynamicsConfig(seed=2, max_rounds=40))
+            dynamics.DynamicsConfig(seed=2, max_rounds=40), engine)
     finally:
         spans.uninstall()
     after = _held_names(tracer.SPANS)

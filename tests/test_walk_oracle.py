@@ -161,7 +161,7 @@ def test_shared_samples_are_scalar_draws_truncated_at_zero():
                           for _ in range(2))
         log = ObservationLog(sc, len(structures))
         draws = dynamics._share_samples(structures, log, rngs)
-        specs = {d: sc.type_spec(sc.drone(d).true_type) for d in ids}
+        specs = {d: oracles.true_spec(sc, d) for d in ids}
         pos = {d: k for k, d in enumerate(sc.drone_ids)}
         for g, structure in enumerate(structures):
             rng, ref_rng = rngs[g], ref_rngs[g]

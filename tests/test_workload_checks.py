@@ -107,7 +107,7 @@ def repeated_pin(wl, seed, tmp_path) -> dict:
         stall = [] if outcome.stall is None \
             else [s.to_string() for s in outcome.stall.trace]
         rounds.update(f"stall {stall}\n".encode())
-        ids, prediction = args[0].drone_ids, outcome.prediction.tolist()
+        ids, prediction = args[1].ids, outcome.prediction.tolist()
         pairs = sorted(((i, j), prediction[a][b]) for a, i in enumerate(ids)
                        for b, j in enumerate(ids) if i != j)
         rounds.update(f"{pairs}\n".encode())
