@@ -21,14 +21,15 @@ from .allocation import CoalitionEvaluator
 from .dynamics import (DynamicsConfig, RepeatedGameResult, run_best_reply,
                        run_repeated_game, run_repeated_games)
 from .game import (BeliefState, CoalitionStructure, PayoffEngine,
-                   check_type_space, enumerate_structures, weakly_better,
-                   PARTITION_CAP)
+                   check_engine, check_type_space, enumerate_structures,
+                   weakly_better, PARTITION_CAP)
 from .markov import build_chain, formation_probabilities
 from .propagation import ENVIRONMENTS
 from .scenario import (DEFAULT_TYPE_SET, SETTINGS, TypeSpec, baseline_rates,
                        check_keys, generate, is_int, is_number)
 
 REGIMES = ("baseline", "full_info", "proposed", "social_optimal")
+AGGREGATE_MODES = ("best_stable", "expected")
 
 
 @dataclass
@@ -61,10 +62,10 @@ class RunManifest:
     seed: int = 0
     regimes: list[str] = field(default_factory=lambda: list(REGIMES))
     output_dir: str = "out"
-    epsilon: float = 0.1
-    init_grand_rounds: int = 5
-    max_rounds: int = 200
-    stability_window: int = 10
+    epsilon: float = DynamicsConfig.epsilon
+    init_grand_rounds: int = DynamicsConfig.init_grand_rounds
+    max_rounds: int = DynamicsConfig.max_rounds
+    stability_window: int = DynamicsConfig.stability_window
     aggregate_mode: str = "best_stable"
 
     def __post_init__(self):
@@ -75,6 +76,8 @@ class RunManifest:
             for v in value:
                 if not isinstance(v, str) or v not in known:
                     raise ValueError(f"unknown {name[:-1]} {v!r}")
+            if len(set(value)) != len(value):
+                raise ValueError(f"{name} must be distinct, got {value!r}")
         if not isinstance(self.type_set, (list, tuple)):
             raise ValueError(f"type_set must be a list, got {self.type_set!r}")
         for t in self.type_set:
@@ -88,7 +91,7 @@ class RunManifest:
         if not isinstance(self.environment, str) \
                 or self.environment not in ENVIRONMENTS:
             raise ValueError(f"unknown environment {self.environment!r}")
-        if self.aggregate_mode not in ("best_stable", "expected"):
+        if self.aggregate_mode not in AGGREGATE_MODES:
             raise ValueError(
                 f"unknown aggregate_mode {self.aggregate_mode!r}")
         for name, low in (("topologies", 1), ("repetitions", 1), ("seed", 0)):
@@ -101,14 +104,17 @@ class RunManifest:
                 f"output_dir must be a string, got {self.output_dir!r}")
         if not self.output_dir:
             raise ValueError("output_dir must not be empty")
-        # every run's dynamics settings, checked before any run starts
-        DynamicsConfig(self.epsilon, self.init_grand_rounds,
-                       self.max_rounds, self.stability_window)
+        self.dynamics(0)   # checked before any run starts
         types = self.types()   # each entry checked as a TypeSpec
         if {"full_info", "proposed"} & set(self.regimes):
             # the largest grand coalition's payoff sums m^(D-1) vectors
             check_type_space(len(types), max(
                 (SETTINGS[s].d for s in self.settings), default=1) - 1)
+
+    def dynamics(self, seed: int) -> DynamicsConfig:
+        """The repeated-game settings of the run seeded ``seed``."""
+        return DynamicsConfig(self.epsilon, self.init_grand_rounds,
+                              self.max_rounds, self.stability_window, seed)
 
     def types(self) -> tuple[TypeSpec, ...]:
         return tuple(TypeSpec(t["id"], t["mu"], t["sigma"])
@@ -170,16 +176,6 @@ def stable_set_analysis(engine: PayoffEngine, beliefs: BeliefState):
     return stable, totals, prob_map, model
 
 
-def _proposed_config(manifest: RunManifest, seed: int) -> DynamicsConfig:
-    """The manifest's repeated-game settings for the run seeded ``seed``."""
-    return DynamicsConfig(
-        epsilon=manifest.epsilon,
-        init_grand_rounds=manifest.init_grand_rounds,
-        max_rounds=manifest.max_rounds,
-        stability_window=manifest.stability_window,
-        seed=seed)
-
-
 def _proposed_result(evaluator: CoalitionEvaluator, setting: str,
                      topology: int, repetition: int,
                      outcome: RepeatedGameResult) -> RegimeResult:
@@ -202,8 +198,7 @@ def run_regime(scenario, regime: str, manifest: RunManifest,
     full_info results."""
     if setting not in manifest.settings:
         raise ValueError(f"setting {setting!r} is not in the manifest")
-    if engine.scenario != scenario:
-        raise ValueError("the payoff engine is not the scenario's")
+    check_engine(scenario, engine)
     evaluator = engine.evaluator
     singles = CoalitionStructure.singletons(scenario.drone_ids)
     seed = run_seed(manifest, manifest.settings.index(setting), topology,
@@ -226,7 +221,7 @@ def run_regime(scenario, regime: str, manifest: RunManifest,
             structure_changes=stats.changes)
 
     if regime == "proposed":
-        outcome = run_repeated_game(_proposed_config(manifest, seed), engine)
+        outcome = run_repeated_game(manifest.dynamics(seed), engine)
         return _proposed_result(evaluator, setting, topology, repetition,
                                 outcome)
 
@@ -275,10 +270,9 @@ def run_topology(scenario, manifest: RunManifest, setting: str,
     for regime in manifest.regimes:
         if regime == "proposed":
             reps = range(manifest.repetitions)
-            outcomes = run_repeated_games([
-                _proposed_config(manifest, run_seed(
-                    manifest, manifest.settings.index(setting), topology,
-                    rep)) for rep in reps], engine)
+            outcomes = run_repeated_games([manifest.dynamics(run_seed(
+                manifest, manifest.settings.index(setting), topology, rep))
+                for rep in reps], engine)
             out.extend(_proposed_result(engine.evaluator, setting, topology,
                                         rep, outcome)
                        for rep, outcome in zip(reps, outcomes))
@@ -311,8 +305,7 @@ def run_manifest(manifest: RunManifest, strict: bool = False
     return results
 
 
-def aggregate(results: list[RegimeResult], mode: str = "best_stable"
-              ) -> list[dict]:
+def aggregate(results: list[RegimeResult], mode: str) -> list[dict]:
     """Mean and sample std of the per-topology totals per (setting,
     regime).
 
@@ -320,8 +313,8 @@ def aggregate(results: list[RegimeResult], mode: str = "best_stable"
     structure; mode="expected": they use the formation-probability-
     weighted total over stable structures.
     """
-    if mode not in ("best_stable", "expected"):
-        raise ValueError("mode must be 'best_stable' or 'expected'")
+    if mode not in AGGREGATE_MODES:
+        raise ValueError(f"unknown aggregate_mode {mode!r}")
     if not results:
         raise ValueError("no results to aggregate")
     grouped: dict[tuple[str, str], dict[int, list[float]]] = {}
@@ -354,10 +347,9 @@ def aggregate(results: list[RegimeResult], mode: str = "best_stable"
 
 
 def emit_outputs(results: list[RegimeResult], manifest: RunManifest,
-                 out_dir: str | None = None) -> list[str]:
+                 out_dir: str) -> list[str]:
     """Write summary, per-drone, and convergence CSVs plus the manifest
     echo.  Byte-stable for a fixed manifest."""
-    out_dir = out_dir or manifest.output_dir
     os.makedirs(out_dir, exist_ok=True)
     written = []
 

@@ -9,8 +9,8 @@ import json
 import os
 import sys
 
-from .bench import (REGIMES, RegimeResult, RunManifest, emit_outputs,
-                    run_manifest)
+from .bench import (AGGREGATE_MODES, REGIMES, RegimeResult, RunManifest,
+                    emit_outputs, run_manifest)
 from .game import BeliefState, PayoffEngine
 from .markov import build_chain, formation_probabilities
 from .propagation import ENVIRONMENTS
@@ -124,7 +124,7 @@ def cmd_report(args) -> int:
         r["per_drone"] = {int(k): v for k, v in r["per_drone"].items()}
         results.append(RegimeResult(**r))
     manifest = RunManifest.load(args.manifest)
-    manifest.aggregate_mode = args.mode
+    manifest.aggregate_mode = args.mode or manifest.aggregate_mode
     files = emit_outputs(results, manifest, args.out)
     for path in files:
         print(f"wrote {path}")
@@ -170,8 +170,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("report", help="re-aggregate existing results")
     p.add_argument("--results", required=True)
     p.add_argument("--manifest", required=True)
-    p.add_argument("--mode", choices=["best_stable", "expected"],
-                   default="best_stable")
+    p.add_argument("--mode", choices=AGGREGATE_MODES,
+                   help="aggregate mode (default: the manifest's)")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_report)
     return parser

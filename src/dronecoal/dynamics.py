@@ -10,7 +10,7 @@ coalition to keep information flowing.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -76,7 +76,7 @@ class BestReplyStats:
 
 def run_best_reply(initial: CoalitionStructure, beliefs: BeliefState,
                    engine: PayoffEngine, rng: np.random.Generator,
-                   stability_window: int = 10,
+                   stability_window: int = DynamicsConfig.stability_window,
                    tie_rng: np.random.Generator | None = None
                    ) -> tuple[CoalitionStructure, BestReplyStats]:
     """Iterate uniformly random proposers until the structure is stable.
@@ -152,22 +152,6 @@ class RoundRecord:
         }, sort_keys=True)
 
 
-@dataclass
-class RepeatedGameResult:
-    structure: CoalitionStructure
-    beliefs: BeliefState
-    prediction: np.ndarray
-    rounds: list[RoundRecord] = field(default_factory=list)
-    converged: bool = False
-    # the best-reply cycle that ended the game, if one did
-    stall: NonConvergenceError | None = None
-
-    def write_trace(self, path) -> None:
-        with open(path, "w") as f:
-            for record in self.rounds:
-                f.write(record.to_json() + "\n")
-
-
 @lru_cache
 def _mates(structure: CoalitionStructure) -> np.ndarray:
     """Read-only (D, D) bool mask over ``structure.ids``: [a, b] is set
@@ -205,10 +189,12 @@ def _share_samples(structures: list, log: ObservationLog,
             for s, row in zip(structures, powers.tolist())]
 
 
-class _Game:
-    """One repeated game between lockstep rounds: its four generators, the
-    structure its walks start from, its records and its convergence
-    test."""
+class RepeatedGameResult:
+    """One repeated game: it plays between lockstep rounds (``propose``,
+    ``record``) on its four generators, and holds its outcome: the
+    structure its walks reached, the last round's beliefs and
+    prediction, its round records, whether it converged, and the
+    best-reply cycle that ended it, if one did (``stall``)."""
 
     def __init__(self, config: DynamicsConfig, engine: PayoffEngine):
         self.config, self.engine = config, engine
@@ -219,7 +205,7 @@ class _Game:
                                   for s in root.spawn(4)]
         self.grand = CoalitionStructure.grand(ids)
         self.structure = CoalitionStructure.singletons(ids)
-        self.records: list[RoundRecord] = []
+        self.rounds: list[RoundRecord] = []
         self.beliefs = self.prediction = None
         self.last_non_grand: CoalitionStructure | None = None
         self.stable_streak = 0
@@ -234,7 +220,7 @@ class _Game:
         config = self.config
         if self.done:
             return None
-        if len(self.records) < config.init_grand_rounds \
+        if len(self.rounds) < config.init_grand_rounds \
                 or self.rng_bernoulli.random() < config.epsilon:
             return self.grand, True
         try:
@@ -258,11 +244,11 @@ class _Game:
         table = self.engine.table(beliefs)
         own = {d: (i, m) for m in current.masks
                for i, d in enumerate(current.ids) if m >> i & 1}
-        self.records.append(RoundRecord(
-            len(self.records), grand_round, current,
+        self.rounds.append(RoundRecord(
+            len(self.rounds), grand_round, current,
             {d: table.payoff(*own[d]) for d in current.ids},
             draws, beliefs.snapshot_hash(), tuple(norms), mean_norm))
-        played = len(self.records) - config.init_grand_rounds
+        played = len(self.rounds) - config.init_grand_rounds
         if played > 0:
             self.stable_streak = self.stable_streak + 1 \
                 if np.array_equal(prediction, self.prediction) else 1
@@ -275,11 +261,10 @@ class _Game:
             self.done = self.converged or played == config.max_rounds
         self.beliefs, self.prediction = beliefs, prediction
 
-    def result(self) -> RepeatedGameResult:
-        return RepeatedGameResult(
-            structure=self.structure, beliefs=self.beliefs,
-            prediction=self.prediction, rounds=self.records,
-            converged=self.converged, stall=self.stall)
+    def write_trace(self, path) -> None:
+        with open(path, "w") as f:
+            for record in self.rounds:
+                f.write(record.to_json() + "\n")
 
 
 def run_repeated_games(configs: list[DynamicsConfig],
@@ -299,11 +284,11 @@ def run_repeated_games(configs: list[DynamicsConfig],
     ``stall``.  The games share one ``ObservationLog``, so each round
     every game still playing shares, learns and is scored in one
     ``share``, one ``update_beliefs`` and one ``frobenius_convergence``
-    call; each keeps its own generators, walk and records, so it ends as
-    it would alone.
+    call; each keeps its own generators, walk and rounds, so it ends as
+    it would alone.  The games themselves are the results.
     """
     scenario = engine.scenario
-    games = [_Game(config, engine) for config in configs]
+    games = [RepeatedGameResult(config, engine) for config in configs]
     log = ObservationLog(scenario, len(games))
     rngs = [game.rng_sample for game in games]
     while True:
@@ -318,7 +303,7 @@ def run_repeated_games(configs: list[DynamicsConfig],
             if r is not None:
                 game.record(*r, draws[g], beliefs[g], prediction[g],
                             norms[g], means[g])
-    return [game.result() for game in games]
+    return games
 
 
 def run_repeated_game(config: DynamicsConfig,

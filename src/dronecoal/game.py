@@ -275,6 +275,12 @@ class PayoffEngine:
         return float(np.add.accumulate(terms)[-1])
 
 
+def check_engine(scenario, engine: PayoffEngine) -> None:
+    """Refuse an engine of another scenario; its own passes on identity."""
+    if scenario is not engine.scenario and scenario != engine.scenario:
+        raise ValueError("the payoff engine is not the scenario's")
+
+
 def check_type_space(m: int, k: int) -> None:
     """Refuse a payoff sum over more than TYPE_SPACE_CAP type vectors."""
     if m ** k > TYPE_SPACE_CAP:
@@ -404,7 +410,8 @@ def is_nash_stable(structure: CoalitionStructure, beliefs: BeliefState,
                    ) -> tuple[bool, DeviationWitness | None]:
     """Stable iff no drone has a best reply (Bogomolnaia & Jackson 2002);
     the witness is the first such drone, its first target and the gain.
-    ``scenario`` is unread; callers pass it positionally."""
+    ``scenario`` must be the engine's (``check_engine``)."""
+    check_engine(scenario, engine)
     table = engine.table(beliefs)
     for pos, (q, targets) in enumerate(table.decisions(structure)):
         if targets:

@@ -12,7 +12,8 @@ import numpy as np
 
 # candidate_groups is unused here; the benchmark's tracer looks it up here
 from .game import (BeliefState, CoalitionStructure, PayoffEngine,
-                   candidate_groups, enumerate_structures, moved)
+                   candidate_groups, check_engine, enumerate_structures,
+                   moved)
 
 ABSORBING_TOL = 1e-12
 
@@ -48,6 +49,7 @@ def build_chain(scenario, beliefs: BeliefState,
     """Analytic transition matrix of the best-reply process.  With
     ``veto_self_loop`` only the top payoff level counts: a vetoed
     maximizer's share stays put instead of falling through."""
+    check_engine(scenario, engine)
     ids = scenario.drone_ids
     states = enumerate_structures(ids)
     index = {s.masks: i for i, s in enumerate(states)}

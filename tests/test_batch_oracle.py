@@ -61,8 +61,7 @@ def test_paper_topology_with_a_cycle_as_one_batch():
                                  regimes=["proposed"])
     sc = generate(SETTINGS["S4"], URBAN, manifest.types(),
                   seed=bench.scenario_seed(manifest, 0, 2))
-    configs = [bench._proposed_config(manifest,
-                                      bench.run_seed(manifest, 0, 2, rep))
+    configs = [manifest.dynamics(bench.run_seed(manifest, 0, 2, rep))
                for rep in range(manifest.repetitions)]
     batch = assert_batch_equals_lone_runs(sc, configs)
     assert [rep for rep, r in enumerate(batch) if r.stall is not None] == [23]

@@ -14,6 +14,7 @@ from dronecoal.bench import (REGIMES, RegimeResult, RunManifest, aggregate,
                              stable_set_analysis, structure_rates)
 from dronecoal.game import (BeliefState, CoalitionStructure, PayoffEngine,
                             enumerate_structures, is_nash_stable)
+from dronecoal.markov import build_chain
 from dronecoal.propagation import ENVIRONMENTS
 from dronecoal.scenario import (SETTINGS, Scenario, SimulationSetting,
                                 baseline_rates, generate)
@@ -193,10 +194,23 @@ class TestRunRegime:
                        PayoffEngine(s1))
 
     def test_engine_of_another_scenario_refused(self, s1):
-        other = generate(SETTINGS["S1"], URBAN, seed=9)
-        with pytest.raises(ValueError, match="not the scenario's"):
-            run_regime(s1, "baseline", tiny_manifest(), "S1", 0, 0,
-                       PayoffEngine(other))
+        # the three entries that take a scenario beside its engine make one
+        # check: an engine of another scenario is refused, not read
+        engine = PayoffEngine(generate(SETTINGS["S1"], URBAN, seed=9))
+        singles = CoalitionStructure.singletons(s1.drone_ids)
+        for call in (
+                lambda: run_regime(s1, "baseline", tiny_manifest(), "S1",
+                                   0, 0, engine),
+                lambda: build_chain(s1, engine.truth, engine),
+                lambda: is_nash_stable(singles, engine.truth, s1, engine)):
+            with pytest.raises(ValueError, match="not the scenario's"):
+                call()
+        # an equal scenario that is another object is the engine's
+        twin = generate(SETTINGS["S1"], URBAN, seed=9)
+        assert twin is not engine.scenario
+        assert build_chain(twin, engine.truth, engine).states
+        assert is_nash_stable(singles, engine.truth, twin, engine) == \
+            is_nash_stable(singles, engine.truth, engine.scenario, engine)
 
     def test_full_info_leaves_analysis_to_run_topology(self, s1):
         r = run_regime(s1, "full_info", tiny_manifest(), "S1", 0, 0,
@@ -283,7 +297,7 @@ class TestAggregate:
     def test_mean_and_std_over_topologies(self):
         results = [self._result("baseline", 0, 0, 10.0),
                    self._result("baseline", 1, 0, 14.0)]
-        rows = aggregate(results)
+        rows = aggregate(results, "best_stable")
         assert len(rows) == 1
         assert rows[0]["mean_total_rate"] == pytest.approx(12.0)
         assert rows[0]["std_total_rate"] == pytest.approx(
@@ -293,7 +307,7 @@ class TestAggregate:
     def test_repetitions_average_within_topology(self):
         results = [self._result("proposed", 0, 0, 10.0),
                    self._result("proposed", 0, 1, 14.0)]
-        rows = aggregate(results)
+        rows = aggregate(results, "best_stable")
         assert rows[0]["mean_total_rate"] == pytest.approx(12.0)
         assert rows[0]["topologies"] == 1
 
@@ -312,7 +326,7 @@ class TestAggregate:
     def test_nan_entries_skipped(self):
         results = [self._result("baseline", 0, 0, 10.0),
                    self._result("social_optimal", 0, 0, float("nan"))]
-        rows = aggregate(results)
+        rows = aggregate(results, "best_stable")
         assert len(rows) == 1
 
     def test_invalid_mode(self):
@@ -320,7 +334,7 @@ class TestAggregate:
             aggregate([self._result("baseline", 0, 0, 1.0)], "median")
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            aggregate([])
+            aggregate([], "best_stable")
 
 
 @pytest.fixture(scope="module")

@@ -245,6 +245,12 @@ class TestRun:
         # an empty directory name would fail only after the batch, when
         # the outputs are written
         ({"output_dir": ""}, "output_dir must not be empty"),
+        # a repeated setting or regime would share the first one's seeds
+        # and labels
+        ({"settings": ["S1", "S1"]},
+         "settings must be distinct, got ['S1', 'S1']"),
+        ({"regimes": ["proposed", "proposed"]},
+         "regimes must be distinct, got ['proposed', 'proposed']"),
     ])
     def test_malformed_field_rejected_on_load(self, tmp_path, monkeypatch,
                                               capsys, entries, field):
@@ -431,6 +437,24 @@ class TestReport:
                      "--out", str(report_out)]) == EXIT_OK
         text = (report_out / "summary.csv").read_text()
         assert ",expected," in text
+
+    @pytest.mark.parametrize("mode", ["best_stable", "expected"])
+    def test_report_defaults_to_the_manifest_mode(self, tmp_path, mode):
+        # without --mode, report re-aggregates in the manifest's mode, so
+        # it rewrites the run's own summary byte for byte
+        manifest_path = tmp_path / "manifest.json"
+        _write_manifest(manifest_path, topologies=2, regimes=["full_info"],
+                        aggregate_mode=mode)
+        run_out, report_out = tmp_path / "out", tmp_path / "report"
+        assert main(["run", "--manifest", str(manifest_path),
+                     "--out", str(run_out)]) == EXIT_OK
+        assert main(["report", "--results", str(run_out / "results.json"),
+                     "--manifest", str(manifest_path),
+                     "--out", str(report_out)]) == EXIT_OK
+        for name in ("summary.csv", "manifest_echo.json"):
+            assert (report_out / name).read_bytes() == \
+                (run_out / name).read_bytes()
+        assert f",{mode}," in (report_out / "summary.csv").read_text()
 
     def test_unknown_result_key(self, tmp_path, capsys):
         manifest_path = tmp_path / "manifest.json"

@@ -99,7 +99,7 @@ def test_payoff_levels_tie_inside_the_band(rel, tied):
         assert groups == [(2.0, [(1,)]), (q, [(2,)])]
         assert decision == (2.0, (0b010,))
     # the witness is the first best-reply target, at the level's gain
-    assert is_nash_stable(singles, beliefs, None, engine) == \
+    assert is_nash_stable(singles, beliefs, engine.scenario, engine) == \
         (False, DeviationWitness(0, (1,), 1.0))
 
 
